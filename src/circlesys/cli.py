@@ -117,7 +117,7 @@ def check_recursion(ctx):
 
 def check_numerology(ctx):
     total = 0
-    for n in range(1, ctx.params.stages):
+    for n in range(1, ctx.params.stages + 1):
         if ctx.params.q[n] > ctx.cap_atoms:
             break
         order = dyn_order(ctx.params, n, cap=ctx.cap_atoms)
@@ -132,13 +132,21 @@ def check_numerology(ctx):
 def check_readability(ctx):
     # q_{n-1} = 1 (stage 1) gives degenerate spacer patterns with no
     # readability guarantee, so the scan starts where q exceeds 1
+    scanned, skipped = [], []
     for n in range(1, ctx.cs.depth + 1):
-        if not ctx.cs.is_materialized(n) or ctx.params.q[n - 1] == 1:
+        if ctx.params.q[n - 1] == 1:
+            skipped.append("%d(q=1)" % n)
+            continue
+        if not ctx.cs.is_materialized(n):
+            skipped.append("%d(lazy)" % n)
             continue
         bad = consys.check_unique_readability(ctx.cs, n)
         if bad:
             return False, "stage %d offset %d" % (n, bad[0][2]), "offsets 0,q only"
-    return True, "0 violations", "offsets 0,q only"
+        scanned.append(str(n))
+    return True, "0 violations scanned=%s skipped=%s" % (
+        ",".join(scanned) or "none", ",".join(skipped) or "none"), \
+        "offsets 0,q only"
 
 
 def _stage_stats(ctx, n, w):
@@ -400,6 +408,9 @@ def cmd_words(args, out):
         out.write("letter = %s\n" % words.word_to_text((w[args.pos],)))
         out.write("position = %r\n" % (pos,))
     elif args.action == "parse":
+        if not 0 <= args.stage <= ctx.cs.depth:
+            raise InputError("stage %d out of range [0, %d]"
+                             % (args.stage, ctx.cs.depth))
         target = words.text_to_word(args.text)
         hits = words.parse(target, ctx.cs.levels[args.stage])
         for off, wi in hits:

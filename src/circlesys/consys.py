@@ -118,23 +118,6 @@ def check_unique_readability(cs, n):
     return bad
 
 
-def check_preword_readability(cs, n):
-    """Strong unique readability of the stage-n prewords.
-
-    Prewords are words over level-(n-1) indices; the same two-offset
-    condition is asked of them directly.
-    """
-    tuples = cs.prewords[n - 1]
-    k = len(tuples[0])
-    bad = []
-    for ui, u in enumerate(tuples):
-        for vi, v in enumerate(tuples):
-            for off, wi in parse(u + v, tuples):
-                if off not in (0, k):
-                    bad.append((ui, vi, off, wi))
-    return bad
-
-
 @dataclass
 class UniformityReport:
     stage: int              # transition n -> n+1

@@ -16,6 +16,8 @@ of total length k * l * q**2.
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import InputError
 
 B = -1
@@ -123,11 +125,65 @@ def decode_position(word, m):
     return word.decode(m)
 
 
+# Two primes below 2**31 and a base below both: a product of two
+# residues fits in int64, a prefix sum of fewer than 2**31 residues stays
+# below 2**62, and the two normalised hashes pack into one int64 key.
+_MODULI = (2147483647, 2147483629)
+_BASE = 911382323
+_MAX_LETTERS = 1 << 31
+
+
+def _letters_array(letters):
+    try:
+        return np.array(letters, dtype=np.int64)
+    except OverflowError:
+        raise InputError("letters must be integers that fit in int64")
+
+
+def _powers(n, p):
+    """_BASE**j mod p for j < n, by doubling the filled prefix."""
+    pw = np.ones(n, dtype=np.int64)
+    step, size = _BASE, 1
+    while size < n:
+        m = min(size, n - size)
+        pw[size:size + m] = pw[:m] * step % p
+        step = step * step % p
+        size *= 2
+    return pw
+
+
+def _normalised_hashes(text, dictionary, p):
+    """Hashes mod p of every window of the text and of every dictionary
+    word, each scaled so that equal strings get equal values.
+
+    With H(w) = sum_j w[j] base^j and P the prefix sums of
+    text[j] base^j, the window at offset o satisfies
+    P[o+L] - P[o] = base^o H(window), so multiplying by base^(M-o),
+    M the last offset, gives base^M H(window) with no modular inverse.
+    """
+    n, length = len(text), dictionary.shape[1]
+    last = n - length
+    pw = _powers(n, p)
+    prefix = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(text % p * pw % p, out=prefix[1:])
+    windows = (prefix[length:] - prefix[:last + 1]) % p * pw[last::-1] % p
+    words = (dictionary % p * pw[:length] % p).sum(axis=1) % p * pw[last] % p
+    return windows, words
+
+
 def parse(x, words):
     """All occurrences of dictionary words in x, as (offset, index) pairs.
 
-    Every dictionary word must have the same length.  The scan is
-    exhaustive over all offsets; overlapping occurrences are reported.
+    Every dictionary word must have the same length L.  Overlapping
+    occurrences are reported, in offset order; a word listed twice is
+    reported under its first index.  Letters must be integers that fit
+    in int64, and x must have fewer than 2**31 letters.
+
+    The scan is a Karp-Rabin rolling hash (Karp & Rabin 1987) under two
+    primes, evaluated for all offsets at once from prefix sums, so it
+    costs O(|x| + |dictionary|) plus L per reported occurrence: every
+    hash hit is confirmed by an exact comparison, so a collision never
+    yields a false occurrence.
     """
     words = [tuple(w) for w in words]
     if not words:
@@ -135,12 +191,23 @@ def parse(x, words):
     length = len(words[0])
     if length == 0 or any(len(w) != length for w in words):
         raise InputError("dictionary words must share a positive length")
+    x = tuple(x)
+    if len(x) >= _MAX_LETTERS:
+        raise InputError("text of %d letters exceeds the scan limit of %d"
+                         % (len(x), _MAX_LETTERS - 1))
+    text = _letters_array(x)
+    dictionary = _letters_array(words)
+    if len(x) < length:
+        return []
     index = {}
     for i, w in enumerate(words):
         index.setdefault(w, i)
-    x = tuple(x)
+    (windows1, words1), (windows2, words2) = (
+        _normalised_hashes(text, dictionary, p) for p in _MODULI)
+    window_keys = windows1 << 31 | windows2
+    word_keys = words1 << 31 | words2
     hits = []
-    for off in range(len(x) - length + 1):
+    for off in np.flatnonzero(np.isin(window_keys, word_keys)).tolist():
         i = index.get(x[off:off + length])
         if i is not None:
             hits.append((off, i))

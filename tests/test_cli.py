@@ -1,5 +1,7 @@
 import io
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -71,6 +73,45 @@ def test_words_build_bad_range(desk):
     assert code == 2
 
 
+def words_parse(desk, stage, text):
+    return run(["words", "parse", "--params", str(desk / "desk.params"),
+                "--prewords", str(desk / "w1.txt"),
+                "--prewords", str(desk / "w2.txt"),
+                "--stage", str(stage), "--text", text])
+
+
+def test_words_parse_hits(desk):
+    code, text = words_parse(desk, 1, "b 0 0 0 b 1 1 1 b 0 0 0")
+    assert code == 0
+    assert text.splitlines() == ["offset=0 word=0", "offset=4 word=1"]
+
+
+@pytest.mark.parametrize("stage", [3, -1])
+def test_words_parse_stage_out_of_range(desk, capsys, stage):
+    code, _ = words_parse(desk, stage, "b 0")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error: stage %d out of range [0, 2]" % stage in err
+
+
+def test_words_parse_symbol_too_large(desk, capsys):
+    code, _ = words_parse(desk, 1, "b 0 0 0 %d" % 2 ** 63)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error: letters must be integers that fit in int64" in err
+
+
+def test_python_m_circlesys(desk):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.abspath(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "circlesys", "params",
+                           str(desk / "desk.params")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert "q = 1 8 512" in proc.stdout
+
+
 def test_s_window_refusal(desk):
     code, text = run(["seq", "s-window", "--params", str(desk / "desk.params"),
                       "--prewords", str(desk / "w1.txt"),
@@ -109,6 +150,26 @@ def test_run_all_pass(desk):
     assert code == 0
     assert "FAIL" not in text
     assert text.count("CHECK") == 12
+
+
+def test_run_numerology_checks_deepest_stage(desk):
+    # q = 1, 8, 512: (8 - 1) + (512 - 1) identities
+    code, text = run(["run", manifest(desk,
+        "params = desk.params\nchecks = numerology\n")])
+    assert code == 0
+    assert text == "CHECK numerology PASS value=518 bound=q-j_i = j_{q-i}\n"
+
+
+def test_run_readability_names_stages(desk):
+    # stage 3 words have 4*32*128**2 = 2**21 letters, past the word cap
+    (desk / "lazy.params").write_text("k = 2 4 4\nl = 2 2 32\ns = 2 2 4 4\n")
+    (desk / "w3.txt").write_text("0 1 2 3\n1 2 3 0\n2 3 0 1\n3 0 1 2\n")
+    code, text = run(["run", manifest(desk,
+        "params = lazy.params\nprewords = w1.txt w2var.txt w3.txt\n"
+        "checks = readability\n")])
+    assert code == 0
+    assert text == ("CHECK readability PASS value=0 violations scanned=2 "
+                    "skipped=1(q=1),3(lazy) bound=offsets 0,q only\n")
 
 
 def test_run_duplicate_fails_requirements(desk):

@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from circlesys.consys import (build_sequence, check_unique_readability,
-                              estimate_cylinder, in_S_window,
-                              verify_uniformity)
+from circlesys.consys import (ConstructionSequence, build_sequence,
+                              check_unique_readability, estimate_cylinder,
+                              in_S_window, verify_uniformity)
 from circlesys.errors import ConstraintError, InputError
 from circlesys.ratarith import derive_params
 
@@ -26,6 +26,27 @@ def test_build_shapes():
 
 def test_stage2_readability_exhaustive():
     assert check_unique_readability(desk_cs(), 2) == []
+
+
+def test_readability_reports_planted_violation():
+    # each square holds the other word one letter off the word boundary:
+    # 001001 has 100 at offset 2, 100100 has 001 at offset 1
+    cs = ConstructionSequence(DESK, 2, [W1],
+                              [[(0,), (1,)], [(0, 0, 1), (1, 0, 0)]])
+    assert check_unique_readability(cs, 1) == [(0, 0, 2, 1), (1, 1, 1, 0)]
+
+
+def test_rung3_readability():
+    # the 3-stage rung: q = 1, 4, 128, 131072; stage-3 words are built
+    # from the four cyclic shifts of 0 1 2 3
+    params = derive_params([2, 4, 4], [2, 2, 2], [2, 2, 4, 4])
+    w2 = [(0, 0, 1, 1), (0, 1, 0, 1), (1, 0, 1, 0), (1, 1, 0, 0)]
+    w3 = [tuple((i + c) % 4 for c in range(4)) for i in range(4)]
+    cs = build_sequence(2, params, [W1, w2, w3])
+    assert cs.is_materialized(3)
+    assert [len(w) for w in cs.levels[3]] == [131072] * 4
+    assert check_unique_readability(cs, 2) == []
+    assert check_unique_readability(cs, 3) == []
 
 
 def test_duplicate_prewords_collapse_with_warning():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circlesys import words
 from circlesys.errors import InputError
 from circlesys.ratarith import DynOrder, derive_params, dyn_order
 from circlesys.words import (B, E, Boundary, Interior, LazyCircularWord,
@@ -59,10 +60,78 @@ def test_decode_oracles():
         decode_position(lazy, 512)
 
 
+def naive_parse(x, dictionary):
+    """Reference scan: look up the window at every offset."""
+    dictionary = [tuple(w) for w in dictionary]
+    length = len(dictionary[0])
+    index = {}
+    for i, w in enumerate(dictionary):
+        index.setdefault(w, i)
+    x = tuple(x)
+    return [(off, index[x[off:off + length]])
+            for off in range(len(x) - length + 1)
+            if x[off:off + length] in index]
+
+
 def test_parse_examples():
     w0, w1 = stage1_words()
     assert parse(w0 + w1, [w0, w1]) == [(0, 0), (8, 1)]
     assert parse((0, 0, 0), [w0]) == []
+
+
+# 0 and P*Q are congruent under both primes of the scan, so windows that
+# differ only there have equal hashes and only the exact check tells
+# them apart
+P, Q = words._MODULI
+LETTERS = st.sampled_from([E, B, 0, 1, 2, P, P * Q])
+
+
+@st.composite
+def scan_cases(draw):
+    length = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        # periodic text: overlapping and repeated occurrences
+        period = draw(st.lists(LETTERS, min_size=1, max_size=4))
+        n = draw(st.integers(0, 30))
+        x = tuple((period * n)[:n])
+    else:
+        x = tuple(draw(st.lists(LETTERS, max_size=30)))
+    dictionary = []
+    for _ in range(draw(st.integers(1, 4))):
+        if len(x) >= length and draw(st.booleans()):
+            off = draw(st.integers(0, len(x) - length))
+            dictionary.append(x[off:off + length])
+        else:
+            dictionary.append(tuple(draw(st.lists(
+                LETTERS, min_size=length, max_size=length))))
+    if draw(st.booleans()):
+        dictionary.append(dictionary[-1])
+    return x, dictionary
+
+
+@given(scan_cases())
+@settings(max_examples=400)
+def test_parse_matches_naive(case):
+    x, dictionary = case
+    assert parse(x, dictionary) == naive_parse(x, dictionary)
+
+
+def test_parse_rejects_hash_collisions():
+    assert parse((P * Q, 1, 0, 1), [(0, 1)]) == [(2, 0)]
+    assert parse((0, 1), [(P * Q, 1), (0, 1)]) == [(0, 1)]
+
+
+def test_parse_input_errors(monkeypatch):
+    with pytest.raises(InputError):
+        parse((0, 1), [])
+    with pytest.raises(InputError):
+        parse((0, 1), [(0,), (0, 1)])
+    with pytest.raises(InputError):
+        parse((2 ** 63, 1), [(1,)])
+    monkeypatch.setattr(words, "_MAX_LETTERS", 4)
+    assert parse((0,) * 3, [(0,)]) == [(0, 0), (1, 0), (2, 0)]
+    with pytest.raises(InputError):
+        parse((0,) * 4, [(0,)])
 
 
 def test_boundary_stats_desk():
