@@ -13,9 +13,9 @@ from .consys import (ConstructionSequence, build_sequence,
 from .procsim import (GridPermutation, GridProcess, build_process,
                       check_requirements, compose_stage, eps_approx,
                       h_from_words, initial_process, rotation_perm)
-from .names import (crosscheck_tower, distinct_names, name_stability,
-                    q_labels, simulate_tower_name, spacer_columns,
-                    transect_word, u_words)
+from .names import (atom_labels, crosscheck_tower, distinct_names,
+                    name_stability, q_labels, simulate_tower_name,
+                    spacer_columns, transect_word, u_words)
 from .factor import (BoundaryCrossing, SymbolicPoint, collapse_pi,
                      enumerate_coherent, rho_trace, shift_point)
 from .smoothreal import (Composite, StandardSwap, approx_swap, map_distance,

@@ -15,6 +15,7 @@ import argparse
 import concurrent.futures
 import os
 import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -73,27 +74,32 @@ class Context:
         self.sigma = sigma if sigma is not None else params.s[0]
         self._cs = None
         self._procs = None
+        # checks run on several threads build each property once
+        self._lock = threading.Lock()
 
     @property
     def cs(self):
-        if self._cs is None:
-            if not self.prewords:
-                raise InputError("this operation needs preword files")
-            self._cs = consys.build_sequence(self.sigma, self.params,
-                                             self.prewords)
+        with self._lock:
+            if self._cs is None:
+                if not self.prewords:
+                    raise InputError("this operation needs preword files")
+                self._cs = consys.build_sequence(self.sigma, self.params,
+                                                 self.prewords)
         return self._cs
 
     @property
     def procs(self):
         """Grid processes for stages 0..len(h_words)."""
-        if self._procs is None:
-            if not self.h_words:
-                raise InputError("this operation needs h-word files")
-            ps = [procsim.initial_process(self.params)]
-            for n, hw in enumerate(self.h_words):
-                h = procsim.h_from_words(self.params, n, hw)
-                ps.append(procsim.compose_stage(ps[-1], h, self.cap_atoms))
-            self._procs = ps
+        with self._lock:
+            if self._procs is None:
+                if not self.h_words:
+                    raise InputError("this operation needs h-word files")
+                ps = [procsim.initial_process(self.params)]
+                for n, hw in enumerate(self.h_words):
+                    h = procsim.h_from_words(self.params, n, hw)
+                    ps.append(procsim.compose_stage(ps[-1], h,
+                                                    self.cap_atoms))
+                self._procs = ps
         return self._procs
 
     def h_grid(self, n):
@@ -194,7 +200,7 @@ def check_process(ctx):
     proc = ctx.procs[-1]
     towers = proc.towers()
     atoms = np.concatenate(towers)
-    ok = len(atoms) == proc.atoms and len(set(atoms.tolist())) == proc.atoms
+    ok = np.array_equal(np.sort(atoms), np.arange(proc.atoms))
     for n in range(len(ctx.h_words)):
         h = ctx.h_grid(n)
         rot = procsim.rotation_perm(ctx.params, n, h.cols, h.rows)
@@ -316,15 +322,23 @@ class RunManifest:
         def rel(p):
             return p if os.path.isabs(p) else os.path.join(base, p)
 
+        def integer(key, default=None):
+            text = seen.get(key, default)
+            try:
+                return None if text is None else int(text)
+            except ValueError:
+                raise InputError("%s: %s must be an integer, got %r"
+                                 % (path, key, text))
+
         self.params_path = rel(seen["params"])
         self.preword_paths = [rel(p) for p in seen.get("prewords", "").split()]
         self.hword_paths = [rel(p) for p in seen.get("hwords", "").split()]
         self.checks = seen.get("checks", "").split() or None
-        self.seed = int(seen.get("seed", "0"))
-        self.cap_atoms = int(seen.get("cap_atoms", str(procsim.DEFAULT_ATOM_CAP)))
+        self.seed = integer("seed", "0")
+        self.cap_atoms = integer("cap_atoms", str(procsim.DEFAULT_ATOM_CAP))
         self.out = rel(seen["out"]) if "out" in seen else None
-        self.sigma = int(seen["sigma"]) if "sigma" in seen else None
-        self.jobs = int(seen.get("jobs", "1"))
+        self.sigma = integer("sigma")
+        self.jobs = integer("jobs", "1")
 
     def context(self):
         params = load_params(self.params_path)
@@ -388,7 +402,21 @@ def _context_from_args(args):
 
 def _parse_range(text):
     lo, _, hi = text.partition(":")
-    return int(lo), int(hi)
+    try:
+        return int(lo), int(hi)
+    except ValueError:
+        raise InputError("range must be LO:HI, got %r" % text)
+
+
+def _stage_word(ctx, stage, index):
+    """Word `index` of construction stage `stage` (1..depth)."""
+    if not 1 <= stage <= ctx.cs.depth:
+        raise InputError("stage %d out of range [1, %d]"
+                         % (stage, ctx.cs.depth))
+    level = ctx.cs.levels[stage]
+    if not 0 <= index < len(level):
+        raise InputError("index %d out of range [0, %d)" % (index, len(level)))
+    return level[index]
 
 
 def cmd_words(args, out):
@@ -397,7 +425,7 @@ def cmd_words(args, out):
         rng = _parse_range(args.range) if args.range else None
         emit_words(ctx.cs, args.stage, rng, out)
     elif args.action == "decode":
-        w = ctx.cs.levels[args.stage][args.index]
+        w = _stage_word(ctx, args.stage, args.index)
         if not isinstance(w, words.LazyCircularWord):
             p, n = ctx.params, args.stage - 1
             children = [ctx.cs.levels[n][c]
@@ -419,7 +447,7 @@ def cmd_words(args, out):
             out.write("no occurrences\n")
     elif args.action == "stats":
         st = _stage_stats(ctx, args.stage,
-                          ctx.cs.levels[args.stage][args.index])
+                          _stage_word(ctx, args.stage, args.index))
         out.write("boundary = %s\n" % frac(st.boundary_fraction))
         out.write("near = %s\n" % frac(st.near_fraction))
     return 0
@@ -553,6 +581,8 @@ def _obedience_table(grid, plane, sigma, rng, samples, out):
 
 
 def cmd_smooth(args, out):
+    if args.samples < 1:
+        raise InputError("--samples must be at least 1, got %d" % args.samples)
     rng = np.random.default_rng(args.seed)
     if args.action == "swap":
         grid = _parse_grid(args.grid)
@@ -568,8 +598,13 @@ def cmd_smooth(args, out):
     if args.action == "realize":
         grid = _parse_grid(args.grid)
         size = grid[0] * grid[1]
-        sigma = [int(v) for v in (rng.permutation(size) if args.perm is None
-                                  else args.perm.split(","))]
+        try:
+            sigma = [int(v) for v in (rng.permutation(size)
+                                      if args.perm is None
+                                      else args.perm.split(","))]
+        except ValueError:
+            raise InputError("--perm must be comma-separated integers, got %r"
+                             % args.perm)
         rep = smoothreal.realize_perm(sigma, grid, args.eps, seed=args.seed,
                                       samples=args.samples)
         frac_ok = _obedience_table(grid, rep.plane_map, sigma,
@@ -601,10 +636,12 @@ def cmd_smooth(args, out):
 
 def _parse_grid(text):
     try:
-        m, n = text.lower().split("x")
-        return int(m), int(n)
+        m, n = (int(v) for v in text.lower().split("x"))
     except ValueError:
         raise InputError("grid must be MxN, got %r" % text)
+    if m < 1 or n < 1:
+        raise InputError("grid must be at least 1x1, got %r" % text)
+    return m, n
 
 
 def cmd_run(args, out):
@@ -707,9 +744,12 @@ def main(argv=None, out=None):
     try:
         args = parser.parse_args(argv)
         return COMMANDS[args.command](args, out)
-    except (InputError, ConstraintError, OSError) as exc:
+    except (InputError, ConstraintError, CoherenceError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except (ToleranceError, OracleMismatch) as exc:
+        print("FAIL: %s" % exc, file=sys.stderr)
+        return 1
     except ResourceError as exc:
         print("resource cap: %s" % exc, file=sys.stderr)
         return 3

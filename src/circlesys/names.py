@@ -10,49 +10,19 @@ names.  The two computations share nothing past the parameters: one
 walks grid permutations, the other multiplies words.
 """
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import InputError, OracleMismatch
+from .errors import InputError, OracleMismatch, ResourceError
 from .procsim import GridPermutation, rotation_perm
-from .ratarith import dyn_order
+from .ratarith import dyn_order, spacer_columns
 from .words import B, E, circ
 
-
-@dataclass
-class NameLabeling:
-    """Spacer columns newly labelled at one stage, in geometric order."""
-    stage: int
-    b_cols: np.ndarray      # bool over q[stage] columns
-    e_cols: np.ndarray
-
-
-def spacer_columns(params, m):
-    """Which stage-m columns acquire a b or e label at stage m.
-
-    Column c sits at word position t = j_c (the dynamical order), and
-    is newly labelled when that position is a top-level spacer of the
-    stage-m circular product.
-    """
-    if m < 1:
-        raise InputError("spacer labels start at stage 1")
-    k, l, q_prev = params.k[m - 1], params.l[m - 1], params.q[m - 1]
-    q = params.q[m]
-    order = dyn_order(params, m)
-    if order.table is None:
-        raise InputError("stage %d too large to materialize column labels" % m)
-    t = order.table
-    order_prev = dyn_order(params, m - 1)
-    ji = np.asarray([order_prev[i] for i in range(q_prev)], dtype=np.int64)
-    block_len = l * q_prev
-    i = t // (k * block_len)
-    rr = t % block_len
-    head = q_prev - ji[i]
-    b_cols = rr < head
-    e_cols = rr >= block_len - ji[i]
-    return NameLabeling(m, b_cols, e_cols)
+# serialises the first computation of a process's labels across threads
+_LABELS_LOCK = threading.Lock()
 
 
 @dataclass
@@ -62,8 +32,18 @@ class QPartition:
     rows: int
     labels: np.ndarray
 
-    def of(self, atom):
-        return int(self.labels[atom])
+
+def label_dtype(s0):
+    """Narrowest signed integer dtype holding the labels 0..s0-1, B and E.
+
+    int8 while s0 <= 128; a fixed-width label table must not wrap, so a
+    strip count no dtype can hold is refused.
+    """
+    for dtype in (np.int8, np.int16, np.int32, np.int64):
+        info = np.iinfo(dtype)
+        if info.min <= min(B, E) and s0 - 1 <= info.max:
+            return np.dtype(dtype)
+    raise ResourceError("%d base strips do not fit a 64-bit label" % s0)
 
 
 def q_labels(params, h_list, stage, cols, rows):
@@ -74,10 +54,14 @@ def q_labels(params, h_list, stage, cols, rows):
     atom the latest one wins: a new spacer run may transit a column
     that an earlier stage already labelled, and the later relabeling is
     what the stage-n tower names read.  Unclaimed atoms keep their base
-    strip index.
+    strip index.  Labels are stored in `label_dtype(params.s[0])`.
+
+    This recomputes every Z_m from h_list; a process's own labels are
+    computed once and kept by `atom_labels`.
     """
     atoms = cols * rows
-    labels = (np.arange(atoms, dtype=np.int64) // cols) * params.s[0] // rows
+    labels = ((np.arange(atoms, dtype=np.int64) // cols) * params.s[0]
+              // rows).astype(label_dtype(params.s[0]))
     Z = GridPermutation.identity(cols, rows)
     for m in range(1, stage + 1):
         Z = Z.compose(h_list[m - 1].lift(cols, rows))
@@ -89,10 +73,25 @@ def q_labels(params, h_list, stage, cols, rows):
     return QPartition(cols, rows, labels)
 
 
+def atom_labels(proc):
+    """Stage labels of every atom of `proc`, at its own resolution.
+
+    Computed by `q_labels` on first use and kept on the process
+    (read-only), so every name check of one process shares one table.
+    Building a process computes no labels.
+    """
+    with _LABELS_LOCK:
+        if proc.labels is None:
+            labels = q_labels(proc.params, proc.h_list, proc.stage,
+                              proc.cols, proc.rows).labels
+            labels.flags.writeable = False
+            proc.labels = labels
+    return proc.labels
+
+
 def simulate_tower_name(proc, s):
     """Label sequence along tower s of the given process, base to top."""
-    part = q_labels(proc.params, proc.h_list, proc.stage, proc.cols, proc.rows)
-    return tuple(int(v) for v in part.labels[proc.tower(s)])
+    return tuple(atom_labels(proc)[proc.tower(s)].tolist())
 
 
 def u_words(proc, h, s):
@@ -204,32 +203,40 @@ class StabilityReport:
 def name_stability(coarse, fine):
     """Fraction of atoms whose [-q, q] names agree across the two stages.
 
-    Both names are read with the finer stage's labels, following the
-    two realized transforms on the fine grid.
+    Both names are read with the finer stage's labels (`atom_labels`),
+    following the two realized transforms t = Z R Z^-1 on the fine
+    grid, where Z is the stage's relabeling (the coarse one lifted to
+    the fine grid) and R its rotation.  The count is made in the
+    rotation frame of the fine process: for y = Zf^-1 x,
+
+        labels[t_fine^j x]   = (labels o Zf)[R_fine^j y]
+        labels[t_coarse^j x] = (labels o Zc)[R_coarse^j V y],  V = Zc^-1 Zf,
+
+    and R^j is a roll of the columns within each row.  The atoms
+    matched are summed over all of x, so counting over y instead
+    leaves the count unchanged.  R_coarse has period q = q[n], so
+    steps j and j - q share one gather through V.
     """
     params = coarse.params
     n = coarse.stage
     q = params.q[n]
     cols, rows = fine.cols, fine.rows
-    part = q_labels(params, fine.h_list, fine.stage, cols, rows)
-    t_coarse = (coarse.Z.lift(cols, rows)
-                .compose(rotation_perm(params, n, cols, rows))
-                .compose(coarse.Z.lift(cols, rows).inverse()))
-    t_fine = fine.transform()
-    ok = np.ones(cols * rows, dtype=bool)
-    for table in (t_coarse.table, t_fine.table):
-        assert np.array_equal(np.sort(table), np.arange(cols * rows))
-    fwd_c = bwd_c = fwd_f = bwd_f = np.arange(cols * rows, dtype=np.int64)
-    inv_c = t_coarse.inverse().table
-    inv_f = t_fine.inverse().table
-    ok &= part.labels[fwd_c] == part.labels[fwd_f]
-    for _ in range(q):
-        fwd_c = t_coarse.table[fwd_c]
-        fwd_f = t_fine.table[fwd_f]
-        bwd_c = inv_c[bwd_c]
-        bwd_f = inv_f[bwd_f]
-        ok &= part.labels[fwd_c] == part.labels[fwd_f]
-        ok &= part.labels[bwd_c] == part.labels[bwd_f]
+    labels = atom_labels(fine)
+    Zf = fine.Z
+    Zc = coarse.Z.lift(cols, rows)
+    assert Zf.is_permutation() and Zc.is_permutation()
+    sf = rotation_perm(params, fine.stage, cols, rows).stride
+    sc = rotation_perm(params, n, cols, rows).stride
+    fine_frame = labels[Zf.table].reshape(rows, cols)        # labels o Zf
+    coarse_frame = labels[Zc.table].reshape(rows, cols)      # labels o Zc
+    V = Zc.inverse().table[Zf.table]
+    ok = np.ones((rows, cols), dtype=bool)
+    for j in range(q):
+        coarse_step = np.roll(coarse_frame, -j * sc, axis=1).reshape(-1)[V]
+        coarse_step = coarse_step.reshape(rows, cols)
+        # R_coarse^q is the identity, so step 0 also serves steps -q and q
+        for i in (j, j - q) if j else (0, -q, q):
+            ok &= np.roll(fine_frame, -i * sf, axis=1) == coarse_step
     matched = int(ok.sum())
     return StabilityReport(matched, cols * rows,
                            Fraction(matched, cols * rows),

@@ -9,12 +9,13 @@ rotation orbit of the first column through Z_n.
 Atoms are indexed idx = s * cols + u for column u and row s.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import ConstraintError, InputError, ResourceError
+from .ratarith import spacer_columns
 
 DEFAULT_ATOM_CAP = 1 << 24
 
@@ -38,12 +39,6 @@ class GridPermutation:
     @classmethod
     def identity(cls, cols, rows):
         return cls(cols, rows, np.arange(cols * rows, dtype=np.int64))
-
-    def idx(self, u, s):
-        return s * self.cols + u
-
-    def atom(self, i):
-        return (int(i) % self.cols, int(i) // self.cols)
 
     def apply(self, i):
         return self.table[i]
@@ -137,13 +132,20 @@ def h_from_words(params, n, h_words):
 
 @dataclass
 class GridProcess:
-    """Stage-n process: grid resolution, composed relabeling, towers."""
+    """Stage-n process: grid resolution, composed relabeling, towers.
+
+    `labels` holds the stage labels of every atom once
+    `names.atom_labels` has computed them on first use; building a
+    process leaves it None.
+    """
     params: object
     stage: int
     cols: int
     rows: int
     Z: GridPermutation
     h_list: list            # the h permutations at their native resolutions
+    labels: object = field(default=None, init=False, repr=False,
+                           compare=False)
 
     @property
     def atoms(self):
@@ -155,6 +157,9 @@ class GridProcess:
     def tower(self, s):
         """Atom indices of tower s, base to top (length q[stage])."""
         n = self.stage
+        if not 0 <= s < self.params.s[n]:
+            raise InputError("tower %d out of range [0, %d)"
+                             % (s, self.params.s[n]))
         q = self.params.q[n]
         p = self.params.p[n]
         step = self.cols // q
@@ -169,13 +174,6 @@ class GridProcess:
     def transform(self):
         """Pointwise map Z rot Z^{-1} as a grid permutation."""
         return self.Z.compose(self.rotation()).compose(self.Z.inverse())
-
-    def Z_partial(self, m):
-        """Z_m = h_1 ... h_m lifted to this process's resolution."""
-        acc = GridPermutation.identity(self.cols, self.rows)
-        for h in self.h_list[:m]:
-            acc = acc.compose(h.lift(self.cols, self.rows))
-        return acc
 
 
 def initial_process(params):
@@ -233,8 +231,6 @@ def eps_approx(coarse, fine):
     clauses alone: the all-b run of the first pass happens to traverse
     a coarse tower consecutively too.
     """
-    from .names import spacer_columns  # local import, no cycle at module load
-
     params = coarse.params
     if fine.cols % coarse.cols or fine.rows % coarse.rows:
         raise InputError("fine grid does not refine coarse grid")

@@ -150,6 +150,39 @@ def d_index(params, n, x):
     return (pow(params.p[n], -1, q) * i) % q
 
 
+@dataclass
+class NameLabeling:
+    """Spacer columns newly labelled at one stage, in geometric order."""
+    stage: int
+    b_cols: np.ndarray      # bool over q[stage] columns
+    e_cols: np.ndarray
+
+
+def spacer_columns(params, m):
+    """Which stage-m columns acquire a b or e label at stage m.
+
+    Column c sits at word position t = j_c (the dynamical order), and
+    is newly labelled when that position is a top-level spacer of the
+    stage-m circular product.
+    """
+    if m < 1:
+        raise InputError("spacer labels start at stage 1")
+    k, l, q_prev = params.k[m - 1], params.l[m - 1], params.q[m - 1]
+    order = dyn_order(params, m)
+    if order.table is None:
+        raise InputError("stage %d too large to materialize column labels" % m)
+    t = order.table
+    order_prev = dyn_order(params, m - 1)
+    ji = np.asarray([order_prev[i] for i in range(q_prev)], dtype=np.int64)
+    block_len = l * q_prev
+    i = t // (k * block_len)
+    rr = t % block_len
+    head = q_prev - ji[i]
+    b_cols = rr < head
+    e_cols = rr >= block_len - ji[i]
+    return NameLabeling(m, b_cols, e_cols)
+
+
 def parse_params_text(text):
     """Parse the `key = values` parameter format.
 

@@ -302,6 +302,9 @@ def realize_perm(sigma, grid, eps, seed=0, samples=20000, max_retries=3):
     halved and retried, with ToleranceError after max_retries.
     """
     m, n = grid
+    if len(sigma) != m * n:
+        raise InputError("permutation has %d entries, the %dx%d grid %d cells"
+                         % (len(sigma), m, n, m * n))
     swaps = perm_to_swaps(sigma)
     if not swaps:
         return RealizeReport(Identity(), [], 0.0, 1.0)

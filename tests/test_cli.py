@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
-from circlesys.cli import main
+from circlesys import cli
+from circlesys.cli import RunManifest, main, run_checks
+from circlesys.errors import OracleMismatch, ToleranceError
 
 DESK_PARAMS = "k = 2 2\nl = 4 4\ns = 2 2 4\n"
 VAR_PARAMS = "k = 2 4\nl = 4 4\ns = 2 2 4\n"
@@ -130,6 +132,46 @@ def test_names_crosscheck_verdict(desk):
     assert "ORACLE-MATCH: yes" in text
 
 
+WORDS = ["--prewords", "w1.txt", "--prewords", "w2.txt"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["factor", "rho", "--params", "desk.params", "--point", "0,0"],
+    ["words", "build", "--params", "desk.params"] + WORDS
+    + ["--stage", "1", "--range", "3"],
+    ["smooth", "realize", "--grid", "0x3"],
+    ["smooth", "realize", "--grid", "2x2", "--perm", "0,1"],
+    ["smooth", "realize", "--grid", "2x2", "--perm", "a,b"],
+    ["smooth", "swap", "--grid", "2x2", "--samples", "0"],
+    ["words", "decode", "--params", "desk.params"] + WORDS + ["--stage", "9"],
+    ["words", "decode", "--params", "desk.params"] + WORDS
+    + ["--stage", "1", "--index", "7"],
+    ["words", "stats", "--params", "desk.params"] + WORDS + ["--stage", "9"],
+    ["words", "stats", "--params", "desk.params"] + WORDS
+    + ["--stage", "1", "--index", "7"],
+    ["names", "tower", "--params", "desk.params", "--hwords", "w1.txt",
+     "--index", "9"],
+], ids=lambda argv: " ".join(argv[:2] + argv[-2:]))
+def test_bad_input_exits_2(desk, capsys, monkeypatch, argv):
+    monkeypatch.chdir(desk)
+    code, _ = run(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("exc", [ToleranceError("eps not reached"),
+                                 OracleMismatch("names differ")])
+def test_failed_oracle_or_tolerance_exits_1(desk, capsys, monkeypatch, exc):
+    def fail(args, out):
+        raise exc
+    monkeypatch.setitem(cli.COMMANDS, "params", fail)
+    code, _ = run(["params", str(desk / "desk.params")])
+    assert code == 1
+    assert capsys.readouterr().err == "FAIL: %s\n" % exc
+
+
 def test_factor_rho(desk):
     code, text = run(["factor", "rho", "--params", str(desk / "desk.params"),
                       "--point", "0,1,9"])
@@ -185,6 +227,12 @@ def test_run_missing_params_exit2(desk):
     assert code == 2
 
 
+def test_run_non_integer_seed_exit2(desk, capsys):
+    code, _ = run(["run", manifest(desk, "params = desk.params\nseed = abc\n")])
+    assert code == 2
+    assert "seed must be an integer" in capsys.readouterr().err
+
+
 def test_run_unknown_key_exit2(desk):
     code, _ = run(["run", manifest(desk, "params = desk.params\nbogus = 1\n")])
     assert code == 2
@@ -202,6 +250,23 @@ def test_run_replayable(desk):
                        "hwords = w1.txt w2var.txt\nseed = 7\n")
     outputs = {run(["run", m])[1] for _ in range(2)}
     assert len(outputs) == 1
+
+
+def test_run_checks_threads_match_serial():
+    # the threads share one Context, its processes and their label memo
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
+                        "data", "manifest.txt")
+    m = RunManifest(path)
+    checks = m.default_checks()
+    serial = run_checks(m.context(), checks, jobs=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = run_checks(m.context(), checks, jobs=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+    assert serial[1] and len(serial[0]) == len(checks)
 
 
 def test_run_report_file(desk):

@@ -1,14 +1,20 @@
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from circlesys.consys import build_sequence
-from circlesys.errors import OracleMismatch
-from circlesys.names import (crosscheck_tower, distinct_names, name_stability,
-                             q_labels, simulate_tower_name, spacer_columns,
+from circlesys.errors import ConstraintError, OracleMismatch, ResourceError
+from circlesys.names import (atom_labels, crosscheck_tower, distinct_names,
+                             label_dtype, name_stability, q_labels,
+                             simulate_tower_name, spacer_columns,
                              transect_word, u_words)
-from circlesys.procsim import compose_stage, h_from_words, initial_process
+from circlesys.procsim import (compose_stage, h_from_words, initial_process,
+                               rotation_perm)
 from circlesys.ratarith import derive_params
 from circlesys.words import B, E, word_to_text
 
@@ -131,3 +137,125 @@ def test_q_labels_override():
     word = cs_words(DESK, [W1, W2_DUP], 2)[0]
     assert sum(1 for x in name if x == B) == sum(1 for x in word if x == B)
     assert sum(1 for x in name if x == E) == sum(1 for x in word if x == E)
+
+
+def naive_matched(coarse, fine):
+    """name_stability's count by walking both transforms' orbits.
+
+    Every atom x follows t_coarse = Zc R_coarse Zc^-1 (coarse Z lifted
+    to the fine grid) and t_fine = Z R Z^-1 for q[n] steps each way,
+    reading fresh fine-stage labels at every step.
+    """
+    params = coarse.params
+    n = coarse.stage
+    q = params.q[n]
+    cols, rows = fine.cols, fine.rows
+    labels = q_labels(params, fine.h_list, fine.stage, cols, rows).labels
+    t_coarse = (coarse.Z.lift(cols, rows)
+                .compose(rotation_perm(params, n, cols, rows))
+                .compose(coarse.Z.lift(cols, rows).inverse()))
+    t_fine = fine.transform()
+    for table in (t_coarse.table, t_fine.table):
+        assert np.array_equal(np.sort(table), np.arange(cols * rows))
+    fwd_c = bwd_c = fwd_f = bwd_f = np.arange(cols * rows, dtype=np.int64)
+    inv_c = t_coarse.inverse().table
+    inv_f = t_fine.inverse().table
+    ok = labels[fwd_c] == labels[fwd_f]
+    for _ in range(q):
+        fwd_c = t_coarse.table[fwd_c]
+        fwd_f = t_fine.table[fwd_f]
+        bwd_c = inv_c[bwd_c]
+        bwd_f = inv_f[bwd_f]
+        ok &= labels[fwd_c] == labels[fwd_f]
+        ok &= labels[bwd_c] == labels[bwd_f]
+    return int(ok.sum())
+
+
+@st.composite
+def small_processes(draw):
+    """Processes for stages 0..2 with q[2] <= 512; each h-word is a
+    random permutation of the balanced multiset its stage requires."""
+    s0 = draw(st.integers(1, 3))
+    k0 = s0 * draw(st.integers(1, 2))
+    s1 = s0 * draw(st.integers(1, 2))
+    k1 = s1 * draw(st.integers(1, 2))
+    s2 = s1 * draw(st.integers(1, 2))
+    l0, l1 = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    try:
+        params = derive_params([k0, k1], [l0, l1], [s0, s1, s2])
+    except ConstraintError:
+        assume(False)
+    assume(params.q[2] <= 512)
+    procs = [initial_process(params)]
+    for n in range(2):
+        k, lo, hi = params.k[n], params.s[n], params.s[n + 1]
+        letters = [i for i in range(lo) for _ in range(k // lo)]
+        h_words = [draw(st.permutations(letters)) for _ in range(hi)]
+        h = h_from_words(params, n, h_words)
+        procs.append(compose_stage(procs[-1], h))
+    return procs
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_processes())
+def test_stability_matches_orbit_walk(procs):
+    for coarse, fine in zip(procs, procs[1:]):
+        assert name_stability(coarse, fine).matched \
+            == naive_matched(coarse, fine)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_processes())
+def test_memoised_names_match_fresh_labels(procs):
+    for proc in procs:
+        fresh = q_labels(proc.params, proc.h_list, proc.stage,
+                         proc.cols, proc.rows).labels
+        for s in range(proc.params.s[proc.stage]):
+            assert simulate_tower_name(proc, s) \
+                == tuple(int(v) for v in fresh[proc.tower(s)])
+
+
+def test_stability_desk_matches_orbit_walk():
+    _, p1, p2, _, _ = desk_procs()
+    rep = name_stability(p1, p2)
+    assert rep.matched == naive_matched(p1, p2)
+    assert Fraction(rep.matched, rep.atoms) == Fraction(65, 256)
+
+
+def test_labels_computed_lazily_once():
+    _, _, p2, _, _ = desk_procs()
+    assert p2.labels is None
+    labels = atom_labels(p2)
+    assert labels.dtype == np.int8 and not labels.flags.writeable
+    simulate_tower_name(p2, 0)
+    distinct_names(p2)
+    assert atom_labels(p2) is labels
+
+
+def test_labels_memo_shared_across_threads():
+    _, _, p2, _, _ = desk_procs()
+    got = []
+    threads = [threading.Thread(target=lambda: got.append(atom_labels(p2)))
+               for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 8 and all(a is got[0] for a in got)
+
+
+def test_label_dtype_guards_its_range():
+    # strips 0..s0-1 and the spacers B = -1, E = -2 must all fit
+    assert label_dtype(1) == np.int8
+    assert label_dtype(128) == np.int8
+    assert label_dtype(129) == np.int16
+    assert label_dtype(2 ** 15 + 1) == np.int32
+    assert label_dtype(2 ** 31 + 1) == np.int64
+    with pytest.raises(ResourceError):
+        label_dtype(2 ** 63 + 1)
