@@ -23,11 +23,8 @@ import numpy as np
 from . import consys, factor, names, procsim, smoothreal, words
 from .errors import (CoherenceError, ConstraintError, InputError,
                      OracleMismatch, ResourceError, ToleranceError)
-from .ratarith import d_index, derive_params, dyn_order, load_params
-
-DEFAULT_CHECKS = ["boundary", "cylinder", "distinct", "factor", "names",
-                  "numerology", "process", "readability", "recursion",
-                  "requirements", "stability", "uniformity"]
+from .ratarith import (content_lines, dyn_order, load_params,
+                       parse_key_values, read_text)
 
 
 def frac(x):
@@ -39,39 +36,27 @@ def frac(x):
 def load_tuples(path):
     """One tuple per line, space-separated indices; # comments."""
     out = []
-    with open(path) as fh:
-        for ln, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                out.append(tuple(int(tok) for tok in line.split()))
-            except ValueError:
-                raise InputError("%s:%d: not an integer tuple" % (path, ln))
+    for ln, line in content_lines(read_text(path)):
+        try:
+            out.append(tuple(int(tok) for tok in line.split()))
+        except ValueError:
+            raise InputError("%s:%d: not an integer tuple" % (path, ln))
     if not out:
         raise InputError("%s: no tuples" % path)
     return out
 
 
-def parse_point(params, text):
-    try:
-        offsets = tuple(int(t) for t in text.split(","))
-    except ValueError:
-        raise InputError("point must be comma-separated integers: %r" % text)
-    return factor.SymbolicPoint(params, offsets)
-
-
 class Context:
-    """Lazily built shared state for checks and subcommands."""
+    """Shared state for checks and subcommands, read from the params file
+    and the word files; the sequence and processes are built lazily."""
 
-    def __init__(self, params, prewords=None, h_words=None, seed=0,
+    def __init__(self, params, prewords=(), hwords=(),
                  cap_atoms=procsim.DEFAULT_ATOM_CAP, sigma=None):
-        self.params = params
-        self.prewords = prewords or []
-        self.h_words = h_words or []
-        self.seed = seed
+        self.params = load_params(params)
+        self.prewords = [load_tuples(p) for p in prewords]
+        self.h_words = [load_tuples(p) for p in hwords]
         self.cap_atoms = cap_atoms
-        self.sigma = sigma if sigma is not None else params.s[0]
+        self.sigma = sigma if sigma is not None else self.params.s[0]
         self._cs = None
         self._procs = None
         # checks run on several threads build each property once
@@ -95,9 +80,8 @@ class Context:
                 if not self.h_words:
                     raise InputError("this operation needs h-word files")
                 ps = [procsim.initial_process(self.params)]
-                for n, hw in enumerate(self.h_words):
-                    h = procsim.h_from_words(self.params, n, hw)
-                    ps.append(procsim.compose_stage(ps[-1], h,
+                for n in range(len(self.h_words)):
+                    ps.append(procsim.compose_stage(ps[-1], self.h_grid(n),
                                                     self.cap_atoms))
                 self._procs = ps
         return self._procs
@@ -121,18 +105,23 @@ def check_recursion(ctx):
     return ok, "q=" + ",".join(map(str, q)), "recursive identity, gap 1/q"
 
 
+def _skipped(skipped):
+    """The ` skipped=...` tail of a check value; empty when none was."""
+    return " skipped=" + ",".join(skipped) if skipped else ""
+
+
 def check_numerology(ctx):
-    total = 0
+    total, skipped = 0, []
     for n in range(1, ctx.params.stages + 1):
-        if ctx.params.q[n] > ctx.cap_atoms:
-            break
-        order = dyn_order(ctx.params, n, cap=ctx.cap_atoms)
         q = ctx.params.q[n]
-        t = order.table
+        if q > ctx.cap_atoms:
+            skipped.append("%d(q>cap)" % n)
+            continue
+        t = dyn_order(ctx.params, n, cap=ctx.cap_atoms).table
         if not np.all((q - t[1:]) == t[q - np.arange(1, q)]):
             return False, "stage %d" % n, "q-j_i = j_{q-i}"
         total += q - 1
-    return True, str(total), "q-j_i = j_{q-i}"
+    return True, str(total) + _skipped(skipped), "q-j_i = j_{q-i}"
 
 
 def check_readability(ctx):
@@ -162,9 +151,12 @@ def _stage_stats(ctx, n, w):
 
 
 def check_boundary(ctx):
+    # the value is the boundary fraction of the deepest stage checked
+    value, skipped = "none", []
     for n in range(1, ctx.cs.depth + 1):
         if not ctx.cs.is_materialized(n):
-            break
+            skipped.append("%d(lazy)" % n)
+            continue
         for w in ctx.cs.levels[n]:
             st = _stage_stats(ctx, n, w)
             ln = ctx.params.l[n - 1]
@@ -172,7 +164,8 @@ def check_boundary(ctx):
                 return False, frac(st.boundary_fraction), "1/%d exactly" % ln
             if st.near_fraction > Fraction(3, ln):
                 return False, frac(st.near_fraction), "<= 3/%d" % ln
-    return True, frac(st.boundary_fraction), "1/l exactly, near <= 3/l"
+        value = frac(st.boundary_fraction)
+    return True, value + _skipped(skipped), "1/l exactly, near <= 3/l"
 
 
 def check_uniformity(ctx):
@@ -270,6 +263,21 @@ CHECK_FUNCS = {
 }
 
 
+# the checks `run` adds for preword and for h-word files
+PREWORD_CHECKS = ["readability", "boundary", "uniformity", "cylinder"]
+HWORD_CHECKS = ["process", "requirements", "names", "stability", "distinct",
+                "factor"]
+
+# subcommand actions that only print checks: (command, action) -> checks
+ACTION_CHECKS = {
+    ("seq", "verify"): ["readability", "boundary"],
+    ("seq", "measure"): ["uniformity", "cylinder"],
+    ("proc", "reqs"): ["requirements", "process"],
+    ("names", "stability"): ["stability"],
+    ("names", "distinct"): ["distinct"],
+}
+
+
 def run_checks(ctx, checks, jobs=1):
     """Returns (lines, all_passed); lines sorted by check name."""
     checks = sorted(checks)
@@ -296,64 +304,48 @@ def run_checks(ctx, checks, jobs=1):
 
 
 class RunManifest:
+    # `seed` is accepted for old manifests and checked, but `run` is
+    # deterministic and reads no seed
     KEYS = ("params", "prewords", "hwords", "checks", "seed", "cap_atoms",
             "out", "sigma", "jobs")
 
     def __init__(self, path):
         base = os.path.dirname(os.path.abspath(path))
-        seen = {}
-        with open(path) as fh:
-            for ln, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise InputError("%s:%d: expected key = value" % (path, ln))
-                key, _, val = line.partition("=")
-                key = key.strip()
-                if key not in self.KEYS:
-                    raise InputError("%s:%d: unknown key %r" % (path, ln, key))
-                if key in seen:
-                    raise InputError("%s:%d: duplicate key %r" % (path, ln, key))
-                seen[key] = val.strip()
-        if "params" not in seen:
-            raise InputError("%s: missing params" % path)
+        seen = parse_key_values(read_text(path), self.KEYS,
+                                required=("params",), source=path)
 
         def rel(p):
             return p if os.path.isabs(p) else os.path.join(base, p)
 
         def integer(key, default=None):
-            text = seen.get(key, default)
+            if key not in seen:
+                return default
             try:
-                return None if text is None else int(text)
+                return int(seen[key])
             except ValueError:
                 raise InputError("%s: %s must be an integer, got %r"
-                                 % (path, key, text))
+                                 % (path, key, seen[key]))
 
         self.params_path = rel(seen["params"])
         self.preword_paths = [rel(p) for p in seen.get("prewords", "").split()]
         self.hword_paths = [rel(p) for p in seen.get("hwords", "").split()]
         self.checks = seen.get("checks", "").split() or None
-        self.seed = integer("seed", "0")
-        self.cap_atoms = integer("cap_atoms", str(procsim.DEFAULT_ATOM_CAP))
+        integer("seed")
+        self.cap_atoms = integer("cap_atoms", procsim.DEFAULT_ATOM_CAP)
         self.out = rel(seen["out"]) if "out" in seen else None
         self.sigma = integer("sigma")
-        self.jobs = integer("jobs", "1")
+        self.jobs = integer("jobs", 1)
 
     def context(self):
-        params = load_params(self.params_path)
-        prewords = [load_tuples(p) for p in self.preword_paths]
-        h_words = [load_tuples(p) for p in self.hword_paths]
-        return Context(params, prewords, h_words, self.seed,
-                       self.cap_atoms, self.sigma)
+        return Context(self.params_path, self.preword_paths,
+                       self.hword_paths, self.cap_atoms, self.sigma)
 
     def default_checks(self):
         out = ["recursion", "numerology"]
         if self.preword_paths:
-            out += ["readability", "boundary", "uniformity", "cylinder"]
+            out += PREWORD_CHECKS
         if self.hword_paths:
-            out += ["process", "requirements", "names", "stability",
-                    "distinct", "factor"]
+            out += HWORD_CHECKS
         return out
 
 
@@ -362,8 +354,7 @@ def emit_words(cs, stage, rng=None, out=sys.stdout):
     if not 1 <= stage <= cs.depth:
         raise InputError("stage %d out of range" % stage)
     level = cs.levels[stage]
-    total = cs.params.k[stage - 1] * cs.params.l[stage - 1] \
-        * cs.params.q[stage - 1] ** 2
+    total = len(level[0])
     lo, hi = rng if rng is not None else (0, total)
     if not 0 <= lo <= hi <= total:
         raise InputError("range [%d, %d) outside word length %d"
@@ -379,25 +370,17 @@ def emit_words(cs, stage, rng=None, out=sys.stdout):
 
 def cmd_params(args, out):
     params = load_params(args.params)
-    out.write("k = %s\n" % " ".join(map(str, params.k)))
-    out.write("l = %s\n" % " ".join(map(str, params.l)))
-    out.write("s = %s\n" % " ".join(map(str, params.s)))
-    out.write("p = %s\n" % " ".join(map(str, params.p)))
-    out.write("q = %s\n" % " ".join(map(str, params.q)))
+    for key in ("k", "l", "s", "p", "q"):
+        values = getattr(params, key)
+        out.write("%s = %s\n" % (key, " ".join(map(str, values))))
     out.write("alpha = %s\n" % " ".join(frac(params.alpha(n))
                                         for n in range(len(params.q))))
     return 0
 
 
 def _context_from_args(args):
-    params = load_params(args.params)
-    prewords = [load_tuples(p) for p in getattr(args, "prewords", []) or []]
-    h_words = [load_tuples(p) for p in getattr(args, "hwords", []) or []]
-    return Context(params, prewords, h_words,
-                   seed=getattr(args, "seed", 0),
-                   cap_atoms=getattr(args, "cap_atoms",
-                                     procsim.DEFAULT_ATOM_CAP),
-                   sigma=getattr(args, "sigma", None))
+    keys = ("params", "prewords", "hwords", "cap_atoms", "sigma")
+    return Context(**{k: v for k, v in vars(args).items() if k in keys})
 
 
 def _parse_range(text):
@@ -461,50 +444,33 @@ def cmd_seq(args, out):
             out.write("stage %d: %d words of length %d\n"
                       % (n, len(lv), len(lv[0])))
         return 0
-    if args.action == "verify":
-        lines, ok = run_checks(ctx, ["readability", "boundary"])
-        out.write("\n".join(lines) + "\n")
-        return 0 if ok else 1
-    if args.action == "measure":
-        lines, ok = run_checks(ctx, ["uniformity", "cylinder"])
-        out.write("\n".join(lines) + "\n")
-        return 0 if ok else 1
-    if args.action == "s-window":
-        window = words.text_to_word(args.window)
-        cert = consys.in_S_window(window, ctx.cs, args.origin)
-        if cert.failed_stage is not None:
-            out.write("REFUSED at stage %d\n" % cert.failed_stage)
-            return 1
-        for m in sorted(cert.witnesses):
-            out.write("stage %d: a=%d b=%d\n" % ((m,) + cert.witnesses[m]))
-        return 0
-    return 2
+    window = words.text_to_word(args.window)  # s-window
+    cert = consys.in_S_window(window, ctx.cs, args.origin)
+    if cert.failed_stage is not None:
+        out.write("REFUSED at stage %d\n" % cert.failed_stage)
+        return 1
+    for m in sorted(cert.witnesses):
+        out.write("stage %d: a=%d b=%d\n" % ((m,) + cert.witnesses[m]))
+    return 0
 
 
 def cmd_proc(args, out):
     ctx = _context_from_args(args)
+    proc = ctx.procs[-1]
     if args.action == "build":
-        proc = ctx.procs[-1]
         out.write("stage %d: %d x %d grid, %d atoms, %d towers\n"
                   % (proc.stage, proc.cols, proc.rows, proc.atoms,
                      ctx.params.s[proc.stage]))
         return 0
     if args.action == "towers":
-        proc = ctx.procs[-1]
         for s, tower in enumerate(proc.towers()):
             out.write("tower %d: %s\n" % (s, " ".join(map(str, tower))))
         return 0
-    if args.action == "eps":
-        rep = procsim.eps_approx(ctx.procs[-2], ctx.procs[-1])
-        ok = rep.subordinate and rep.levels_equal
-        out.write("CHECK eps-approx %s value=%s bound=subordinate off "
-                  "deleted set\n" % ("PASS" if ok else "FAIL", frac(rep.eps)))
-        return 0 if ok else 1
-    if args.action == "reqs":
-        lines, ok = run_checks(ctx, ["requirements", "process"])
-        out.write("\n".join(lines) + "\n")
-        return 0 if ok else 1
-    return 2
+    rep = procsim.eps_approx(ctx.procs[-2], proc)  # eps
+    ok = rep.subordinate and rep.levels_equal
+    out.write("CHECK eps-approx %s value=%s bound=subordinate off "
+              "deleted set\n" % ("PASS" if ok else "FAIL", frac(rep.eps)))
+    return 0 if ok else 1
 
 
 def cmd_names(args, out):
@@ -513,34 +479,29 @@ def cmd_names(args, out):
         name = names.simulate_tower_name(ctx.procs[-1], args.index)
         out.write(words.word_to_text(tuple(int(x) for x in name)) + "\n")
         return 0
-    if args.action == "crosscheck":
-        n = len(ctx.procs) - 1
-        for s in range(ctx.params.s[n]):
-            name = names.simulate_tower_name(ctx.procs[n], s)
-            out.write(words.word_to_text(tuple(int(x) for x in name)) + "\n")
-            try:
-                names.crosscheck_tower(ctx.procs[n], ctx.procs[n - 1],
-                                       ctx.h_grid(n - 1), s)
-            except OracleMismatch as exc:
-                out.write("ORACLE-MATCH: no (tower %d, position %d)\n"
-                          % (s, exc.index))
-                return 1
-        out.write("ORACLE-MATCH: yes\n")
-        return 0
-    if args.action == "stability":
-        lines, ok = run_checks(ctx, ["stability"])
-        out.write("\n".join(lines) + "\n")
-        return 0 if ok else 1
-    if args.action == "distinct":
-        lines, ok = run_checks(ctx, ["distinct"])
-        out.write("\n".join(lines) + "\n")
-        return 0 if ok else 1
-    return 2
+    n = len(ctx.procs) - 1  # crosscheck
+    for s in range(ctx.params.s[n]):
+        name = names.simulate_tower_name(ctx.procs[n], s)
+        out.write(words.word_to_text(tuple(int(x) for x in name)) + "\n")
+        try:
+            names.crosscheck_tower(ctx.procs[n], ctx.procs[n - 1],
+                                   ctx.h_grid(n - 1), s)
+        except OracleMismatch as exc:
+            out.write("ORACLE-MATCH: no (tower %d, position %d)\n"
+                      % (s, exc.index))
+            return 1
+    out.write("ORACLE-MATCH: yes\n")
+    return 0
 
 
 def cmd_factor(args, out):
     params = load_params(args.params)
-    pt = parse_point(params, args.point)
+    try:
+        offsets = tuple(int(t) for t in args.point.split(","))
+    except ValueError:
+        raise InputError("point must be comma-separated integers: %r"
+                         % args.point)
+    pt = factor.SymbolicPoint(params, offsets)
     if args.action == "rho":
         tr = factor.rho_trace(pt)
         out.write("rho = %s\n" % " ".join(frac(r) for r in tr.rhos))
@@ -553,15 +514,13 @@ def cmd_factor(args, out):
         else:
             out.write("point = %s\n" % ",".join(map(str, res.offsets)))
         return 0
-    if args.action == "pi":
-        n = len(pt.offsets) - 1
-        skel = factor.skeleton(params, n)
-        lo = max(0, pt.offsets[n] - args.width)
-        hi = min(params.q[n], pt.offsets[n] + args.width)
-        window = tuple(skel[m] for m in range(lo, hi))
-        out.write(words.word_to_text(factor.collapse_pi(window)) + "\n")
-        return 0
-    return 2
+    n = len(pt.offsets) - 1  # pi
+    skel = factor.skeleton(params, n)
+    lo = max(0, pt.offsets[n] - args.width)
+    hi = min(params.q[n], pt.offsets[n] + args.width)
+    window = tuple(skel[m] for m in range(lo, hi))
+    out.write(words.word_to_text(factor.collapse_pi(window)) + "\n")
+    return 0
 
 
 def _obedience_table(grid, plane, sigma, rng, samples, out):
@@ -583,6 +542,8 @@ def _obedience_table(grid, plane, sigma, rng, samples, out):
 def cmd_smooth(args, out):
     if args.samples < 1:
         raise InputError("--samples must be at least 1, got %d" % args.samples)
+    if args.seed < 0:
+        raise InputError("--seed must be non-negative, got %d" % args.seed)
     rng = np.random.default_rng(args.seed)
     if args.action == "swap":
         grid = _parse_grid(args.grid)
@@ -597,9 +558,8 @@ def cmd_smooth(args, out):
         return 0 if ok else 1
     if args.action == "realize":
         grid = _parse_grid(args.grid)
-        size = grid[0] * grid[1]
         try:
-            sigma = [int(v) for v in (rng.permutation(size)
+            sigma = [int(v) for v in (rng.permutation(grid[0] * grid[1])
                                       if args.perm is None
                                       else args.perm.split(","))]
         except ValueError:
@@ -615,23 +575,22 @@ def cmd_smooth(args, out):
                   % ("PASS" if ok else "FAIL", frac_ok, 1 - args.eps,
                      len(rep.swaps)))
         return 0 if ok else 1
-    if args.action == "stage":
-        ctx = _context_from_args(args)
-        grids = [ctx.h_grid(n) for n in range(len(ctx.h_words))]
-        try:
-            _, reports = smoothreal.stage_map(ctx.params, grids, args.eps,
-                                              seed=args.seed,
-                                              samples=args.samples)
-        except ToleranceError as exc:
-            out.write("FAIL obedient %.4f (need %.4f)\n"
-                      % (1 - exc.achieved, 1 - args.eps))
-            return 1
-        for n, rep in enumerate(reports):
-            out.write("stage %d obedient %.4f (%d swaps)\n"
-                      % (n + 1, rep.obedient, len(rep.swaps)))
-        out.write("PASS\n")
-        return 0
-    return 2
+    if args.params is None or not args.hwords:  # stage
+        raise InputError("smooth stage needs --params and --hwords")
+    ctx = _context_from_args(args)
+    grids = [ctx.h_grid(n) for n in range(len(ctx.h_words))]
+    try:
+        _, reports = smoothreal.stage_map(ctx.params, grids, args.eps,
+                                          seed=args.seed, samples=args.samples)
+    except ToleranceError as exc:
+        out.write("FAIL obedient %.4f (need %.4f)\n"
+                  % (1 - exc.achieved, 1 - args.eps))
+        return 1
+    for n, rep in enumerate(reports):
+        out.write("stage %d obedient %.4f (%d swaps)\n"
+                  % (n + 1, rep.obedient, len(rep.swaps)))
+    out.write("PASS\n")
+    return 0
 
 
 def _parse_grid(text):
@@ -646,9 +605,8 @@ def _parse_grid(text):
 
 def cmd_run(args, out):
     manifest = RunManifest(args.manifest)
-    ctx = manifest.context()
     checks = manifest.checks or manifest.default_checks()
-    lines, ok = run_checks(ctx, checks, jobs=manifest.jobs)
+    lines, ok = run_checks(manifest.context(), checks, jobs=manifest.jobs)
     report = "\n".join(lines) + "\n"
     out.write(report)
     if manifest.out:
@@ -662,23 +620,27 @@ def build_parser():
     top = argparse.ArgumentParser(prog="circlesys")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, prewords=False, hwords=False):
-        p.add_argument("--params", required=True)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--cap-atoms", dest="cap_atoms", type=int,
-                       default=procsim.DEFAULT_ATOM_CAP)
-        p.add_argument("--sigma", type=int, default=None)
+    def inputs(p, prewords=False, hwords=False, optional=False):
+        """--params and the word files, each with the flag that shapes
+        what is built from them.  `optional` is for `smooth`, where only
+        `stage` reads them and builds no grid process, so --params is
+        not required and --hwords comes without --cap-atoms."""
+        p.add_argument("--params", required=not optional)
         if prewords:
             p.add_argument("--prewords", action="append", default=[])
+            p.add_argument("--sigma", type=int, default=None)
         if hwords:
             p.add_argument("--hwords", action="append", default=[])
+        if hwords and not optional:
+            p.add_argument("--cap-atoms", dest="cap_atoms", type=int,
+                           default=procsim.DEFAULT_ATOM_CAP)
 
     p = sub.add_parser("params", help="derive p, q, alpha from a file")
     p.add_argument("params")
 
     p = sub.add_parser("words")
     p.add_argument("action", choices=["build", "decode", "parse", "stats"])
-    common(p, prewords=True)
+    inputs(p, prewords=True)
     p.add_argument("--stage", type=int, required=True)
     p.add_argument("--pos", type=int, default=0)
     p.add_argument("--index", type=int, default=0)
@@ -687,18 +649,18 @@ def build_parser():
 
     p = sub.add_parser("seq")
     p.add_argument("action", choices=["build", "verify", "measure", "s-window"])
-    common(p, prewords=True)
+    inputs(p, prewords=True)
     p.add_argument("--window", default="")
     p.add_argument("--origin", type=int, default=0)
 
     p = sub.add_parser("proc")
     p.add_argument("action", choices=["build", "towers", "eps", "reqs"])
-    common(p, hwords=True)
+    inputs(p, hwords=True)
 
     p = sub.add_parser("names")
     p.add_argument("action", choices=["tower", "crosscheck", "stability",
                                       "distinct"])
-    common(p, hwords=True)
+    inputs(p, hwords=True)
     p.add_argument("--index", type=int, default=0)
 
     p = sub.add_parser("factor")
@@ -709,16 +671,12 @@ def build_parser():
 
     p = sub.add_parser("smooth")
     p.add_argument("action", choices=["swap", "realize", "stage"])
-    p.add_argument("--params")
-    p.add_argument("--hwords", action="append", default=[])
+    inputs(p, hwords=True, optional=True)
     p.add_argument("--grid", default="2x2")
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--eps", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--sigma", type=int, default=None)
-    p.add_argument("--cap-atoms", dest="cap_atoms", type=int,
-                   default=procsim.DEFAULT_ATOM_CAP)
     p.add_argument("--perm", default=None)
 
     p = sub.add_parser("run")
@@ -743,6 +701,11 @@ def main(argv=None, out=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        checks = ACTION_CHECKS.get((args.command, vars(args).get("action")))
+        if checks:
+            lines, ok = run_checks(_context_from_args(args), checks)
+            out.write("\n".join(lines) + "\n")
+            return 0 if ok else 1
         return COMMANDS[args.command](args, out)
     except (InputError, ConstraintError, CoherenceError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -17,7 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputError, OracleMismatch, ResourceError
-from .procsim import GridPermutation, rotation_perm
+from .procsim import GridPermutation, rotation_shift
+from .procsim import rotation_perm  # noqa: F401  perfbench reads it here
 from .ratarith import dyn_order, spacer_columns
 from .words import B, E, circ
 
@@ -225,8 +226,8 @@ def name_stability(coarse, fine):
     Zf = fine.Z
     Zc = coarse.Z.lift(cols, rows)
     assert Zf.is_permutation() and Zc.is_permutation()
-    sf = rotation_perm(params, fine.stage, cols, rows).stride
-    sc = rotation_perm(params, n, cols, rows).stride
+    sf = rotation_shift(params, fine.stage, cols)
+    sc = rotation_shift(params, n, cols)
     fine_frame = labels[Zf.table].reshape(rows, cols)        # labels o Zf
     coarse_frame = labels[Zc.table].reshape(rows, cols)      # labels o Zc
     V = Zc.inverse().table[Zf.table]

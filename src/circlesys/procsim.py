@@ -21,17 +21,12 @@ DEFAULT_ATOM_CAP = 1 << 24
 
 
 class GridPermutation:
-    """Permutation of grid atoms with an optional equivariance stride.
+    """Permutation of grid atoms, as the table of atom images."""
 
-    `stride` records the column shift of the rotation this permutation
-    is built to commute with (None when not applicable).
-    """
-
-    def __init__(self, cols, rows, table, stride=None):
+    def __init__(self, cols, rows, table):
         self.cols = cols
         self.rows = rows
         self.table = np.asarray(table, dtype=np.int64)
-        self.stride = stride
         if self.table.shape != (cols * rows,):
             raise InputError("table size %d does not match %d x %d grid"
                              % (self.table.size, cols, rows))
@@ -52,7 +47,7 @@ class GridPermutation:
     def inverse(self):
         inv = np.empty_like(self.table)
         inv[self.table] = np.arange(self.table.size, dtype=np.int64)
-        return GridPermutation(self.cols, self.rows, inv, stride=self.stride)
+        return GridPermutation(self.cols, self.rows, inv)
 
     def lift(self, cols, rows):
         """Refine to a finer grid, moving each sub-atom rigidly."""
@@ -78,15 +73,20 @@ class GridPermutation:
                 and np.array_equal(self.table, other.table))
 
 
-def rotation_perm(params, n, cols, rows):
-    """The rotation by p[n]/q[n] as a column shift on a cols x rows grid."""
+def rotation_shift(params, n, cols):
+    """Columns the rotation by p[n]/q[n] moves a grid of `cols` columns."""
     if cols % params.q[n]:
         raise InputError("cols=%d not divisible by q[%d]=%d"
                          % (cols, n, params.q[n]))
-    shift = params.p[n] * (cols // params.q[n]) % cols
+    return params.p[n] * (cols // params.q[n]) % cols
+
+
+def rotation_perm(params, n, cols, rows):
+    """The rotation by p[n]/q[n] as a column shift on a cols x rows grid."""
+    shift = rotation_shift(params, n, cols)
     u = np.arange(cols * rows, dtype=np.int64)
     table = (u // cols) * cols + (u % cols + shift) % cols
-    return GridPermutation(cols, rows, table, stride=shift)
+    return GridPermutation(cols, rows, table)
 
 
 def h_from_words(params, n, h_words):
@@ -125,7 +125,7 @@ def h_from_words(params, n, h_words):
         for (s, t), (sp, tp) in zip(sources, targets):
             for m in range(q):               # equivariant copies
                 table[s * cols + t + m * k] = sp * cols + tp + m * k
-    perm = GridPermutation(cols, rows, table, stride=(params.p[n] * k) % cols)
+    perm = GridPermutation(cols, rows, table)
     assert perm.is_permutation()
     return perm
 

@@ -183,36 +183,65 @@ def spacer_columns(params, m):
     return NameLabeling(m, b_cols, e_cols)
 
 
-def parse_params_text(text):
+def read_text(path):
+    """The text of a UTF-8 file; any other bytes are an InputError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError("%s: not UTF-8 text (byte %d)" % (path, exc.start))
+
+
+def content_lines(text):
+    """(line number, line) for each line of `text` that holds more than
+    a #-comment, with the comment and surrounding blanks cut off."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def parse_key_values(text, keys, required=(), source="<text>"):
+    """The `key = value` lines of `text` as a dict of value strings.
+
+    Each key must be one of `keys` and appear at most once; every key
+    in `required` must appear.  Errors name `source` and the line.
+    """
+    fields = {}
+    for lineno, line in content_lines(text):
+        key, eq, value = line.partition("=")
+        key = key.strip()
+        if not eq:
+            raise InputError("%s:%d: expected `key = value`, got %r"
+                             % (source, lineno, line))
+        if key not in keys:
+            raise InputError("%s:%d: unknown key %r" % (source, lineno, key))
+        if key in fields:
+            raise InputError("%s:%d: duplicate key %r" % (source, lineno, key))
+        fields[key] = value.strip()
+    for key in required:
+        if key not in fields:
+            raise InputError("%s: missing key %r" % (source, key))
+    return fields
+
+
+def parse_params_text(text, source="<text>"):
     """Parse the `key = values` parameter format.
 
     Lines are `k = 2 2`, `l = 4 4`, `s = 2 2 4`; blank lines and
     #-comments are ignored.  Returns a Params via derive_params.
     """
-    fields = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise InputError("line %d: expected `name = values`, got %r"
-                             % (lineno, raw))
-        name, _, rest = line.partition("=")
-        name = name.strip()
-        if name not in ("k", "l", "s"):
-            raise InputError("line %d: unknown parameter %r" % (lineno, name))
-        if name in fields:
-            raise InputError("line %d: duplicate parameter %r" % (lineno, name))
+    names = ("k", "l", "s")
+    fields = parse_key_values(text, names, required=names, source=source)
+    lists = []
+    for name in names:
         try:
-            fields[name] = [int(tok) for tok in rest.split()]
+            lists.append([int(tok) for tok in fields[name].split()])
         except ValueError:
-            raise InputError("line %d: non-integer token in %r" % (lineno, rest))
-    for name in ("k", "l", "s"):
-        if name not in fields:
-            raise InputError("missing parameter %r" % name)
-    return derive_params(fields["k"], fields["l"], fields["s"])
+            raise InputError("%s: %s must be integers, got %r"
+                             % (source, name, fields[name]))
+    return derive_params(*lists)
 
 
 def load_params(path):
-    with open(path) as fh:
-        return parse_params_text(fh.read())
+    return parse_params_text(read_text(path), path)

@@ -151,6 +151,12 @@ WORDS = ["--prewords", "w1.txt", "--prewords", "w2.txt"]
     + ["--stage", "1", "--index", "7"],
     ["names", "tower", "--params", "desk.params", "--hwords", "w1.txt",
      "--index", "9"],
+    ["smooth", "stage"],
+    ["smooth", "stage", "--params", "desk.params"],
+    ["smooth", "swap", "--seed", "-1"],
+    ["smooth", "realize", "--seed", "-1"],
+    ["smooth", "stage", "--params", "desk.params", "--hwords", "w1.txt",
+     "--seed", "-1"],
 ], ids=lambda argv: " ".join(argv[:2] + argv[-2:]))
 def test_bad_input_exits_2(desk, capsys, monkeypatch, argv):
     monkeypatch.chdir(desk)
@@ -212,6 +218,65 @@ def test_run_readability_names_stages(desk):
     assert code == 0
     assert text == ("CHECK readability PASS value=0 violations scanned=2 "
                     "skipped=1(q=1),3(lazy) bound=offsets 0,q only\n")
+
+
+def test_run_numerology_names_stages_past_cap(desk):
+    code, text = run(["run", manifest(desk,
+        "params = desk.params\nchecks = numerology\ncap_atoms = 100\n")])
+    assert code == 0
+    assert text == ("CHECK numerology PASS value=7 skipped=2(q>cap) "
+                    "bound=q-j_i = j_{q-i}\n")
+
+
+def test_run_boundary_names_lazy_stages(desk):
+    (desk / "lazy.params").write_text("k = 2 4 4\nl = 2 2 32\ns = 2 2 4 4\n")
+    (desk / "w3.txt").write_text("0 1 2 3\n1 2 3 0\n2 3 0 1\n3 0 1 2\n")
+    code, text = run(["run", manifest(desk,
+        "params = lazy.params\nprewords = w1.txt w2var.txt w3.txt\n"
+        "checks = boundary\n")])
+    assert code == 0
+    assert text == ("CHECK boundary PASS value=1/2 skipped=3(lazy) "
+                    "bound=1/l exactly, near <= 3/l\n")
+
+
+def test_run_boundary_with_no_stage_checked(desk):
+    # stage 1 words have 2*2097152 letters, past the word cap
+    (desk / "wide.params").write_text("k = 2\nl = 2097152\ns = 2 2\n")
+    code, text = run(["run", manifest(desk,
+        "params = wide.params\nprewords = w1.txt\nchecks = boundary\n")])
+    assert code == 0
+    assert text == ("CHECK boundary PASS value=none skipped=1(lazy) "
+                    "bound=1/l exactly, near <= 3/l\n")
+
+
+@pytest.mark.parametrize("argv", [["params", "bin.txt"], ["run", "bin.txt"],
+    ["words", "build", "--params", "desk.params", "--prewords", "bin.txt",
+     "--stage", "1"]], ids=lambda argv: argv[0])
+def test_non_utf8_input_exits_2(desk, capsys, monkeypatch, argv):
+    (desk / "bin.txt").write_bytes(b"k = 2\n\xff\xfe\n")
+    monkeypatch.chdir(desk)
+    code, _ = run(argv)
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "error: bin.txt: not UTF-8 text (byte 6)\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["words", "build", "--seed", "0", "--stage", "1"],
+    ["seq", "build", "--seed", "0"],
+    ["proc", "build", "--seed", "0"], ["names", "tower", "--seed", "0"],
+    ["words", "build", "--cap-atoms", "9", "--stage", "1"],
+    ["seq", "build", "--cap-atoms", "9"],
+    ["proc", "build", "--sigma", "2"], ["names", "tower", "--sigma", "2"],
+    ["smooth", "stage", "--sigma", "2"],
+    ["smooth", "stage", "--cap-atoms", "9"],
+], ids=lambda argv: "%s %s" % (argv[0], argv[2]))
+def test_flags_without_effect_are_refused(desk, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--params", str(desk / "desk.params")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: %s %s" % tuple(argv[2:4]) \
+        in capsys.readouterr().err
 
 
 def test_run_duplicate_fails_requirements(desk):

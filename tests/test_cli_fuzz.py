@@ -1,0 +1,206 @@
+"""Hypothesis fuzz of the command line: any argv or manifest ends in an
+exit code of 0, 1, 2 or 3, and nothing but argparse's SystemExit(2)
+leaves `main`."""
+
+import contextlib
+import io
+import os
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from circlesys.cli import main
+
+FILES = {
+    "desk.params": "k = 2 2\nl = 4 4\ns = 2 2 4\n",
+    "var.params": "k = 2 4\nl = 4 4\ns = 2 2 4\n",
+    "bad.params": "k = 2 2\nl = 4 4\ns = 3 2 4\n",   # s[0] must divide k[0]
+    "junk.params": "k = 2 x\nl = 4\n",
+    "w1.txt": "0 1\n1 0\n",
+    "w2.txt": "0 1\n1 0\n0 1\n1 0\n",
+    "w2var.txt": "0 0 1 1\n0 1 0 1\n1 0 1 0\n1 1 0 0\n",
+    "wbad.txt": "0 7\n7 0\n",
+    "wtext.txt": "a b\n",
+    "empty.txt": "# nothing\n",
+}
+BINARY = b"\x00\xff\xfe k = 2\n"
+# paths a file flag may get besides FILES: non-UTF-8, a directory, absent
+ODD_PATHS = ["binary.dat", "subdir", "missing.txt"]
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, text in FILES.items():
+        (root / name).write_text(text)
+    (root / "binary.dat").write_bytes(BINARY)
+    (root / "subdir").mkdir()
+    return root
+
+
+BAD_INTS = ["-3", "-1", "x", "1.5", "", "99999"]
+# the word files that fit each params file
+WORD_FILES = {"desk.params": [["w1.txt"], ["w1.txt", "w2.txt"]],
+              "var.params": [["w1.txt"], ["w1.txt", "w2var.txt"]]}
+BAD_FILES = [["wbad.txt"], ["wtext.txt"], ["empty.txt"], ["binary.dat"],
+             ["subdir"], ["missing.txt"], ["w1.txt", "w2var.txt", "w2.txt"]]
+PARAMS = (["desk.params", "var.params"],
+          ["bad.params", "junk.params", "binary.dat", "subdir",
+           "missing.txt", "w1.txt"])
+WINDOWS = ["b 0 0 0 b 1 1 1", "b 1 1 1 b 0 0 0 b 1 1 1", "1 1 b 0"]
+# flag -> (good values, bad values).  A list value repeats the flag.
+FLAGS = {
+    "--params": PARAMS,
+    "--prewords": (sum(WORD_FILES.values(), []), BAD_FILES),
+    "--hwords": (sum(WORD_FILES.values(), []), BAD_FILES),
+    "--sigma": (["2", "3"], BAD_INTS + ["0", "1"]),
+    "--cap-atoms": (["100", "4096", "100000"], BAD_INTS + ["0"]),
+    "--stage": (["0", "1", "2"], BAD_INTS + ["3"]),
+    "--pos": (["0", "5", "100"], BAD_INTS + ["512"]),
+    "--index": (["0", "1", "3"], BAD_INTS + ["4"]),
+    "--range": (["0:8", "5:5", "2:6"], ["3", "a:b", "-1:2", "0:1000", "2:1"]),
+    "--text": (WINDOWS, ["", "x", "0 1 b e", "-1", "9" * 30]),
+    "--window": (WINDOWS, ["", "x", "-1", "b b b b"]),
+    "--origin": (["0", "3", "9"], BAD_INTS),
+    "--point": (["0,1,9", "0,0", "0,1", "0,7,500"],
+                ["a", "", "0", "0,9,9", "0,-1", "0,1,600", "1,1"]),
+    "--width": (["0", "4", "8"], BAD_INTS),
+    "--grid": (["2x2", "3x2", "1x2", "2x3"], ["0x3", "x", "3", "-2x2", "1x1"]),
+    "--k": (["0", "1", "2"], BAD_INTS + ["5"]),
+    "--eps": (["0.05", "0.2"], ["-1", "0", "0.5", "1", "2", "nan", "inf",
+                                "x"]),
+    "--seed": (["0", "1", "5"], BAD_INTS),
+    "--samples": (["1", "50", "200"], ["-1", "0", "x"]),
+    "--perm": (["0,1,2,3", "3,2,1,0", "1,0,3,2", "5,4,3,2,1,0"],
+               ["0,1", "a,b", "0,0,1,1", "", "0,1,2,9"]),
+}
+# subcommand -> (actions, required flags, optional flags)
+SUBCOMMANDS = {
+    "words": (["build", "decode", "parse", "stats"],
+              ["--params", "--prewords", "--stage"],
+              ["--sigma", "--pos", "--index", "--range", "--text"]),
+    "seq": (["build", "verify", "measure", "s-window"],
+            ["--params", "--prewords"], ["--sigma", "--window", "--origin"]),
+    "proc": (["build", "towers", "eps", "reqs"], ["--params", "--hwords"],
+             ["--cap-atoms"]),
+    "names": (["tower", "crosscheck", "stability", "distinct"],
+              ["--params", "--hwords"], ["--cap-atoms", "--index"]),
+    "factor": (["rho", "shift", "pi"], ["--params", "--point"], ["--width"]),
+    "smooth": (["swap", "realize", "stage"], [],
+               ["--params", "--hwords", "--grid", "--k", "--eps", "--seed",
+                "--samples", "--perm"]),
+}
+
+
+def value(draw, flag, clean, params=None):
+    good, bad = FLAGS[flag]
+    if clean and params in WORD_FILES and flag in ("--prewords", "--hwords"):
+        good = WORD_FILES[params]
+    return draw(st.sampled_from(good if clean else good + bad))
+
+
+def flag_args(flag, val):
+    return [tok for v in (val if isinstance(val, list) else [val])
+            for tok in (flag, v)]
+
+
+@st.composite
+def subcommand_argv(draw):
+    """An argv for one subcommand.  A clean one has the required flags
+    and good values; otherwise values may be bad, required flags may be
+    missing and flags of other subcommands may appear."""
+    clean = draw(st.booleans())
+    command = draw(st.sampled_from(sorted(SUBCOMMANDS) + ["params"]))
+    if command == "params":
+        return ["params", value(draw, "--params", clean)]
+    actions, required, optional = SUBCOMMANDS[command]
+    argv = [command, draw(st.sampled_from(actions if clean
+                                          else actions + ["bogus"]))]
+    if clean:
+        flags = required + draw(st.lists(st.sampled_from(optional),
+                                         unique=True))
+    else:
+        flags = draw(st.lists(st.sampled_from(required + optional
+                                              + sorted(FLAGS)), max_size=7))
+    params = value(draw, "--params", clean)
+    for flag in flags:
+        val = params if flag == "--params" else value(draw, flag, clean,
+                                                       params)
+        argv += flag_args(flag, val)
+    return argv
+
+
+CHECKS = ["boundary", "cylinder", "distinct", "factor", "names",
+          "numerology", "process", "readability", "recursion",
+          "requirements", "stability", "uniformity"]
+# manifest key -> (good values, bad values)
+MANIFEST = {
+    "params": PARAMS,
+    "prewords": ([" ".join(f) for f in sum(WORD_FILES.values(), [])],
+                 ["wbad.txt", "binary.dat", "subdir", "missing.txt", "",
+                  "w1.txt w2var.txt w2.txt"]),
+    "checks": ([" ".join(CHECKS[i:i + 3]) for i in range(0, 12, 3)],
+               ["bogus", "names names", ""]),
+    "seed": (["0", "7"], ["-3", "abc", ""]),
+    "cap_atoms": (["100", "4096", "100000"], ["-1", "0", "x"]),
+    "sigma": (["2", "3"], ["-1", "0", "1", "x"]),
+    "jobs": (["1", "2"], ["-1", "0", "x"]),
+    "out": (["reports"], ["w1.txt", "w1.txt/x", ""]),
+}
+MANIFEST["hwords"] = MANIFEST["prewords"]
+
+
+@st.composite
+def manifest_text(draw):
+    """A manifest; a clean one has params and good values only."""
+    clean = draw(st.booleans())
+    keys = draw(st.lists(st.sampled_from(sorted(MANIFEST)), unique=clean,
+                         max_size=6))
+    if clean and "params" not in keys:
+        keys.append("params")
+    params = draw(st.sampled_from(PARAMS[0] if clean else sum(PARAMS, [])))
+    lines = []
+    for key in keys:
+        good, bad = MANIFEST[key]
+        if clean and key in ("prewords", "hwords"):
+            good = [" ".join(f) for f in WORD_FILES[params]]
+        val = params if key == "params" else draw(st.sampled_from(
+            good if clean else good + bad))
+        lines.append("%s = %s" % (key, val))
+    if not clean:
+        lines += draw(st.lists(st.sampled_from(
+            ["nonsense", "bogus = 1", "# c", "", "params"]), max_size=1))
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+def exit_code(workdir, argv):
+    """main's exit code for `argv`, run from `workdir`."""
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            return main(argv, out=io.StringIO())
+    except SystemExit as exc:
+        # argparse refusing the argv is the only way out of main
+        assert exc.code == 2, argv
+        return 2
+    finally:
+        os.chdir(cwd)
+
+
+FUZZ = settings(max_examples=250, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+@FUZZ
+@given(argv=subcommand_argv())
+def test_any_argv_exits_0_to_3(workdir, argv):
+    assert exit_code(workdir, argv) in (0, 1, 2, 3), argv
+
+
+@FUZZ
+@given(text=manifest_text())
+def test_any_manifest_exits_0_to_3(workdir, text):
+    (workdir / "m.txt").write_text(text)
+    assert exit_code(workdir, ["run", "m.txt"]) in (0, 1, 2, 3), text

@@ -1,0 +1,56 @@
+"""Replay a recorded command-line transcript byte for byte.
+
+`data/cli_transcript.json` holds the argv, exit code and stdout of every
+subcommand action on `demos/data` and of `run demos/data/manifest.txt`,
+with paths relative to the repository root.  A report that changes on
+purpose is re-recorded with
+
+    PYTHONPATH=src python tests/test_cli_transcript.py
+"""
+
+import contextlib
+import io
+import json
+import os
+import warnings
+
+import pytest
+
+from circlesys.cli import main
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+TRANSCRIPT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                          "cli_transcript.json")
+
+with open(TRANSCRIPT) as fh:
+    ENTRIES = json.load(fh)
+
+
+def replay(argv):
+    """(exit code, stdout) of `circlesys argv` run from the repository
+    root."""
+    out = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        with warnings.catch_warnings(), \
+                contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("ignore")
+            code = main(argv, out=out)
+    finally:
+        os.chdir(cwd)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("entry", ENTRIES,
+                         ids=lambda e: " ".join(e["argv"][:2]))
+def test_transcript(entry):
+    assert replay(entry["argv"]) == (entry["exit"], entry["stdout"])
+
+
+if __name__ == "__main__":
+    for entry in ENTRIES:
+        entry["exit"], entry["stdout"] = replay(entry["argv"])
+    with open(TRANSCRIPT, "w") as fh:
+        json.dump(ENTRIES, fh, indent=1)
+        fh.write("\n")

@@ -6,7 +6,8 @@ import pytest
 from circlesys.errors import ConstraintError, InputError, ResourceError
 from circlesys.procsim import (GridPermutation, build_process,
                                check_requirements, compose_stage, eps_approx,
-                               h_from_words, initial_process, rotation_perm)
+                               h_from_words, initial_process, rotation_perm,
+                               rotation_shift)
 from circlesys.ratarith import derive_params
 
 DESK = derive_params([2, 2], [4, 4], [2, 2, 4])
@@ -47,6 +48,19 @@ def test_h_commutes_with_previous_rotation():
     for n, h in ((0, h1), (1, h2)):
         rot = rotation_perm(DESK, n, h.cols, h.rows)
         assert h.compose(rot) == rot.compose(h)
+
+
+def test_rotation_shift_moves_every_row():
+    for params in (DESK, VAR):
+        for n in range(params.stages + 1):
+            cols = 4 * params.q[n]
+            shift = rotation_shift(params, n, cols)
+            table = rotation_perm(params, n, cols, 3).table.reshape(3, cols)
+            assert np.array_equal(table % cols,
+                                  np.roll(np.arange(cols), -shift)[None]
+                                  .repeat(3, axis=0))
+    with pytest.raises(InputError):
+        rotation_shift(DESK, 2, 100)
 
 
 def test_transform_is_conjugated_rotation():

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from circlesys.errors import ConstraintError, InputError, ResourceError
 from circlesys.ratarith import (DynOrder, d_index, derive_params, dyn_order,
-                                load_params, parse_params_text)
+                                load_params, parse_key_values,
+                                parse_params_text)
 
 DESK = ([2, 2], [4, 4], [2, 2, 4])
 
@@ -72,6 +73,30 @@ def test_load_params(tmp_path):
     path = tmp_path / "p.txt"
     path.write_text("k = 2 2\nl = 4 4\ns = 2 2 4\n")
     assert load_params(str(path)).p == (0, 1, 65)
+
+
+@pytest.mark.parametrize("text, error", [
+    ("k = 2\n# c\nk = 2\n", "f.txt:3: duplicate key 'k'"),
+    ("\nj = 2\n", "f.txt:2: unknown key 'j'"),
+    ("k 2\n", "f.txt:1: expected `key = value`, got 'k 2'"),
+    ("k = 2  # c\n", "f.txt: missing key 'l'"),
+])
+def test_key_value_errors(text, error):
+    with pytest.raises(InputError) as exc:
+        parse_key_values(text, ("k", "l"), required=("k", "l"), source="f.txt")
+    assert str(exc.value) == error
+
+
+def test_key_values_strip_comments_and_blanks():
+    text = "# head\n\n k = 2 2 # two\nl=\n"
+    assert parse_key_values(text, ("k", "l")) == {"k": "2 2", "l": ""}
+
+
+def test_load_params_rejects_non_utf8(tmp_path):
+    path = tmp_path / "p.txt"
+    path.write_bytes(b"k = 2\xff\n")
+    with pytest.raises(InputError, match="not UTF-8 text"):
+        load_params(str(path))
 
 
 def test_dyn_order_cap():
