@@ -18,7 +18,7 @@ from .names import (atom_labels, crosscheck_tower, distinct_names,
                     spacer_columns, transect_word, u_words)
 from .factor import (BoundaryCrossing, SymbolicPoint, collapse_pi,
                      enumerate_coherent, rho_trace, shift_point)
-from .smoothreal import (Composite, StandardSwap, approx_swap, map_distance,
+from .smoothreal import (CellSwap, Composite, StandardSwap, map_distance,
                          perm_to_swaps, realize_perm, sample_jacobian,
                          stage_map)
 

@@ -80,14 +80,12 @@ class Context:
                 if not self.h_words:
                     raise InputError("this operation needs h-word files")
                 ps = [procsim.initial_process(self.params)]
-                for n in range(len(self.h_words)):
-                    ps.append(procsim.compose_stage(ps[-1], self.h_grid(n),
+                for n, h_words in enumerate(self.h_words):
+                    h = procsim.h_from_words(self.params, n, h_words)
+                    ps.append(procsim.compose_stage(ps[-1], h,
                                                     self.cap_atoms))
                 self._procs = ps
         return self._procs
-
-    def h_grid(self, n):
-        return procsim.h_from_words(self.params, n, self.h_words[n])
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +192,7 @@ def check_process(ctx):
     towers = proc.towers()
     atoms = np.concatenate(towers)
     ok = np.array_equal(np.sort(atoms), np.arange(proc.atoms))
-    for n in range(len(ctx.h_words)):
-        h = ctx.h_grid(n)
+    for n, h in enumerate(proc.h_list):
         rot = procsim.rotation_perm(ctx.params, n, h.cols, h.rows)
         ok &= h.compose(rot) == rot.compose(h)
     return ok, "%d atoms" % proc.atoms, "towers partition; h rot = rot h"
@@ -211,11 +208,12 @@ def check_requirements(ctx):
 
 
 def check_names(ctx):
-    for n in range(1, len(ctx.procs)):
+    procs = ctx.procs
+    for n in range(1, len(procs)):
         for s in range(ctx.params.s[n]):
             try:
-                names.crosscheck_tower(ctx.procs[n], ctx.procs[n - 1],
-                                       ctx.h_grid(n - 1), s)
+                names.crosscheck_tower(procs[n], procs[n - 1],
+                                       procs[n].h_list[n - 1], s)
             except OracleMismatch as exc:
                 return False, "stage %d tower %d pos %d" % (n, s, exc.index), \
                     "simulated = circular product"
@@ -477,15 +475,14 @@ def cmd_names(args, out):
     ctx = _context_from_args(args)
     if args.action == "tower":
         name = names.simulate_tower_name(ctx.procs[-1], args.index)
-        out.write(words.word_to_text(tuple(int(x) for x in name)) + "\n")
+        out.write(words.word_to_text(name) + "\n")
         return 0
-    n = len(ctx.procs) - 1  # crosscheck
-    for s in range(ctx.params.s[n]):
-        name = names.simulate_tower_name(ctx.procs[n], s)
-        out.write(words.word_to_text(tuple(int(x) for x in name)) + "\n")
+    proc, prev = ctx.procs[-1], ctx.procs[-2]  # crosscheck
+    for s in range(ctx.params.s[proc.stage]):
+        out.write(words.word_to_text(names.simulate_tower_name(proc, s))
+                  + "\n")
         try:
-            names.crosscheck_tower(ctx.procs[n], ctx.procs[n - 1],
-                                   ctx.h_grid(n - 1), s)
+            names.crosscheck_tower(proc, prev, proc.h_list[-1], s)
         except OracleMismatch as exc:
             out.write("ORACLE-MATCH: no (tower %d, position %d)\n"
                       % (s, exc.index))
@@ -514,7 +511,9 @@ def cmd_factor(args, out):
         else:
             out.write("point = %s\n" % ",".join(map(str, res.offsets)))
         return 0
-    n = len(pt.offsets) - 1  # pi
+    if args.width < 0:  # pi
+        raise InputError("--width must be non-negative, got %d" % args.width)
+    n = len(pt.offsets) - 1
     skel = factor.skeleton(params, n)
     lo = max(0, pt.offsets[n] - args.width)
     hi = min(params.q[n], pt.offsets[n] + args.width)
@@ -547,8 +546,7 @@ def cmd_smooth(args, out):
     rng = np.random.default_rng(args.seed)
     if args.action == "swap":
         grid = _parse_grid(args.grid)
-        spec = smoothreal.SwapSpec(grid, args.k, args.eps)
-        plane = smoothreal.approx_swap(spec)
+        plane = smoothreal.CellSwap(grid, args.k, args.eps)
         sigma = list(range(grid[0] * grid[1]))
         sigma[args.k], sigma[args.k + 1] = sigma[args.k + 1], sigma[args.k]
         frac_ok = _obedience_table(grid, plane, sigma, rng, args.samples, out)
@@ -578,7 +576,8 @@ def cmd_smooth(args, out):
     if args.params is None or not args.hwords:  # stage
         raise InputError("smooth stage needs --params and --hwords")
     ctx = _context_from_args(args)
-    grids = [ctx.h_grid(n) for n in range(len(ctx.h_words))]
+    grids = [procsim.h_from_words(ctx.params, n, h_words)
+             for n, h_words in enumerate(ctx.h_words)]
     try:
         _, reports = smoothreal.stage_map(ctx.params, grids, args.eps,
                                           seed=args.seed, samples=args.samples)

@@ -11,7 +11,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConstraintError, InputError
+from .errors import ConstraintError, InputError, ResourceError
 from .ratarith import dyn_order
 from .words import LazyCircularWord, circ, parse
 
@@ -46,6 +46,9 @@ def build_sequence(sigma_size, params, prewords, word_cap=DEFAULT_WORD_CAP,
     """
     if sigma_size < 1:
         raise InputError("alphabet must be non-empty")
+    if sigma_size > word_cap:
+        raise ResourceError("alphabet of %d letters exceeds the word cap %d"
+                            % (sigma_size, word_cap))
     if len(prewords) > params.stages:
         raise InputError("got %d preword lists but only %d stages of parameters"
                          % (len(prewords), params.stages))

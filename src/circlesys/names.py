@@ -26,14 +26,6 @@ from .words import B, E, circ
 _LABELS_LOCK = threading.Lock()
 
 
-@dataclass
-class QPartition:
-    """Per-atom labels at some grid resolution: strip index, B, or E."""
-    cols: int
-    rows: int
-    labels: np.ndarray
-
-
 def label_dtype(s0):
     """Narrowest signed integer dtype holding the labels 0..s0-1, B and E.
 
@@ -55,10 +47,10 @@ def q_labels(params, h_list, stage, cols, rows):
     atom the latest one wins: a new spacer run may transit a column
     that an earlier stage already labelled, and the later relabeling is
     what the stage-n tower names read.  Unclaimed atoms keep their base
-    strip index.  Labels are stored in `label_dtype(params.s[0])`.
+    strip index.  Returns one label per atom, in `label_dtype(params.s[0])`.
 
-    This recomputes every Z_m from h_list; a process's own labels are
-    computed once and kept by `atom_labels`.
+    This recomputes every Z_m from h_list; its one caller is
+    `atom_labels`, which computes a process's labels once and keeps them.
     """
     atoms = cols * rows
     labels = ((np.arange(atoms, dtype=np.int64) // cols) * params.s[0]
@@ -71,7 +63,7 @@ def q_labels(params, h_list, stage, cols, rows):
         marks = spacer_columns(params, m)
         labels[marks.b_cols[col_m]] = B
         labels[marks.e_cols[col_m]] = E
-    return QPartition(cols, rows, labels)
+    return labels
 
 
 def atom_labels(proc):
@@ -84,7 +76,7 @@ def atom_labels(proc):
     with _LABELS_LOCK:
         if proc.labels is None:
             labels = q_labels(proc.params, proc.h_list, proc.stage,
-                              proc.cols, proc.rows).labels
+                              proc.cols, proc.rows)
             labels.flags.writeable = False
             proc.labels = labels
     return proc.labels
@@ -102,6 +94,11 @@ def u_words(proc, h, s):
     h-images of the strip-s atoms in residue class j of the first-pass
     columns.  These are the tuple entries whose circular product the
     next stage's tower name must reproduce on its interior.
+
+    The labels are the process's own (`atom_labels`), read at its
+    resolution: h's grid refines the process grid and a lifted Z moves
+    sub-atoms rigidly, so an h-grid atom carries the label of the
+    process atom that contains it, taken through the unlifted Z.
     """
     n = proc.stage
     params = proc.params
@@ -109,17 +106,12 @@ def u_words(proc, h, s):
     if (h.cols, h.rows) != (k * q, params.s[n + 1]):
         raise InputError("h resolution %dx%d does not fit stage %d"
                          % (h.cols, h.rows, n))
-    part = q_labels(params, proc.h_list, n, h.cols, h.rows)
-    Z = proc.Z.lift(h.cols, h.rows)
-    out = []
-    for j in range(k):
-        word = []
-        for t in range(q):
-            col = j + (t * p % q) * k
-            atom = s * h.cols + col
-            word.append(int(part.labels[Z.apply(h.apply(atom))]))
-        out.append(tuple(word))
-    return out
+    col = np.arange(k)[:, None] + (np.arange(q) * p % q)[None, :] * k
+    img = h.table[s * h.cols + col]
+    coarse = ((img // h.cols // (h.rows // proc.rows)) * proc.cols
+              + (img % h.cols) // k)
+    return [tuple(word) for word in
+            atom_labels(proc)[proc.Z.table[coarse]].tolist()]
 
 
 @dataclass

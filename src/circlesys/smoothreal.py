@@ -177,10 +177,9 @@ class CellSwap(PlaneMap):
         self.transpose = c0 == c1               # vertical pair
         if self.transpose:
             self.origin = (c0 / m, min(r0, r1) / n)
-            self.scale = (1.0 / m, 1.0 / n)     # (x, y) sizes of one cell
         else:
             self.origin = (min(c0, c1) / m, r0 / n)
-            self.scale = (1.0 / m, 1.0 / n)
+        self.scale = (1.0 / m, 1.0 / n)         # (x, y) sizes of one cell
         self.grid = grid
         self.k = k
 
@@ -234,23 +233,6 @@ def cell_of_points(grid, pts):
     row = np.clip((pts[:, 1] * n).astype(int), 0, n - 1)
     pos = np.where(row % 2 == 0, col, m - 1 - col)
     return row * m + pos
-
-
-@dataclass
-class SwapSpec:
-    grid: tuple             # (m, n) cells
-    k: int                  # swap pair (k, k+1) in boustrophedon order
-    delta: float            # exceptional mass fraction of the pair
-    gamma: float = None     # band width (derived from delta when None)
-
-
-def approx_swap(spec):
-    """Smooth approximate swap of one adjacent cell pair."""
-    swap = CellSwap(spec.grid, spec.k, spec.delta)
-    if spec.gamma is not None:
-        swap.inner.gamma = spec.gamma
-        swap.inner.r_in = swap.inner.R - spec.gamma
-    return swap
 
 
 def perm_to_swaps(sigma):
@@ -313,7 +295,7 @@ def realize_perm(sigma, grid, eps, seed=0, samples=20000, max_retries=3):
     target = np.asarray(sigma)[cell_of_points(grid, pts)]
     delta = eps / len(swaps)
     for _ in range(max_retries):
-        plane = Composite([approx_swap(SwapSpec(grid, k, delta)) for k in swaps])
+        plane = Composite([CellSwap(grid, k, delta) for k in swaps])
         landed = cell_of_points(grid, plane.forward(pts))
         obedient = float(np.mean(landed == target))
         if obedient >= 1 - eps:

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from circlesys import cli
+from circlesys import cli, procsim
 from circlesys.cli import RunManifest, main, run_checks
 from circlesys.errors import OracleMismatch, ToleranceError
 
@@ -157,6 +157,8 @@ WORDS = ["--prewords", "w1.txt", "--prewords", "w2.txt"]
     ["smooth", "realize", "--seed", "-1"],
     ["smooth", "stage", "--params", "desk.params", "--hwords", "w1.txt",
      "--seed", "-1"],
+    ["factor", "pi", "--params", "desk.params", "--point", "0,1,9",
+     "--width", "-5"],
 ], ids=lambda argv: " ".join(argv[:2] + argv[-2:]))
 def test_bad_input_exits_2(desk, capsys, monkeypatch, argv):
     monkeypatch.chdir(desk)
@@ -332,6 +334,33 @@ def test_run_checks_threads_match_serial():
         sys.setswitchinterval(interval)
     assert threaded == serial
     assert serial[1] and len(serial[0]) == len(checks)
+
+
+def test_run_builds_each_h_grid_once(monkeypatch):
+    # every check reads the h grids kept on the processes
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
+                        "data", "manifest.txt")
+    m = RunManifest(path)
+    calls = []
+    build = procsim.h_from_words
+
+    def counted(params, n, h_words):
+        calls.append(n)
+        return build(params, n, h_words)
+    monkeypatch.setattr(procsim, "h_from_words", counted)
+    lines, ok = run_checks(m.context(), m.default_checks())
+    assert ok
+    assert sorted(calls) == list(range(len(m.hword_paths)))
+
+
+def test_huge_alphabet_exits_3_before_allocating(desk, capsys):
+    code, _ = run(["seq", "build", "--params", str(desk / "desk.params"),
+                   "--prewords", str(desk / "w1.txt"),
+                   "--sigma", "100000000000000000000000"])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "resource cap: alphabet of 100000000000000000000000 letters "
+        "exceeds the word cap 1048576\n")
 
 
 def test_run_report_file(desk):

@@ -8,7 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from circlesys.consys import build_sequence
-from circlesys.errors import ConstraintError, OracleMismatch, ResourceError
+from circlesys.errors import (ConstraintError, InputError, OracleMismatch,
+                              ResourceError)
 from circlesys.names import (atom_labels, crosscheck_tower, distinct_names,
                              label_dtype, name_stability, q_labels,
                              simulate_tower_name, spacer_columns,
@@ -133,6 +134,7 @@ def test_q_labels_override():
     # so label counts match the top-stage word structure exactly
     _, _, p2, h1, h2 = desk_procs()
     part = q_labels(DESK, [h1.lift(512, 4), h2.lift(512, 4)], 2, 512, 4)
+    assert np.array_equal(part, atom_labels(p2))
     name = simulate_tower_name(p2, 0)
     word = cs_words(DESK, [W1, W2_DUP], 2)[0]
     assert sum(1 for x in name if x == B) == sum(1 for x in word if x == B)
@@ -150,7 +152,7 @@ def naive_matched(coarse, fine):
     n = coarse.stage
     q = params.q[n]
     cols, rows = fine.cols, fine.rows
-    labels = q_labels(params, fine.h_list, fine.stage, cols, rows).labels
+    labels = q_labels(params, fine.h_list, fine.stage, cols, rows)
     t_coarse = (coarse.Z.lift(cols, rows)
                 .compose(rotation_perm(params, n, cols, rows))
                 .compose(coarse.Z.lift(cols, rows).inverse()))
@@ -209,10 +211,40 @@ def test_stability_matches_orbit_walk(procs):
 def test_memoised_names_match_fresh_labels(procs):
     for proc in procs:
         fresh = q_labels(proc.params, proc.h_list, proc.stage,
-                         proc.cols, proc.rows).labels
+                         proc.cols, proc.rows)
         for s in range(proc.params.s[proc.stage]):
             assert simulate_tower_name(proc, s) \
                 == tuple(int(v) for v in fresh[proc.tower(s)])
+
+
+def naive_u_words(proc, h, s):
+    """u_words by fresh stage-n labels at h's resolution, read atom by
+    atom through the lifted Z."""
+    n = proc.stage
+    params = proc.params
+    k, q, p = params.k[n], params.q[n], params.p[n]
+    labels = q_labels(params, proc.h_list, n, h.cols, h.rows)
+    Z = proc.Z.lift(h.cols, h.rows)
+    out = []
+    for j in range(k):
+        atoms = [s * h.cols + j + (t * p % q) * k for t in range(q)]
+        out.append(tuple(int(labels[Z.apply(h.apply(a))]) for a in atoms))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_processes())
+def test_u_words_match_fresh_labels(procs):
+    for proc, nxt in zip(procs, procs[1:]):
+        h = nxt.h_list[-1]
+        for s in range(proc.params.s[nxt.stage]):
+            assert u_words(proc, h, s) == naive_u_words(proc, h, s)
+
+
+def test_u_words_reject_wrong_resolution():
+    _, p1, _, h1, _ = desk_procs()
+    with pytest.raises(InputError):
+        u_words(p1, h1, 0)
 
 
 def test_stability_desk_matches_orbit_walk():

@@ -9,8 +9,7 @@ from circlesys.errors import InputError, ToleranceError
 from circlesys.procsim import h_from_words
 from circlesys.ratarith import derive_params
 from circlesys.smoothreal import (CellSwap, Composite, StandardSwap,
-                                  SwapSpec, approx_swap, cell_of_points,
-                                  map_distance, perm_to_swaps,
+                                  cell_of_points, map_distance, perm_to_swaps,
                                   polar_twist_jacobian, realize_perm,
                                   sample_jacobian, stage_map, zigzag_cell,
                                   zigzag_index)
@@ -106,11 +105,14 @@ def test_perm_to_swaps_recompose():
 @given(st.integers(2, 5), st.integers(1, 5), st.randoms(use_true_random=False))
 @settings(max_examples=100, deadline=None)
 def test_perm_to_swaps_bound(m, n, rnd):
+    # bubble sort makes exactly one adjacent swap per inversion
     size = m * n
     sigma = list(range(size))
     rnd.shuffle(sigma)
     swaps = perm_to_swaps(sigma)
-    assert len(swaps) <= (m * n) ** 2
+    inversions = sum(1 for i in range(size) for j in range(i + 1, size)
+                     if sigma[i] > sigma[j])
+    assert len(swaps) == inversions
 
 
 def test_realize_perm_obedience():
@@ -143,6 +145,6 @@ def test_stage_map_measure_preserving():
 
 
 def test_map_distance_zero_on_self():
-    sw = approx_swap(SwapSpec((2, 2), 0, 0.05))
+    sw = CellSwap((2, 2), 0, 0.05)
     mean, mx = map_distance(sw, sw, RNG.random((1000, 2)))
     assert mean == 0 and mx == 0
