@@ -194,7 +194,7 @@ def check_process(ctx):
     ok = np.array_equal(np.sort(atoms), np.arange(proc.atoms))
     for n, h in enumerate(proc.h_list):
         rot = procsim.rotation_perm(ctx.params, n, h.cols, h.rows)
-        ok &= h.compose(rot) == rot.compose(h)
+        ok &= h.commutes_with(rot)
     return ok, "%d atoms" % proc.atoms, "towers partition; h rot = rot h"
 
 
@@ -274,6 +274,35 @@ ACTION_CHECKS = {
     ("names", "stability"): ["stability"],
     ("names", "distinct"): ["distinct"],
 }
+
+# flags that only some actions of a subcommand read, with their defaults:
+# command -> action -> {dest: default}.  The parser leaves them None, so
+# a flag given to an action that does not read it is refused.
+ACTION_FLAGS = {
+    "words": {"build": {"range": None}, "decode": {"index": 0, "pos": 0},
+              "parse": {"text": ""}, "stats": {"index": 0}},
+    "seq": {"s-window": {"window": "", "origin": 0}},
+    "names": {"tower": {"index": 0}},
+    "factor": {"pi": {"width": 8}},
+    "smooth": {"swap": {"grid": "2x2", "k": 0},
+               "realize": {"grid": "2x2", "perm": None},
+               "stage": {"params": None, "hwords": ()}},
+}
+
+
+def _action_flags(args):
+    """Refuse the flags of sibling actions; default the action's own."""
+    actions = ACTION_FLAGS.get(args.command, {})
+    own = actions.get(vars(args).get("action"), {})
+    refused = sorted({dest for flags in actions.values() for dest in flags
+                      if dest not in own and getattr(args, dest) is not None})
+    if refused:
+        raise InputError("%s %s does not read %s" % (
+            args.command, args.action,
+            ", ".join("--" + dest for dest in refused)))
+    for dest, default in own.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
 
 
 def run_checks(ctx, checks, jobs=1):
@@ -622,14 +651,16 @@ def build_parser():
     def inputs(p, prewords=False, hwords=False, optional=False):
         """--params and the word files, each with the flag that shapes
         what is built from them.  `optional` is for `smooth`, where only
-        `stage` reads them and builds no grid process, so --params is
-        not required and --hwords comes without --cap-atoms."""
+        `stage` reads them (an ACTION_FLAGS entry, so they default to
+        None) and builds no grid process, so --params is not required
+        and --hwords comes without --cap-atoms."""
         p.add_argument("--params", required=not optional)
         if prewords:
             p.add_argument("--prewords", action="append", default=[])
             p.add_argument("--sigma", type=int, default=None)
         if hwords:
-            p.add_argument("--hwords", action="append", default=[])
+            p.add_argument("--hwords", action="append",
+                           default=None if optional else [])
         if hwords and not optional:
             p.add_argument("--cap-atoms", dest="cap_atoms", type=int,
                            default=procsim.DEFAULT_ATOM_CAP)
@@ -641,16 +672,16 @@ def build_parser():
     p.add_argument("action", choices=["build", "decode", "parse", "stats"])
     inputs(p, prewords=True)
     p.add_argument("--stage", type=int, required=True)
-    p.add_argument("--pos", type=int, default=0)
-    p.add_argument("--index", type=int, default=0)
-    p.add_argument("--range", default=None)
-    p.add_argument("--text", default="")
+    p.add_argument("--pos", type=int)
+    p.add_argument("--index", type=int)
+    p.add_argument("--range")
+    p.add_argument("--text")
 
     p = sub.add_parser("seq")
     p.add_argument("action", choices=["build", "verify", "measure", "s-window"])
     inputs(p, prewords=True)
-    p.add_argument("--window", default="")
-    p.add_argument("--origin", type=int, default=0)
+    p.add_argument("--window")
+    p.add_argument("--origin", type=int)
 
     p = sub.add_parser("proc")
     p.add_argument("action", choices=["build", "towers", "eps", "reqs"])
@@ -660,23 +691,23 @@ def build_parser():
     p.add_argument("action", choices=["tower", "crosscheck", "stability",
                                       "distinct"])
     inputs(p, hwords=True)
-    p.add_argument("--index", type=int, default=0)
+    p.add_argument("--index", type=int)
 
     p = sub.add_parser("factor")
     p.add_argument("action", choices=["rho", "shift", "pi"])
     p.add_argument("--params", required=True)
     p.add_argument("--point", required=True)
-    p.add_argument("--width", type=int, default=8)
+    p.add_argument("--width", type=int)
 
     p = sub.add_parser("smooth")
     p.add_argument("action", choices=["swap", "realize", "stage"])
     inputs(p, hwords=True, optional=True)
-    p.add_argument("--grid", default="2x2")
-    p.add_argument("--k", type=int, default=0)
+    p.add_argument("--grid")
+    p.add_argument("--k", type=int)
     p.add_argument("--eps", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--perm", default=None)
+    p.add_argument("--perm")
 
     p = sub.add_parser("run")
     p.add_argument("manifest")
@@ -700,6 +731,7 @@ def main(argv=None, out=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _action_flags(args)
         checks = ACTION_CHECKS.get((args.command, vars(args).get("action")))
         if checks:
             lines, ok = run_checks(_context_from_args(args), checks)

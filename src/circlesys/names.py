@@ -17,8 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputError, OracleMismatch, ResourceError
-from .procsim import GridPermutation, rotation_shift
-from .procsim import rotation_perm  # noqa: F401  perfbench reads it here
+from .procsim import GridPermutation, rotation_perm, rotation_shift
 from .ratarith import dyn_order, spacer_columns
 from .words import B, E, circ
 
@@ -196,43 +195,43 @@ class StabilityReport:
 def name_stability(coarse, fine):
     """Fraction of atoms whose [-q, q] names agree across the two stages.
 
-    Both names are read with the finer stage's labels (`atom_labels`),
-    following the two realized transforms t = Z R Z^-1 on the fine
-    grid, where Z is the stage's relabeling (the coarse one lifted to
-    the fine grid) and R its rotation.  The count is made in the
-    rotation frame of the fine process: for y = Zf^-1 x,
-
-        labels[t_fine^j x]   = (labels o Zf)[R_fine^j y]
-        labels[t_coarse^j x] = (labels o Zc)[R_coarse^j V y],  V = Zc^-1 Zf,
-
-    and R^j is a roll of the columns within each row.  The atoms
-    matched are summed over all of x, so counting over y instead
-    leaves the count unchanged.  R_coarse has period q = q[n], so
-    steps j and j - q share one gather through V.
+    Both names read the fine stage's labels along the transforms
+    Z R^j Z^-1, Z being the stage's relabeling lifted to the fine grid.
+    Counted over y = Zf^-1 x, both read F = labels o Zf: the fine name
+    is F[R_fine^j y] and the coarse one labels[Zc R_coarse^j V y], where
+    V = Zc^-1 Zf = lift(h) as `compose_stage` builds Zf = lift(Zc) lift(h).
+    h commutes with the stage-n rotation (it is built equivariant), so
+    V does too and the coarse name is F[R_coarse^j y].  R^j shifts each
+    row by j sf or j sc columns, and sf - sc = p[n+1] - p[n] q[n+1]/q[n]
+    = 1 as p[n+1] = p[n] q[n] k[n] l[n] + 1.  So each row of F is matched
+    with itself at offsets j sf and j sc, |j| <= q[n].  Each of these
+    premises is asserted.
     """
     params = coarse.params
     n = coarse.stage
+    if fine.stage != n + 1 or fine.h_list[:-1] != coarse.h_list:
+        raise InputError("fine must extend coarse by one stage")
     q = params.q[n]
     cols, rows = fine.cols, fine.rows
-    labels = atom_labels(fine)
-    Zf = fine.Z
-    Zc = coarse.Z.lift(cols, rows)
-    assert Zf.is_permutation() and Zc.is_permutation()
-    sf = rotation_shift(params, fine.stage, cols)
+    h = fine.h_list[-1]
+    assert fine.Z.is_permutation()
+    assert h.commutes_with(rotation_perm(params, n, h.cols, h.rows))
+    sf = rotation_shift(params, n + 1, cols)
     sc = rotation_shift(params, n, cols)
-    fine_frame = labels[Zf.table].reshape(rows, cols)        # labels o Zf
-    coarse_frame = labels[Zc.table].reshape(rows, cols)      # labels o Zc
-    V = Zc.inverse().table[Zf.table]
-    ok = np.ones((rows, cols), dtype=bool)
-    for j in range(q):
-        coarse_step = np.roll(coarse_frame, -j * sc, axis=1).reshape(-1)[V]
-        coarse_step = coarse_step.reshape(rows, cols)
-        # R_coarse^q is the identity, so step 0 also serves steps -q and q
-        for i in (j, j - q) if j else (0, -q, q):
-            ok &= np.roll(fine_frame, -i * sf, axis=1) == coarse_step
-    matched = int(ok.sum())
-    return StabilityReport(matched, cols * rows,
-                           Fraction(matched, cols * rows),
+    assert (sf - sc) % cols == 1
+    frame = atom_labels(fine)[fine.Z.table].reshape(rows, cols)
+    shifts = [(j * sf % cols, j * sc % cols) for j in range(-q, q + 1)]
+    chunk = 1 << 18         # columns per pass, so `ok` stays in cache
+    matched = 0
+    for row in frame:
+        twice = np.tile(row, 2)         # twice[u + a] = row[(u + a) % cols]
+        for lo in range(0, cols, chunk):
+            hi = min(lo + chunk, cols)
+            ok = np.ones(hi - lo, dtype=bool)
+            for a, b in shifts:
+                ok &= twice[lo + a:hi + a] == twice[lo + b:hi + b]
+            matched += int(np.count_nonzero(ok))
+    return StabilityReport(matched, fine.atoms, Fraction(matched, fine.atoms),
                            1 - Fraction(3, params.l[n]))
 
 
@@ -246,7 +245,7 @@ def distinct_names(proc):
     """Whether all towers of the process carry different names."""
     seen = {}
     for s in range(proc.params.s[proc.stage]):
-        name = simulate_tower_name(proc, s)
+        name = atom_labels(proc)[proc.tower(s)].tobytes()
         if name in seen:
             return DistinctReport(False, (seen[name], s))
         seen[name] = s

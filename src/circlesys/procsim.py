@@ -50,19 +50,24 @@ class GridPermutation:
         return GridPermutation(self.cols, self.rows, inv)
 
     def lift(self, cols, rows):
-        """Refine to a finer grid, moving each sub-atom rigidly."""
+        """Refine to a finer grid, moving each sub-atom rigidly: sub-atom
+        (dr, dc) of atom a lands at offset (dr, dc) in the image of a.
+        The images' corners broadcast against the offsets, so only the
+        result is allocated at full size."""
         if cols % self.cols or rows % self.rows:
             raise InputError("%d x %d does not refine %d x %d"
                              % (cols, rows, self.cols, self.rows))
         fc = cols // self.cols
         fr = rows // self.rows
-        u = np.arange(cols)
-        s = np.arange(rows)
-        uu, ss = np.meshgrid(u, s)           # ss*cols + uu enumerates atoms
-        img = self.table[(ss // fr) * self.cols + (uu // fc)]
-        iu = (img % self.cols) * fc + uu % fc
-        iv = (img // self.cols) * fr + ss % fr
-        return GridPermutation(cols, rows, (iv * cols + iu).ravel())
+        img = self.table.reshape(self.rows, 1, self.cols, 1)
+        corner = img // self.cols * fr * cols + img % self.cols * fc
+        table = (corner + np.arange(fr).reshape(fr, 1, 1) * cols
+                 + np.arange(fc))       # axes: row, sub-row, col, sub-col
+        return GridPermutation(cols, rows, table.reshape(-1))
+
+    def commutes_with(self, other):
+        """Whether self . other == other . self."""
+        return self.compose(other) == other.compose(self)
 
     def is_permutation(self):
         return np.array_equal(np.sort(self.table), np.arange(self.table.size))

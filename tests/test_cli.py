@@ -281,6 +281,24 @@ def test_flags_without_effect_are_refused(desk, capsys, argv):
         in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, refused", [
+    (["smooth", "swap", "--params", "desk.params", "--hwords", "w1.txt"],
+     "--hwords, --params"),
+    (["smooth", "stage", "--grid", "3x3", "--perm", "1,2"], "--grid, --perm"),
+    (["words", "build", "--params", "desk.params", "--prewords", "w1.txt",
+      "--stage", "1", "--pos", "5", "--text", "x"], "--pos, --text"),
+    (["seq", "build", "--params", "desk.params", "--prewords", "w1.txt",
+      "--window", "b"], "--window"),
+], ids=lambda v: " ".join(v[:2]) if isinstance(v, list) else v)
+def test_flags_of_sibling_actions_are_refused(desk, capsys, monkeypatch,
+                                              argv, refused):
+    monkeypatch.chdir(desk)
+    code, text = run(argv)
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == "error: %s %s does not read %s\n" % (
+        argv[0], argv[1], refused)
+
+
 def test_run_duplicate_fails_requirements(desk):
     code, text = run(["run", manifest(desk,
         "params = desk.params\nprewords = w1.txt w2.txt\n"

@@ -75,21 +75,25 @@ FLAGS = {
     "--perm": (["0,1,2,3", "3,2,1,0", "1,0,3,2", "5,4,3,2,1,0"],
                ["0,1", "a,b", "0,0,1,1", "", "0,1,2,9"]),
 }
-# subcommand -> (actions, required flags, optional flags)
+# subcommand -> (required flags, flags every action reads,
+#                {action: the flags only some actions read})
 SUBCOMMANDS = {
-    "words": (["build", "decode", "parse", "stats"],
-              ["--params", "--prewords", "--stage"],
-              ["--sigma", "--pos", "--index", "--range", "--text"]),
-    "seq": (["build", "verify", "measure", "s-window"],
-            ["--params", "--prewords"], ["--sigma", "--window", "--origin"]),
-    "proc": (["build", "towers", "eps", "reqs"], ["--params", "--hwords"],
-             ["--cap-atoms"]),
-    "names": (["tower", "crosscheck", "stability", "distinct"],
-              ["--params", "--hwords"], ["--cap-atoms", "--index"]),
-    "factor": (["rho", "shift", "pi"], ["--params", "--point"], ["--width"]),
-    "smooth": (["swap", "realize", "stage"], [],
-               ["--params", "--hwords", "--grid", "--k", "--eps", "--seed",
-                "--samples", "--perm"]),
+    "words": (["--params", "--prewords", "--stage"], ["--sigma"],
+              {"build": ["--range"], "decode": ["--pos", "--index"],
+               "parse": ["--text"], "stats": ["--index"]}),
+    "seq": (["--params", "--prewords"], ["--sigma"],
+            {"build": [], "verify": [], "measure": [],
+             "s-window": ["--window", "--origin"]}),
+    "proc": (["--params", "--hwords"], ["--cap-atoms"],
+             {"build": [], "towers": [], "eps": [], "reqs": []}),
+    "names": (["--params", "--hwords"], ["--cap-atoms"],
+              {"tower": ["--index"], "crosscheck": [], "stability": [],
+               "distinct": []}),
+    "factor": (["--params", "--point"], [],
+               {"rho": [], "shift": [], "pi": ["--width"]}),
+    "smooth": ([], ["--eps", "--seed", "--samples"],
+               {"swap": ["--grid", "--k"], "realize": ["--grid", "--perm"],
+                "stage": ["--params", "--hwords"]}),
 }
 
 
@@ -100,6 +104,11 @@ def value(draw, flag, clean, params=None):
     return draw(st.sampled_from(good if clean else good + bad))
 
 
+def subset(draw, flags, **kwargs):
+    return draw(st.lists(st.sampled_from(flags), unique=True,
+                         **kwargs)) if flags else []
+
+
 def flag_args(flag, val):
     return [tok for v in (val if isinstance(val, list) else [val])
             for tok in (flag, v)]
@@ -107,28 +116,35 @@ def flag_args(flag, val):
 
 @st.composite
 def subcommand_argv(draw):
-    """An argv for one subcommand.  A clean one has the required flags
-    and good values; otherwise values may be bad, required flags may be
-    missing and flags of other subcommands may appear."""
+    """(argv, exit code it must give or None) for one subcommand.  A
+    clean argv has the required flags and good values, and may carry
+    flags that only sibling actions read, which must be refused with
+    exit 2.  Otherwise values may be bad, required flags may be missing
+    and flags of other subcommands may appear."""
     clean = draw(st.booleans())
     command = draw(st.sampled_from(sorted(SUBCOMMANDS) + ["params"]))
     if command == "params":
-        return ["params", value(draw, "--params", clean)]
-    actions, required, optional = SUBCOMMANDS[command]
-    argv = [command, draw(st.sampled_from(actions if clean
-                                          else actions + ["bogus"]))]
+        return ["params", value(draw, "--params", clean)], None
+    required, common, actions = SUBCOMMANDS[command]
+    action = draw(st.sampled_from(sorted(actions) + ([] if clean
+                                                     else ["bogus"])))
+    own = actions.get(action, [])
+    siblings = sorted({f for flags in actions.values() for f in flags}
+                      - set(own) - set(required))
     if clean:
-        flags = required + draw(st.lists(st.sampled_from(optional),
-                                         unique=True))
+        unread = subset(draw, siblings, max_size=2)
+        flags = required + subset(draw, common + own) + unread
     else:
-        flags = draw(st.lists(st.sampled_from(required + optional
-                                              + sorted(FLAGS)), max_size=7))
+        unread = None
+        flags = draw(st.lists(st.sampled_from(
+            required + common + siblings + own + sorted(FLAGS)), max_size=7))
     params = value(draw, "--params", clean)
-    for flag in flags:
+    argv = [command, action]
+    for flag in draw(st.permutations(flags)):
         val = params if flag == "--params" else value(draw, flag, clean,
                                                        params)
         argv += flag_args(flag, val)
-    return argv
+    return argv, 2 if unread else None
 
 
 CHECKS = ["boundary", "cylinder", "distinct", "factor", "names",
@@ -194,9 +210,12 @@ FUZZ = settings(max_examples=250, deadline=None,
 
 
 @FUZZ
-@given(argv=subcommand_argv())
-def test_any_argv_exits_0_to_3(workdir, argv):
-    assert exit_code(workdir, argv) in (0, 1, 2, 3), argv
+@given(case=subcommand_argv())
+def test_any_argv_exits_0_to_3(workdir, case):
+    argv, expected = case
+    code = exit_code(workdir, argv)
+    assert code in (0, 1, 2, 3), argv
+    assert expected is None or code == expected, argv
 
 
 @FUZZ

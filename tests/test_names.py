@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from circlesys.consys import build_sequence
 from circlesys.errors import (ConstraintError, InputError, OracleMismatch,
                               ResourceError)
-from circlesys.names import (atom_labels, crosscheck_tower, distinct_names,
-                             label_dtype, name_stability, q_labels,
-                             simulate_tower_name, spacer_columns,
+from circlesys.names import (StabilityReport, atom_labels, crosscheck_tower,
+                             distinct_names, label_dtype, name_stability,
+                             q_labels, simulate_tower_name, spacer_columns,
                              transect_word, u_words)
-from circlesys.procsim import (compose_stage, h_from_words, initial_process,
-                               rotation_perm)
+from circlesys.procsim import (GridPermutation, compose_stage, h_from_words,
+                               initial_process, rotation_perm, rotation_shift)
 from circlesys.ratarith import derive_params
 from circlesys.words import B, E, word_to_text
 
@@ -198,12 +198,83 @@ def small_processes(draw):
     return procs
 
 
+def v_route_stability(coarse, fine):
+    """name_stability through the coarse relabeling, counted in the
+    rotation frame with the gather through V = Zc^-1 Zf.
+
+    Both names are read with the finer stage's labels (`atom_labels`),
+    following the two realized transforms t = Z R Z^-1 on the fine
+    grid, where Z is the stage's relabeling (the coarse one lifted to
+    the fine grid) and R its rotation.  The count is made in the
+    rotation frame of the fine process: for y = Zf^-1 x,
+
+        labels[t_fine^j x]   = (labels o Zf)[R_fine^j y]
+        labels[t_coarse^j x] = (labels o Zc)[R_coarse^j V y],  V = Zc^-1 Zf,
+
+    and R^j is a roll of the columns within each row.  The atoms
+    matched are summed over all of x, so counting over y instead
+    leaves the count unchanged.  R_coarse has period q = q[n], so
+    steps j and j - q share one gather through V.
+    """
+    params = coarse.params
+    n = coarse.stage
+    q = params.q[n]
+    cols, rows = fine.cols, fine.rows
+    labels = atom_labels(fine)
+    Zf = fine.Z
+    Zc = coarse.Z.lift(cols, rows)
+    assert Zf.is_permutation() and Zc.is_permutation()
+    sf = rotation_shift(params, fine.stage, cols)
+    sc = rotation_shift(params, n, cols)
+    fine_frame = labels[Zf.table].reshape(rows, cols)        # labels o Zf
+    coarse_frame = labels[Zc.table].reshape(rows, cols)      # labels o Zc
+    V = Zc.inverse().table[Zf.table]
+    ok = np.ones((rows, cols), dtype=bool)
+    for j in range(q):
+        coarse_step = np.roll(coarse_frame, -j * sc, axis=1).reshape(-1)[V]
+        coarse_step = coarse_step.reshape(rows, cols)
+        # R_coarse^q is the identity, so step 0 also serves steps -q and q
+        for i in (j, j - q) if j else (0, -q, q):
+            ok &= np.roll(fine_frame, -i * sf, axis=1) == coarse_step
+    matched = int(ok.sum())
+    return StabilityReport(matched, cols * rows,
+                           Fraction(matched, cols * rows),
+                           1 - Fraction(3, params.l[n]))
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_processes())
 def test_stability_matches_orbit_walk(procs):
+    # the fine-frame count against the coarse-relabeling route and the
+    # orbit walk, neither of which assumes h commutes with the rotation
     for coarse, fine in zip(procs, procs[1:]):
-        assert name_stability(coarse, fine).matched \
-            == naive_matched(coarse, fine)
+        rep = name_stability(coarse, fine)
+        assert rep == v_route_stability(coarse, fine)
+        assert rep.matched == naive_matched(coarse, fine)
+
+
+def test_stability_needs_consecutive_stages():
+    p0, p1, p2, _, _ = desk_procs()
+    for coarse, fine in ((p0, p2), (p1, p1), (p2, p1)):
+        with pytest.raises(InputError):
+            name_stability(coarse, fine)
+    # one stage apart, but fine was not built from this coarse process
+    other = compose_stage(p0, h_from_words(DESK, 0, [(1, 0), (0, 1)]))
+    with pytest.raises(InputError):
+        name_stability(other, p2)
+
+
+def test_stability_refuses_h_off_the_rotation():
+    # a stage-2 h that swaps two atoms of the first column only is a
+    # permutation of the right size, but not equivariant
+    _, p1, _, _, h2 = desk_procs()
+    table = h2.table.copy()
+    table[[0, 1]] = table[[1, 0]]
+    bad = GridPermutation(h2.cols, h2.rows, table)
+    assert bad.is_permutation()
+    assert not bad.commutes_with(rotation_perm(DESK, 1, bad.cols, bad.rows))
+    with pytest.raises(AssertionError):
+        name_stability(p1, compose_stage(p1, bad))
 
 
 @settings(max_examples=60, deadline=None)

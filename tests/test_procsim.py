@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circlesys.errors import ConstraintError, InputError, ResourceError
 from circlesys.procsim import (GridPermutation, build_process,
@@ -48,6 +50,10 @@ def test_h_commutes_with_previous_rotation():
     for n, h in ((0, h1), (1, h2)):
         rot = rotation_perm(DESK, n, h.cols, h.rows)
         assert h.compose(rot) == rot.compose(h)
+        assert h.commutes_with(rot) and rot.commutes_with(h)
+    # a transposition of two atoms in one row moves with no column shift
+    swap = GridPermutation(8, 2, [1, 0] + list(range(2, 16)))
+    assert not swap.commutes_with(rotation_perm(DESK, 1, 8, 2))
 
 
 def test_rotation_shift_moves_every_row():
@@ -83,6 +89,33 @@ def test_lift_is_rigid():
             fine_src = ss * 8 + st * 4 + off
             fine_dst = int(lifted.table[fine_src])
             assert fine_dst == bs * 8 + bt * 4 + off
+
+
+@st.composite
+def lifts(draw):
+    """A random permutation of a small grid and refinement factors."""
+    cols, rows = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    table = draw(st.permutations(range(cols * rows)))
+    return (GridPermutation(cols, rows, table),
+            draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lifts())
+def test_lift_moves_each_atom_rigidly(case):
+    g, fc, fr = case
+    cols, rows = g.cols * fc, g.rows * fr
+    lifted = g.lift(cols, rows)
+    assert lifted.is_permutation()
+    for src in range(g.cols * g.rows):
+        dst = int(g.table[src])
+        for dr in range(fr):
+            for dc in range(fc):
+                fine_src = ((src // g.cols) * fr + dr) * cols \
+                    + (src % g.cols) * fc + dc
+                fine_dst = ((dst // g.cols) * fr + dr) * cols \
+                    + (dst % g.cols) * fc + dc
+                assert lifted.table[fine_src] == fine_dst
 
 
 def test_h_from_words_validation():
