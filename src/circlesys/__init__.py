@@ -13,7 +13,7 @@ from .consys import (ConstructionSequence, build_sequence,
 from .procsim import (GridPermutation, GridProcess, build_process,
                       check_requirements, compose_stage, eps_approx,
                       h_from_words, initial_process, rotation_perm)
-from .names import (atom_labels, crosscheck_tower, distinct_names,
+from .names import (crosscheck_tower, distinct_names, frame_labels,
                     name_stability, q_labels, simulate_tower_name,
                     spacer_columns, transect_word, u_words)
 from .factor import (BoundaryCrossing, SymbolicPoint, collapse_pi,

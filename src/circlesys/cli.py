@@ -189,9 +189,8 @@ def check_cylinder(ctx):
 
 def check_process(ctx):
     proc = ctx.procs[-1]
-    towers = proc.towers()
-    atoms = np.concatenate(towers)
-    ok = np.array_equal(np.sort(atoms), np.arange(proc.atoms))
+    atoms = np.concatenate(proc.towers())
+    ok = procsim.GridPermutation(proc.cols, proc.rows, atoms).is_permutation()
     for n, h in enumerate(proc.h_list):
         rot = procsim.rotation_perm(ctx.params, n, h.cols, h.rows)
         ok &= h.commutes_with(rot)

@@ -7,7 +7,9 @@ use the same integer convention as the words module (strips are their
 index, spacers are B and E), so a simulated tower name can be compared
 letter-for-letter with a circular product of the previous stage's
 names.  The two computations share nothing past the parameters: one
-walks grid permutations, the other multiplies words.
+reads grid labels, the other multiplies words.  The grid route keeps
+each process's labels in its rotation frame, labels o Z, built from the
+small h tables (`q_labels`); tower s reads it along `proc.orbit(s)`.
 """
 
 import threading
@@ -17,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputError, OracleMismatch, ResourceError
-from .procsim import GridPermutation, rotation_perm, rotation_shift
+from .procsim import refine, rotation_perm, rotation_shift
 from .ratarith import dyn_order, spacer_columns
 from .words import B, E, circ
 
@@ -39,39 +41,38 @@ def label_dtype(s0):
 
 
 def q_labels(params, h_list, stage, cols, rows):
-    """Label every atom of a cols x rows grid for the stage-n process.
+    """Labels of the stage-n process in its rotation frame, F = labels o Z,
+    one `label_dtype(s[0])` entry per atom of the cols x rows stage grid.
 
     An atom is b/e when its pullback through Z_m lands in a stage-m
-    spacer column for some m <= stage.  When several stages claim an
-    atom the latest one wins: a new spacer run may transit a column
-    that an earlier stage already labelled, and the later relabeling is
-    what the stage-n tower names read.  Unclaimed atoms keep their base
-    strip index.  Returns one label per atom, in `label_dtype(params.s[0])`.
-
-    This recomputes every Z_m from h_list; its one caller is
-    `atom_labels`, which computes a process's labels once and keeps them.
+    spacer column for some m <= stage, the latest such stage winning;
+    other atoms keep their base strip index.  From F_0 = arange(s[0]),
+    F_m is F_{m-1} refined to h_m's grid, gathered through h_m, refined
+    to the stage-m grid, and then given B and E in the stage-m spacer
+    columns.  It rests on two facts: Z_m = lift(Z_{m-1}) lift(h_m)
+    (`compose_stage`) with lifts moving sub-atoms rigidly, so off the
+    new columns F_m(y) = F_{m-1}(coarse(h_m(y))); and the stage-m marks
+    pulled back through Z_m are whole columns.
     """
-    atoms = cols * rows
-    labels = ((np.arange(atoms, dtype=np.int64) // cols) * params.s[0]
-              // rows).astype(label_dtype(params.s[0]))
-    Z = GridPermutation.identity(cols, rows)
-    for m in range(1, stage + 1):
-        Z = Z.compose(h_list[m - 1].lift(cols, rows))
-        pre = Z.inverse().table
-        col_m = (pre % cols) * params.q[m] // cols
+    if (cols, rows, len(h_list)) != (params.q[stage], params.s[stage], stage):
+        raise InputError("a %d x %d grid with %d h tables is not stage %d"
+                         % (cols, rows, len(h_list), stage))
+    frame = np.arange(params.s[0], dtype=label_dtype(params.s[0]))
+    for m, h in enumerate(h_list, 1):
+        frame = refine(frame, params.q[m - 1], params.s[m - 1],
+                       h.cols, h.rows)[h.table]
+        frame = refine(frame, h.cols, h.rows, params.q[m], params.s[m])
         marks = spacer_columns(params, m)
-        labels[marks.b_cols[col_m]] = B
-        labels[marks.e_cols[col_m]] = E
-    return labels
+        grid = frame.reshape(params.s[m], params.q[m])
+        grid[:, marks.b_cols] = B
+        grid[:, marks.e_cols] = E
+    return frame
 
 
-def atom_labels(proc):
-    """Stage labels of every atom of `proc`, at its own resolution.
-
-    Computed by `q_labels` on first use and kept on the process
-    (read-only), so every name check of one process shares one table.
-    Building a process computes no labels.
-    """
+def frame_labels(proc):
+    """Stage labels of `proc` in its rotation frame (entry y labels atom
+    Z(y)), computed by `q_labels` on first use and kept read-only on the
+    process, so every name check of one process shares one table."""
     with _LABELS_LOCK:
         if proc.labels is None:
             labels = q_labels(proc.params, proc.h_list, proc.stage,
@@ -83,7 +84,7 @@ def atom_labels(proc):
 
 def simulate_tower_name(proc, s):
     """Label sequence along tower s of the given process, base to top."""
-    return tuple(atom_labels(proc)[proc.tower(s)].tolist())
+    return tuple(frame_labels(proc)[proc.orbit(s)].tolist())
 
 
 def u_words(proc, h, s):
@@ -94,23 +95,18 @@ def u_words(proc, h, s):
     columns.  These are the tuple entries whose circular product the
     next stage's tower name must reproduce on its interior.
 
-    The labels are the process's own (`atom_labels`), read at its
-    resolution: h's grid refines the process grid and a lifted Z moves
-    sub-atoms rigidly, so an h-grid atom carries the label of the
-    process atom that contains it, taken through the unlifted Z.
+    The labels are the process's own frame (`frame_labels`): h's grid
+    refines the process grid and a lifted Z moves sub-atoms rigidly, so
+    an h-grid atom carries the frame label of the atom containing it.
     """
-    n = proc.stage
-    params = proc.params
+    n, params = proc.stage, proc.params
     k, q, p = params.k[n], params.q[n], params.p[n]
     if (h.cols, h.rows) != (k * q, params.s[n + 1]):
         raise InputError("h resolution %dx%d does not fit stage %d"
                          % (h.cols, h.rows, n))
     col = np.arange(k)[:, None] + (np.arange(q) * p % q)[None, :] * k
-    img = h.table[s * h.cols + col]
-    coarse = ((img // h.cols // (h.rows // proc.rows)) * proc.cols
-              + (img % h.cols) // k)
-    return [tuple(word) for word in
-            atom_labels(proc)[proc.Z.table[coarse]].tolist()]
+    frame = refine(frame_labels(proc), proc.cols, proc.rows, h.cols, h.rows)
+    return [tuple(word) for word in frame[h.table[s * h.cols + col]].tolist()]
 
 
 @dataclass
@@ -173,8 +169,7 @@ def crosscheck_tower(proc_next, proc, h, s):
     """
     simulated = simulate_tower_name(proc_next, s)
     us = u_words(proc, h, s)
-    n = proc.stage
-    params = proc.params
+    n, params = proc.stage, proc.params
     symbolic = circ(us, params.k[n], params.l[n], params.q[n],
                     dyn_order(params, n))
     if simulated != symbolic:
@@ -197,18 +192,17 @@ def name_stability(coarse, fine):
 
     Both names read the fine stage's labels along the transforms
     Z R^j Z^-1, Z being the stage's relabeling lifted to the fine grid.
-    Counted over y = Zf^-1 x, both read F = labels o Zf: the fine name
-    is F[R_fine^j y] and the coarse one labels[Zc R_coarse^j V y], where
-    V = Zc^-1 Zf = lift(h) as `compose_stage` builds Zf = lift(Zc) lift(h).
-    h commutes with the stage-n rotation (it is built equivariant), so
-    V does too and the coarse name is F[R_coarse^j y].  R^j shifts each
-    row by j sf or j sc columns, and sf - sc = p[n+1] - p[n] q[n+1]/q[n]
-    = 1 as p[n+1] = p[n] q[n] k[n] l[n] + 1.  So each row of F is matched
-    with itself at offsets j sf and j sc, |j| <= q[n].  Each of these
-    premises is asserted.
+    Counted over y = Zf^-1 x, both read F = labels o Zf (`frame_labels`):
+    the fine name is F[R_fine^j y], the coarse one labels[Zc R_coarse^j V y]
+    with V = Zc^-1 Zf = lift(h), as `compose_stage` builds Zf = lift(Zc)
+    lift(h).  h commutes with the stage-n rotation (it is built
+    equivariant), so V does too and the coarse name is F[R_coarse^j y].
+    R^j shifts each row by j sf or j sc columns, and sf - sc = p[n+1] -
+    p[n] q[n+1]/q[n] = 1 as p[n+1] = p[n] q[n] k[n] l[n] + 1.  So each row
+    of F is matched with itself at offsets j sf and j sc, |j| <= q[n].
+    Each of these premises is asserted.
     """
-    params = coarse.params
-    n = coarse.stage
+    params, n = coarse.params, coarse.stage
     if fine.stage != n + 1 or fine.h_list[:-1] != coarse.h_list:
         raise InputError("fine must extend coarse by one stage")
     q = params.q[n]
@@ -219,7 +213,7 @@ def name_stability(coarse, fine):
     sf = rotation_shift(params, n + 1, cols)
     sc = rotation_shift(params, n, cols)
     assert (sf - sc) % cols == 1
-    frame = atom_labels(fine)[fine.Z.table].reshape(rows, cols)
+    frame = frame_labels(fine).reshape(rows, cols)
     shifts = [(j * sf % cols, j * sc % cols) for j in range(-q, q + 1)]
     chunk = 1 << 18         # columns per pass, so `ok` stays in cache
     matched = 0
@@ -245,7 +239,7 @@ def distinct_names(proc):
     """Whether all towers of the process carry different names."""
     seen = {}
     for s in range(proc.params.s[proc.stage]):
-        name = atom_labels(proc)[proc.tower(s)].tobytes()
+        name = frame_labels(proc)[proc.orbit(s)].tobytes()
         if name in seen:
             return DistinctReport(False, (seen[name], s))
         seen[name] = s

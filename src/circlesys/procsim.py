@@ -3,8 +3,8 @@
 The unit square is cut into cols x rows congruent atoms (columns index
 the x direction).  A stage-n process carries the composed relabeling
 Z_n = h_1 ... h_n as a permutation of the stage-n grid, together with
-the rotation by p[n]/q[n], and its towers are read off by following the
-rotation orbit of the first column through Z_n.
+the rotation by p[n]/q[n]; tower s is the Z_n-image of the rotation
+orbit of one first-column atom.
 
 Atoms are indexed idx = s * cols + u for column u and row s.
 """
@@ -70,12 +70,28 @@ class GridPermutation:
         return self.compose(other) == other.compose(self)
 
     def is_permutation(self):
-        return np.array_equal(np.sort(self.table), np.arange(self.table.size))
+        """Whether every atom is hit once; entries outside [0, size) fail."""
+        size = self.table.size
+        if size and (self.table.min() < 0 or self.table.max() >= size):
+            return False
+        hit = np.zeros(size, dtype=bool)
+        hit[self.table] = True
+        return bool(hit.all())
 
     def __eq__(self, other):
         return (isinstance(other, GridPermutation)
                 and self.cols == other.cols and self.rows == other.rows
                 and np.array_equal(self.table, other.table))
+
+
+def refine(values, cols, rows, fine_cols, fine_rows):
+    """Per-atom values of a cols x rows grid read on a grid refining it:
+    each fine atom takes the value of the atom that contains it."""
+    if fine_cols % cols or fine_rows % rows:
+        raise InputError("%d x %d does not refine %d x %d"
+                         % (fine_cols, fine_rows, cols, rows))
+    grid = np.repeat(values.reshape(rows, cols), fine_cols // cols, axis=1)
+    return np.repeat(grid, fine_rows // rows, axis=0).reshape(-1)
 
 
 def rotation_shift(params, n, cols):
@@ -139,9 +155,9 @@ def h_from_words(params, n, h_words):
 class GridProcess:
     """Stage-n process: grid resolution, composed relabeling, towers.
 
-    `labels` holds the stage labels of every atom once
-    `names.atom_labels` has computed them on first use; building a
-    process leaves it None.
+    `labels` holds the stage labels in the rotation frame, labels o Z,
+    once `names.frame_labels` has computed them on first use; building
+    a process leaves it None.
     """
     params: object
     stage: int
@@ -159,8 +175,8 @@ class GridProcess:
     def rotation(self):
         return rotation_perm(self.params, self.stage, self.cols, self.rows)
 
-    def tower(self, s):
-        """Atom indices of tower s, base to top (length q[stage])."""
+    def orbit(self, s):
+        """Rotation-frame indices of tower s, base to top (length q[stage])."""
         n = self.stage
         if not 0 <= s < self.params.s[n]:
             raise InputError("tower %d out of range [0, %d)"
@@ -170,15 +186,14 @@ class GridProcess:
         step = self.cols // q
         t = np.arange(q, dtype=np.int64)
         base_cols = (t * p % q) * step
-        return self.Z.apply(s * (self.rows // self.params.s[n]) * self.cols
-                            + base_cols)
+        return s * (self.rows // self.params.s[n]) * self.cols + base_cols
+
+    def tower(self, s):
+        """Atom indices of tower s, base to top (length q[stage])."""
+        return self.Z.apply(self.orbit(s))
 
     def towers(self):
         return [self.tower(s) for s in range(self.params.s[self.stage])]
-
-    def transform(self):
-        """Pointwise map Z rot Z^{-1} as a grid permutation."""
-        return self.Z.compose(self.rotation()).compose(self.Z.inverse())
 
 
 def initial_process(params):
@@ -237,25 +252,16 @@ def eps_approx(coarse, fine):
     a coarse tower consecutively too.
     """
     params = coarse.params
-    if fine.cols % coarse.cols or fine.rows % coarse.rows:
-        raise InputError("fine grid does not refine coarse grid")
     if fine.stage != coarse.stage + 1:
         raise InputError("processes must be one stage apart")
     q = params.q[coarse.stage]
     qf = params.q[fine.stage]
-    fc = fine.cols // coarse.cols
-    fr = fine.rows // coarse.rows
 
     # which coarse level (tower, step) owns each fine atom
-    owner = np.empty(fine.atoms, dtype=np.int64)
     n_coarse = params.s[coarse.stage]
-    for S in range(n_coarse):
-        for t, a in enumerate(coarse.tower(S)):
-            u, s = int(a) % coarse.cols, int(a) // coarse.cols
-            for ds in range(fr):
-                row = (s * fr + ds) * fine.cols
-                lo = row + u * fc
-                owner[lo:lo + fc] = S * q + t
+    level = np.empty(coarse.atoms, dtype=np.int64)
+    level[np.concatenate(coarse.towers())] = np.arange(coarse.atoms)
+    owner = refine(level, coarse.cols, coarse.rows, fine.cols, fine.rows)
 
     # word position t of a fine tower is a new spacer iff the column it
     # occupies is freshly labelled at the fine stage

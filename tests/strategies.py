@@ -1,0 +1,49 @@
+"""Hypothesis strategies shared by the grid-process tests."""
+
+from hypothesis import assume
+from hypothesis import strategies as st
+
+from circlesys.errors import ConstraintError
+from circlesys.procsim import compose_stage, h_from_words, initial_process
+from circlesys.ratarith import derive_params
+
+
+@st.composite
+def small_processes(draw):
+    """Processes for stages 0..2 with q[2] <= 512, or half the time for
+    stages 0..3; each h-word is a random permutation of the balanced
+    multiset its stage requires.
+
+    Three stages stay small only with few strips, as s[n+1] <= s[n]**k[n]:
+    s[0] = 1 keeps one strip throughout (every h is then the identity)
+    and is drawn with at most 2^14 stage-3 atoms; the one stack with two
+    strips, k = l = s = 2 at every stage, has 2^15.
+    """
+    if draw(st.booleans()):
+        if draw(st.booleans()):
+            params = derive_params([2, 2, 2], [2, 2, 2], [2, 2, 2, 2])
+        else:
+            k = [draw(st.integers(1, 2)) for _ in range(3)]
+            l = [draw(st.integers(2, 4)) for _ in range(3)]
+            params = derive_params(k, l, [1, 1, 1, 1])
+            assume(params.q[3] <= 1 << 14)
+    else:
+        s0 = draw(st.integers(1, 3))
+        k0 = s0 * draw(st.integers(1, 2))
+        s1 = s0 * draw(st.integers(1, 2))
+        k1 = s1 * draw(st.integers(1, 2))
+        s2 = s1 * draw(st.integers(1, 2))
+        l0, l1 = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+        try:
+            params = derive_params([k0, k1], [l0, l1], [s0, s1, s2])
+        except ConstraintError:
+            assume(False)
+        assume(params.q[2] <= 512)
+    procs = [initial_process(params)]
+    for n in range(params.stages):
+        k, lo, hi = params.k[n], params.s[n], params.s[n + 1]
+        letters = [i for i in range(lo) for _ in range(k // lo)]
+        h_words = [draw(st.permutations(letters)) for _ in range(hi)]
+        h = h_from_words(params, n, h_words)
+        procs.append(compose_stage(procs[-1], h))
+    return procs

@@ -4,20 +4,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
+from hypothesis import given, settings
 
 from circlesys.consys import build_sequence
-from circlesys.errors import (ConstraintError, InputError, OracleMismatch,
-                              ResourceError)
-from circlesys.names import (StabilityReport, atom_labels, crosscheck_tower,
-                             distinct_names, label_dtype, name_stability,
-                             q_labels, simulate_tower_name, spacer_columns,
-                             transect_word, u_words)
+from circlesys.errors import InputError, OracleMismatch, ResourceError
+from circlesys.names import (StabilityReport, crosscheck_tower,
+                             distinct_names, frame_labels, label_dtype,
+                             name_stability, q_labels, simulate_tower_name,
+                             spacer_columns, transect_word, u_words)
 from circlesys.procsim import (GridPermutation, compose_stage, h_from_words,
                                initial_process, rotation_perm, rotation_shift)
 from circlesys.ratarith import derive_params
-from circlesys.words import B, E, word_to_text
+from circlesys.words import B, E
+
+from strategies import small_processes
 
 DESK = derive_params([2, 2], [4, 4], [2, 2, 4])
 W1 = [(0, 1), (1, 0)]
@@ -41,6 +41,33 @@ def cs_words(params, prewords, stage):
         warnings.simplefilter("ignore")
         cs = build_sequence(params.s[0], params, prewords)
     return cs.levels[stage]
+
+
+def naive_labels(params, h_list, stage, cols, rows):
+    """Label every atom of a cols x rows grid for the stage-n process.
+
+    An atom is b/e when its pullback through Z_m lands in a stage-m
+    spacer column for some m <= stage.  When several stages claim an
+    atom the latest one wins: a new spacer run may transit a column
+    that an earlier stage already labelled, and the later relabeling is
+    what the stage-n tower names read.  Unclaimed atoms keep their base
+    strip index.  Returns one label per atom, in `label_dtype(params.s[0])`.
+
+    This recomputes every Z_m from h_list, in atom order: the oracle of
+    `q_labels`, whose rotation-frame labels are these read through Z.
+    """
+    atoms = cols * rows
+    labels = ((np.arange(atoms, dtype=np.int64) // cols) * params.s[0]
+              // rows).astype(label_dtype(params.s[0]))
+    Z = GridPermutation.identity(cols, rows)
+    for m in range(1, stage + 1):
+        Z = Z.compose(h_list[m - 1].lift(cols, rows))
+        pre = Z.inverse().table
+        col_m = (pre % cols) * params.q[m] // cols
+        marks = spacer_columns(params, m)
+        labels[marks.b_cols[col_m]] = B
+        labels[marks.e_cols[col_m]] = E
+    return labels
 
 
 def test_spacer_columns_mass():
@@ -133,12 +160,51 @@ def test_q_labels_override():
     # a later stage relabels columns lying inside earlier spacer columns,
     # so label counts match the top-stage word structure exactly
     _, _, p2, h1, h2 = desk_procs()
-    part = q_labels(DESK, [h1.lift(512, 4), h2.lift(512, 4)], 2, 512, 4)
-    assert np.array_equal(part, atom_labels(p2))
+    part = naive_labels(DESK, [h1.lift(512, 4), h2.lift(512, 4)], 2, 512, 4)
+    assert np.array_equal(part[p2.Z.table], frame_labels(p2))
     name = simulate_tower_name(p2, 0)
     word = cs_words(DESK, [W1, W2_DUP], 2)[0]
     assert sum(1 for x in name if x == B) == sum(1 for x in word if x == B)
     assert sum(1 for x in name if x == E) == sum(1 for x in word if x == E)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_processes())
+def test_frame_labels_match_atom_order_oracle(procs):
+    for proc in procs:
+        naive = naive_labels(proc.params, proc.h_list, proc.stage,
+                             proc.cols, proc.rows)
+        frame = frame_labels(proc)
+        assert frame.dtype == naive.dtype
+        assert np.array_equal(frame, naive[proc.Z.table])
+
+
+def test_q_labels_reads_no_full_size_permutation(monkeypatch):
+    calls = []
+
+    def counted(name):
+        real = getattr(GridPermutation, name)
+
+        def spy(self, *args):
+            calls.append(name)
+            return real(self, *args)
+        return spy
+    for name in ("lift", "compose", "inverse"):
+        monkeypatch.setattr(GridPermutation, name, counted(name))
+    _, _, _, h1, h2 = desk_procs()
+    calls.clear()
+    q_labels(DESK, [h1, h2], 2, 512, 4)
+    assert calls == []
+
+
+def test_q_labels_refuses_a_grid_off_the_stage():
+    _, _, _, h1, h2 = desk_procs()
+    for cols, rows in ((256, 4), (512, 2), (h2.cols, h2.rows), (1024, 8)):
+        with pytest.raises(InputError):
+            q_labels(DESK, [h1, h2], 2, cols, rows)
+    for h_list in ([h1], [h1, h2, h2]):
+        with pytest.raises(InputError):
+            q_labels(DESK, h_list, 2, 512, 4)
 
 
 def naive_matched(coarse, fine):
@@ -152,11 +218,12 @@ def naive_matched(coarse, fine):
     n = coarse.stage
     q = params.q[n]
     cols, rows = fine.cols, fine.rows
-    labels = q_labels(params, fine.h_list, fine.stage, cols, rows)
+    labels = naive_labels(params, fine.h_list, fine.stage, cols, rows)
     t_coarse = (coarse.Z.lift(cols, rows)
                 .compose(rotation_perm(params, n, cols, rows))
                 .compose(coarse.Z.lift(cols, rows).inverse()))
-    t_fine = fine.transform()
+    t_fine = (fine.Z.compose(rotation_perm(params, n + 1, cols, rows))
+              .compose(fine.Z.inverse()))
     for table in (t_coarse.table, t_fine.table):
         assert np.array_equal(np.sort(table), np.arange(cols * rows))
     fwd_c = bwd_c = fwd_f = bwd_f = np.arange(cols * rows, dtype=np.int64)
@@ -173,36 +240,11 @@ def naive_matched(coarse, fine):
     return int(ok.sum())
 
 
-@st.composite
-def small_processes(draw):
-    """Processes for stages 0..2 with q[2] <= 512; each h-word is a
-    random permutation of the balanced multiset its stage requires."""
-    s0 = draw(st.integers(1, 3))
-    k0 = s0 * draw(st.integers(1, 2))
-    s1 = s0 * draw(st.integers(1, 2))
-    k1 = s1 * draw(st.integers(1, 2))
-    s2 = s1 * draw(st.integers(1, 2))
-    l0, l1 = draw(st.integers(2, 4)), draw(st.integers(2, 4))
-    try:
-        params = derive_params([k0, k1], [l0, l1], [s0, s1, s2])
-    except ConstraintError:
-        assume(False)
-    assume(params.q[2] <= 512)
-    procs = [initial_process(params)]
-    for n in range(2):
-        k, lo, hi = params.k[n], params.s[n], params.s[n + 1]
-        letters = [i for i in range(lo) for _ in range(k // lo)]
-        h_words = [draw(st.permutations(letters)) for _ in range(hi)]
-        h = h_from_words(params, n, h_words)
-        procs.append(compose_stage(procs[-1], h))
-    return procs
-
-
 def v_route_stability(coarse, fine):
     """name_stability through the coarse relabeling, counted in the
     rotation frame with the gather through V = Zc^-1 Zf.
 
-    Both names are read with the finer stage's labels (`atom_labels`),
+    Both names are read with the finer stage's labels (`naive_labels`),
     following the two realized transforms t = Z R Z^-1 on the fine
     grid, where Z is the stage's relabeling (the coarse one lifted to
     the fine grid) and R its rotation.  The count is made in the
@@ -220,7 +262,7 @@ def v_route_stability(coarse, fine):
     n = coarse.stage
     q = params.q[n]
     cols, rows = fine.cols, fine.rows
-    labels = atom_labels(fine)
+    labels = naive_labels(params, fine.h_list, fine.stage, cols, rows)
     Zf = fine.Z
     Zc = coarse.Z.lift(cols, rows)
     assert Zf.is_permutation() and Zc.is_permutation()
@@ -281,8 +323,8 @@ def test_stability_refuses_h_off_the_rotation():
 @given(small_processes())
 def test_memoised_names_match_fresh_labels(procs):
     for proc in procs:
-        fresh = q_labels(proc.params, proc.h_list, proc.stage,
-                         proc.cols, proc.rows)
+        fresh = naive_labels(proc.params, proc.h_list, proc.stage,
+                             proc.cols, proc.rows)
         for s in range(proc.params.s[proc.stage]):
             assert simulate_tower_name(proc, s) \
                 == tuple(int(v) for v in fresh[proc.tower(s)])
@@ -294,7 +336,7 @@ def naive_u_words(proc, h, s):
     n = proc.stage
     params = proc.params
     k, q, p = params.k[n], params.q[n], params.p[n]
-    labels = q_labels(params, proc.h_list, n, h.cols, h.rows)
+    labels = naive_labels(params, proc.h_list, n, h.cols, h.rows)
     Z = proc.Z.lift(h.cols, h.rows)
     out = []
     for j in range(k):
@@ -328,17 +370,17 @@ def test_stability_desk_matches_orbit_walk():
 def test_labels_computed_lazily_once():
     _, _, p2, _, _ = desk_procs()
     assert p2.labels is None
-    labels = atom_labels(p2)
+    labels = frame_labels(p2)
     assert labels.dtype == np.int8 and not labels.flags.writeable
     simulate_tower_name(p2, 0)
     distinct_names(p2)
-    assert atom_labels(p2) is labels
+    assert frame_labels(p2) is labels
 
 
 def test_labels_memo_shared_across_threads():
     _, _, p2, _, _ = desk_procs()
     got = []
-    threads = [threading.Thread(target=lambda: got.append(atom_labels(p2)))
+    threads = [threading.Thread(target=lambda: got.append(frame_labels(p2)))
                for _ in range(8)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -2,15 +2,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circlesys.errors import ConstraintError, InputError, ResourceError
-from circlesys.procsim import (GridPermutation, build_process,
-                               check_requirements, compose_stage, eps_approx,
-                               h_from_words, initial_process, rotation_perm,
-                               rotation_shift)
-from circlesys.ratarith import derive_params
+from circlesys.procsim import (EpsApproxReport, GridPermutation,
+                               build_process, check_requirements,
+                               compose_stage, eps_approx, h_from_words,
+                               initial_process, rotation_perm, rotation_shift)
+from circlesys.ratarith import derive_params, spacer_columns
+
+from strategies import small_processes
 
 DESK = derive_params([2, 2], [4, 4], [2, 2, 4])
 W1 = [(0, 1), (1, 0)]
@@ -69,12 +71,18 @@ def test_rotation_shift_moves_every_row():
         rotation_shift(DESK, 2, 100)
 
 
-def test_transform_is_conjugated_rotation():
-    _, p1, _, _, _ = desk_procs()
-    T = p1.transform()
-    rot = p1.rotation()
-    Zinv = p1.Z.inverse()
-    assert T == p1.Z.compose(rot).compose(Zinv)
+def test_orbit_is_rotation_orbit():
+    # in the rotation frame a tower is a rotation orbit; its atoms are
+    # that orbit's images under Z
+    procs = desk_procs()[:3]
+    for proc in procs:
+        rot = proc.rotation().table
+        for s in range(DESK.s[proc.stage]):
+            orbit = proc.orbit(s)
+            assert np.array_equal(rot[orbit], np.roll(orbit, -1))
+            assert np.array_equal(proc.tower(s), proc.Z.table[orbit])
+    with pytest.raises(InputError):
+        procs[1].orbit(2)
 
 
 def test_lift_is_rigid():
@@ -140,6 +148,75 @@ def test_eps_approx_desk():
     assert rep.levels_equal
 
 
+def naive_eps_approx(coarse, fine):
+    """eps_approx with the owner table filled atom by atom."""
+    params = coarse.params
+    if fine.cols % coarse.cols or fine.rows % coarse.rows:
+        raise InputError("fine grid does not refine coarse grid")
+    if fine.stage != coarse.stage + 1:
+        raise InputError("processes must be one stage apart")
+    q = params.q[coarse.stage]
+    qf = params.q[fine.stage]
+    fc = fine.cols // coarse.cols
+    fr = fine.rows // coarse.rows
+
+    # which coarse level (tower, step) owns each fine atom
+    owner = np.empty(fine.atoms, dtype=np.int64)
+    n_coarse = params.s[coarse.stage]
+    for S in range(n_coarse):
+        for t, a in enumerate(coarse.tower(S)):
+            u, s = int(a) % coarse.cols, int(a) // coarse.cols
+            for ds in range(fr):
+                row = (s * fr + ds) * fine.cols
+                lo = row + u * fc
+                owner[lo:lo + fc] = S * q + t
+
+    # word position t of a fine tower is a new spacer iff the column it
+    # occupies is freshly labelled at the fine stage
+    marks = spacer_columns(params, fine.stage)
+    col_of_t = np.arange(qf, dtype=np.int64) * params.p[fine.stage] % qf
+    is_spacer = marks.b_cols[col_of_t] | marks.e_cols[col_of_t]
+
+    deleted = []
+    blocks = 0
+    subordinate = True
+    for s in range(params.s[fine.stage]):
+        tw = fine.tower(s)
+        own = owner[tw]
+        t = 0
+        while t < qf:
+            if is_spacer[t]:
+                deleted.append(tw[t])
+                t += 1
+                continue
+            S, step = divmod(int(own[t]), q)
+            if (step == 0 and t + q <= qf
+                    and np.array_equal(own[t:t + q], np.arange(S * q, S * q + q))):
+                blocks += 1
+                t += q
+            else:
+                subordinate = False
+                deleted.append(tw[t])
+                t += 1
+
+    mask = np.zeros(fine.atoms, dtype=bool)
+    if deleted:
+        mask[np.array(deleted, dtype=np.int64)] = True
+    per_level = np.zeros(n_coarse * q, dtype=np.int64)
+    np.add.at(per_level, owner[~mask], 1)
+    per_level = per_level.reshape(n_coarse, q)
+    levels_equal = all(len(set(row)) == 1 for row in per_level.tolist())
+    return EpsApproxReport(Fraction(len(deleted), fine.atoms),
+                           len(deleted), blocks, subordinate, levels_equal)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_processes())
+def test_eps_approx_matches_atom_by_atom_owner(procs):
+    for coarse, fine in zip(procs, procs[1:]):
+        assert eps_approx(coarse, fine) == naive_eps_approx(coarse, fine)
+
+
 def test_requirements_desk_duplicate():
     rep = check_requirements(DESK, [W1, W2_DUP])
     assert rep.req1 != "fail"
@@ -161,3 +238,25 @@ def test_permutation_identity_inverse():
     assert h.compose(h.inverse()) == g
     assert h.inverse().compose(h) == g
     assert h.is_permutation()
+
+
+@st.composite
+def tables(draw):
+    """A grid and a table for it: a permutation, or one with entries
+    drawn from -1..size, duplicates and out-of-range values included."""
+    cols, rows = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    size = cols * rows
+    table = draw(st.one_of(
+        st.permutations(range(size)),
+        st.lists(st.integers(-1, size), min_size=size, max_size=size)))
+    return cols, rows, table
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables())
+@example((3, 1, [0, 1, -1]))    # -1 would wrap to the one atom not hit
+@example((3, 1, [0, 1, 3]))     # size indexes no atom
+def test_is_permutation_matches_sort(case):
+    cols, rows, table = case
+    want = np.array_equal(np.sort(table), np.arange(cols * rows))
+    assert GridPermutation(cols, rows, table).is_permutation() == want
