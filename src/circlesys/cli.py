@@ -571,9 +571,15 @@ def cmd_smooth(args, out):
         raise InputError("--samples must be at least 1, got %d" % args.samples)
     if args.seed < 0:
         raise InputError("--seed must be non-negative, got %d" % args.seed)
+    # swap's eps is its StandardSwap delta, which must stay below 1/2
+    top = 0.5 if args.action == "swap" else 1.0
+    if not 0 < args.eps < top:
+        raise InputError("smooth %s needs --eps in (0, %g), got %r"
+                         % (args.action, top, args.eps))
     rng = np.random.default_rng(args.seed)
     if args.action == "swap":
         grid = _parse_grid(args.grid)
+        smoothreal.check_smooth_cells("smooth swap grid", grid)
         plane = smoothreal.CellSwap(grid, args.k, args.eps)
         sigma = list(range(grid[0] * grid[1]))
         sigma[args.k], sigma[args.k + 1] = sigma[args.k + 1], sigma[args.k]
@@ -584,6 +590,7 @@ def cmd_smooth(args, out):
         return 0 if ok else 1
     if args.action == "realize":
         grid = _parse_grid(args.grid)
+        smoothreal.check_smooth_cells("smooth realize grid", grid)
         try:
             sigma = [int(v) for v in (rng.permutation(grid[0] * grid[1])
                                       if args.perm is None

@@ -12,7 +12,9 @@ the twist), hence so is the composite's.
 Cells are numbered along the boustrophedon path (row 0 left to right,
 row 1 right to left, ...), which makes consecutive indices spatially
 adjacent, so adjacent transpositions suffice to realize any cell
-permutation.
+permutation.  Swaps on disjoint pairs commute, so the swap list is
+scheduled into layers of disjoint swaps, and each layer is one map
+that classifies every point once.
 """
 
 import math
@@ -20,7 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ToleranceError
+from .errors import InputError, ResourceError, ToleranceError
+
+# Cells of the largest grid realized: the swap list is a pure-Python
+# bubble sort with up to N(N-1)/2 swaps in at most 2N-3 layers.
+MAX_SMOOTH_CELLS = 1024
+# the largest per-swap delta realize_perm uses (StandardSwap needs < 1/2)
+MAX_DELTA = 0.25
 
 
 class PlaneMap:
@@ -125,14 +133,18 @@ class StandardSwap(PlaneMap):
         self.gamma = self.R - self.r_in
 
     def _twist(self, pts, sign):
-        x = (pts[:, 0] - 1.0) / math.sqrt(2)
-        y = (pts[:, 1] - 0.5) * math.sqrt(2)
-        X, Y = _square_to_disk(x, y)
-        r = np.hypot(X, Y)
-        f = math.pi * smoothstep((self.R - r) / self.gamma)
-        c, s = np.cos(sign * f), np.sin(sign * f)
+        # a layer of swaps hands over most points at once, so each
+        # stage's temporaries are dropped before the next is made
+        X, Y = _square_to_disk((pts[:, 0] - 1.0) / math.sqrt(2),
+                               (pts[:, 1] - 0.5) * math.sqrt(2))
+        f = sign * (math.pi
+                    * smoothstep((self.R - np.hypot(X, Y)) / self.gamma))
+        c, s = np.cos(f), np.sin(f)
+        del f
         X, Y = X * c - Y * s, X * s + Y * c
+        del c, s
         x, y = _disk_to_square(X, Y)
+        del X, Y
         out = np.empty_like(pts, dtype=float)
         out[:, 0] = x * math.sqrt(2) + 1.0
         out[:, 1] = y / math.sqrt(2) + 0.5
@@ -164,45 +176,66 @@ class StandardSwap(PlaneMap):
 
 
 class CellSwap(PlaneMap):
-    """StandardSwap conjugated into one adjacent cell pair of a grid."""
+    """StandardSwap conjugated into disjoint adjacent cell pairs of a grid.
+
+    k is one boustrophedon pair index (cells k and k+1) or a sequence
+    of them with no cell in common.  Disjoint swaps commute, so all of
+    them are one map: each point's cell is found once, a table names
+    the pair holding it, and one StandardSwap call moves every point
+    inside a pair.  Each point goes through its own pair's conjugation
+    alone, so a layer equals its swaps applied one by one, bit for bit
+    (short of a point within an ulp of a cell edge, whose cell and
+    rectangle test can disagree).
+    """
 
     def __init__(self, grid, k, delta):
         m, n = grid
-        if not 0 <= k < m * n - 1:
-            raise InputError("pair index %d out of range" % k)
-        (c0, r0), (c1, r1) = zigzag_cell(grid, k), zigzag_cell(grid, k + 1)
-        if abs(c0 - c1) + abs(r0 - r1) != 1:
-            raise AssertionError("boustrophedon neighbours are not adjacent")
-        self.inner = StandardSwap(delta)
-        self.transpose = c0 == c1               # vertical pair
-        if self.transpose:
-            self.origin = (c0 / m, min(r0, r1) / n)
-        else:
-            self.origin = (min(c0, c1) / m, r0 / n)
-        self.scale = (1.0 / m, 1.0 / n)         # (x, y) sizes of one cell
         self.grid = grid
-        self.k = k
-
-    def _to_std(self, pts):
-        u = (pts[:, 0] - self.origin[0]) / self.scale[0]
-        v = (pts[:, 1] - self.origin[1]) / self.scale[1]
-        return np.stack([v, u], axis=1) if self.transpose else np.stack([u, v], axis=1)
-
-    def _from_std(self, std):
-        if self.transpose:
-            u, v = std[:, 1], std[:, 0]
-        else:
-            u, v = std[:, 0], std[:, 1]
-        return np.stack([u * self.scale[0] + self.origin[0],
-                         v * self.scale[1] + self.origin[1]], axis=1)
+        self.k = [k] if isinstance(k, (int, np.integer)) else list(k)
+        self.pair_of_cell = np.full(m * n, -1, dtype=np.intp)
+        origin, transpose = [], []
+        for i, kk in enumerate(self.k):
+            if not 0 <= kk < m * n - 1:
+                raise InputError("pair index %d out of range" % kk)
+            if (self.pair_of_cell[kk:kk + 2] >= 0).any():
+                raise InputError("pair %d shares a cell with another pair"
+                                 % kk)
+            self.pair_of_cell[kk:kk + 2] = i
+            (c0, r0), (c1, r1) = (zigzag_cell(grid, kk),
+                                  zigzag_cell(grid, kk + 1))
+            if abs(c0 - c1) + abs(r0 - r1) != 1:
+                raise AssertionError(
+                    "boustrophedon neighbours are not adjacent")
+            transpose.append(c0 == c1)          # vertical pair
+            origin.append((min(c0, c1) / m, min(r0, r1) / n))
+        self.inner = StandardSwap(delta)
+        self.transpose = np.array(transpose, dtype=bool)
+        self.origin = np.array(origin, dtype=float).reshape(-1, 2)
+        self.scale = (1.0 / m, 1.0 / n)         # (x, y) sizes of one cell
 
     def _apply(self, pts, fn):
         pts = np.array(pts, dtype=float, copy=True)
-        std = self._to_std(pts)
+        pair = self.pair_of_cell[cell_of_points(self.grid, pts)]
+        hit = np.flatnonzero(pair >= 0)
+        pair = pair[hit]
+        flip = self.transpose[pair]
+        std = np.empty((len(hit), 2))
+        u = (pts[hit, 0] - self.origin[pair, 0]) / self.scale[0]
+        v = (pts[hit, 1] - self.origin[pair, 1]) / self.scale[1]
+        std[:, 0] = np.where(flip, v, u)
+        std[:, 1] = np.where(flip, u, v)
+        del u, v
+        # at a cell edge the rectangle, the swap's domain, has the last word
         inside = (std[:, 0] >= 0) & (std[:, 0] < 2.0) & \
                  (std[:, 1] >= 0) & (std[:, 1] < 1.0)
-        if inside.any():
-            pts[inside] = self._from_std(fn(std[inside]))
+        if not inside.all():
+            hit, pair, flip, std = (a[inside] for a in (hit, pair, flip, std))
+        if len(hit):
+            std = fn(std)
+            pts[hit, 0] = (np.where(flip, std[:, 1], std[:, 0])
+                           * self.scale[0] + self.origin[pair, 0])
+            pts[hit, 1] = (np.where(flip, std[:, 0], std[:, 1])
+                           * self.scale[1] + self.origin[pair, 1])
         return pts
 
     def forward(self, pts):
@@ -268,6 +301,34 @@ def perm_to_swaps(sigma):
     return swaps
 
 
+def swap_layers(swaps):
+    """Group a swap list into layers of swaps on disjoint cell pairs.
+
+    Each swap goes into the first layer after every earlier swap that
+    shares a cell with it, so swaps that overlap keep their order and
+    applying the layers one after another is the same map as applying
+    the swaps one after another.
+    """
+    last = {}                   # cell -> index of the last layer touching it
+    layers = []
+    for k in swaps:
+        depth = max(last.get(k, -1), last.get(k + 1, -1)) + 1
+        if depth == len(layers):
+            layers.append([])
+        layers[depth].append(k)
+        last[k] = last[k + 1] = depth
+    return layers
+
+
+def check_smooth_cells(what, grid):
+    """ResourceError if an m x n smooth grid has more than
+    MAX_SMOOTH_CELLS cells; `what` names the action or stage."""
+    cells = grid[0] * grid[1]
+    if cells > MAX_SMOOTH_CELLS:
+        raise ResourceError("%s needs %d cells, cap is %d"
+                            % (what, cells, MAX_SMOOTH_CELLS))
+
+
 @dataclass
 class RealizeReport:
     plane_map: PlaneMap
@@ -279,23 +340,32 @@ class RealizeReport:
 def realize_perm(sigma, grid, eps, seed=0, samples=20000, max_retries=3):
     """Smooth map moving each grid cell onto its image under sigma.
 
-    The exceptional budget eps is split evenly over the adjacent swaps;
-    the sampled obedient fraction must reach 1 - eps or the budget is
+    The exceptional budget eps is split evenly over the adjacent swaps
+    (at most MAX_DELTA each), which are applied in layers of disjoint
+    swaps (`swap_layers`); the
+    sampled obedient fraction must reach 1 - eps or the budget is
     halved and retried, with ToleranceError after max_retries.
     """
     m, n = grid
+    check_smooth_cells("smooth %dx%d grid" % (m, n), grid)
+    if not 0 < eps < 1:
+        raise InputError("eps must be in (0, 1), got %r" % (eps,))
+    if max_retries < 1:
+        raise InputError("max_retries must be at least 1, got %r"
+                         % (max_retries,))
     if len(sigma) != m * n:
         raise InputError("permutation has %d entries, the %dx%d grid %d cells"
                          % (len(sigma), m, n, m * n))
     swaps = perm_to_swaps(sigma)
     if not swaps:
         return RealizeReport(Identity(), [], 0.0, 1.0)
+    layers = swap_layers(swaps)
     rng = np.random.default_rng(seed)
     pts = rng.random((samples, 2))
     target = np.asarray(sigma)[cell_of_points(grid, pts)]
-    delta = eps / len(swaps)
+    delta = min(eps / len(swaps), MAX_DELTA)
     for _ in range(max_retries):
-        plane = Composite([CellSwap(grid, k, delta) for k in swaps])
+        plane = Composite([CellSwap(grid, layer, delta) for layer in layers])
         landed = cell_of_points(grid, plane.forward(pts))
         obedient = float(np.mean(landed == target))
         if obedient >= 1 - eps:
@@ -393,9 +463,10 @@ def stage_map(params, h_grids, eps=0.05, seed=0, samples=20000):
     maps = []
     reports = []
     for m, h in enumerate(h_grids):
+        grid = (params.k[m], params.s[m + 1])
+        check_smooth_cells("stage-%d smooth grid" % (m + 1), grid)
         sigma = first_column_sigma(params, m, h)
-        rep = realize_perm(sigma, (params.k[m], params.s[m + 1]), eps,
-                           seed=seed + m, samples=samples)
+        rep = realize_perm(sigma, grid, eps, seed=seed + m, samples=samples)
         reports.append(rep)
         width = 1.0 / params.q[m]
         maps.append(PeriodicStrip(rep.plane_map, width)

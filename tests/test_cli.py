@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from circlesys import cli, procsim
+from circlesys import cli, procsim, smoothreal
 from circlesys.cli import RunManifest, main, run_checks
 from circlesys.errors import OracleMismatch, ToleranceError
 
@@ -388,6 +388,49 @@ def test_run_report_file(desk):
     assert code == 0
     report = (desk / "reports" / "report.txt").read_text()
     assert report == text
+
+
+@pytest.mark.parametrize("argv", [
+    ["smooth", "swap", "--grid", "4x4", "--eps", "0.7"],
+    ["smooth", "swap", "--grid", "4x4", "--eps", "0.5"],
+    ["smooth", "realize", "--grid", "4x4", "--eps", "1"],
+    ["smooth", "realize", "--grid", "4x4", "--eps", "1.5"],
+    ["smooth", "realize", "--grid", "4x4", "--eps", "0"],
+    ["smooth", "stage", "--params", "var.params", "--hwords", "w1.txt",
+     "--hwords", "w2var.txt", "--eps", "1"],
+], ids=lambda argv: " ".join(argv[:2] + argv[-2:]))
+def test_smooth_eps_outside_range_exits_2(desk, capsys, monkeypatch, argv):
+    monkeypatch.chdir(desk)
+    code, text = run(argv)
+    assert (code, text) == (2, "")
+    top = "0.5" if argv[1] == "swap" else "1"
+    assert capsys.readouterr().err == (
+        "error: smooth %s needs --eps in (0, %s), got %r\n"
+        % (argv[1], top, float(argv[-1])))
+
+
+@pytest.mark.parametrize("action, grid", [("swap", "1x1025"),
+                                          ("realize", "33x32")])
+def test_smooth_grid_past_cap_exits_3(capsys, action, grid):
+    code, text = run(["smooth", action, "--grid", grid])
+    assert (code, text) == (3, "")
+    m, n = map(int, grid.split("x"))
+    assert capsys.readouterr().err == (
+        "resource cap: smooth %s grid needs %d cells, cap is %d\n"
+        % (action, m * n, smoothreal.MAX_SMOOTH_CELLS))
+
+
+def test_smooth_stage_past_cap_exits_3(tmp_path, capsys):
+    N = smoothreal.MAX_SMOOTH_CELLS + 1
+    (tmp_path / "wide.params").write_text("k = %d\nl = 2\ns = 1 1\n" % N)
+    (tmp_path / "zeros.txt").write_text(" ".join(["0"] * N) + "\n")
+    code, text = run(["smooth", "stage", "--params",
+                      str(tmp_path / "wide.params"), "--hwords",
+                      str(tmp_path / "zeros.txt")])
+    assert (code, text) == (3, "")
+    assert capsys.readouterr().err == (
+        "resource cap: stage-1 smooth grid needs %d cells, cap is %d\n"
+        % (N, smoothreal.MAX_SMOOTH_CELLS))
 
 
 def test_smooth_swap_cli(desk):

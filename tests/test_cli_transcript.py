@@ -2,7 +2,8 @@
 
 `data/cli_transcript.json` holds the argv, exit code and stdout of every
 subcommand action on `demos/data` and of `run demos/data/manifest.txt`,
-with paths relative to the repository root.  A report that changes on
+with paths relative to the repository root.  An entry is named by its
+first two arguments unless it carries an "id".  A report that changes on
 purpose is re-recorded with
 
     PYTHONPATH=src python tests/test_cli_transcript.py
@@ -43,7 +44,7 @@ def replay(argv):
 
 
 @pytest.mark.parametrize("entry", ENTRIES,
-                         ids=lambda e: " ".join(e["argv"][:2]))
+                         ids=lambda e: e.get("id", " ".join(e["argv"][:2])))
 def test_transcript(entry):
     assert replay(entry["argv"]) == (entry["exit"], entry["stdout"])
 

@@ -1,18 +1,20 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circlesys.errors import InputError, ToleranceError
+from circlesys.errors import InputError, ResourceError, ToleranceError
 from circlesys.procsim import h_from_words
 from circlesys.ratarith import derive_params
-from circlesys.smoothreal import (CellSwap, Composite, StandardSwap,
-                                  cell_of_points, map_distance, perm_to_swaps,
+from circlesys.smoothreal import (MAX_SMOOTH_CELLS, CellSwap, Composite,
+                                  PlaneMap, StandardSwap, cell_of_points,
+                                  map_distance, perm_to_swaps,
                                   polar_twist_jacobian, realize_perm,
-                                  sample_jacobian, stage_map, zigzag_cell,
-                                  zigzag_index)
+                                  sample_jacobian, stage_map, swap_layers,
+                                  zigzag_cell, zigzag_index)
 from circlesys.smoothreal import _disk_to_square, _square_to_disk
 
 RNG = np.random.default_rng(20240817)
@@ -148,3 +150,119 @@ def test_map_distance_zero_on_self():
     sw = CellSwap((2, 2), 0, 0.05)
     mean, mx = map_distance(sw, sw, RNG.random((1000, 2)))
     assert mean == 0 and mx == 0
+
+
+@st.composite
+def grid_perms(draw):
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    return (m, n), draw(st.permutations(range(m * n)))
+
+
+class OnePairSwap(PlaneMap):
+    """The per-swap map from before layering: StandardSwap conjugated
+    into one pair, which tests every point against its rectangle."""
+
+    def __init__(self, grid, k, delta):
+        m, n = grid
+        (c0, r0), (c1, r1) = zigzag_cell(grid, k), zigzag_cell(grid, k + 1)
+        self.inner = StandardSwap(delta)
+        self.transpose = c0 == c1
+        self.origin = (min(c0, c1) / m, min(r0, r1) / n)
+        self.scale = (1.0 / m, 1.0 / n)
+
+    def _apply(self, pts, fn):
+        pts = np.array(pts, dtype=float, copy=True)
+        u = (pts[:, 0] - self.origin[0]) / self.scale[0]
+        v = (pts[:, 1] - self.origin[1]) / self.scale[1]
+        std = np.stack([v, u] if self.transpose else [u, v], axis=1)
+        inside = (std[:, 0] >= 0) & (std[:, 0] < 2.0) & \
+                 (std[:, 1] >= 0) & (std[:, 1] < 1.0)
+        if inside.any():
+            out = fn(std[inside])
+            u, v = (out[:, 1], out[:, 0]) if self.transpose \
+                else (out[:, 0], out[:, 1])
+            pts[inside] = np.stack([u * self.scale[0] + self.origin[0],
+                                    v * self.scale[1] + self.origin[1]],
+                                   axis=1)
+        return pts
+
+    def forward(self, pts):
+        return self._apply(pts, self.inner.forward)
+
+    def inverse(self, pts):
+        return self._apply(pts, self.inner.inverse)
+
+
+@given(grid_perms(), st.floats(1e-3, 0.49), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_layered_map_equals_per_swap_map(grid_perm, delta, seed):
+    grid, sigma = grid_perm
+    swaps = perm_to_swaps(sigma)
+    layered = Composite([CellSwap(grid, layer, delta)
+                         for layer in swap_layers(swaps)])
+    pts = np.random.default_rng(seed).random((300, 2))
+    for oracle in (Composite([CellSwap(grid, k, delta) for k in swaps]),
+                   Composite([OnePairSwap(grid, k, delta) for k in swaps])):
+        assert np.array_equal(layered.forward(pts), oracle.forward(pts))
+        assert np.array_equal(layered.inverse(pts), oracle.inverse(pts))
+
+
+@given(grid_perms())
+@settings(max_examples=100, deadline=None)
+def test_swap_layers_schedule(grid_perm):
+    grid, sigma = grid_perm
+    N = grid[0] * grid[1]
+    swaps = perm_to_swaps(sigma)
+    layers = swap_layers(swaps)
+    for layer in layers:
+        cells = [c for k in layer for c in (k, k + 1)]
+        assert len(cells) == len(set(cells))
+    flat = [k for layer in layers for k in layer]
+    assert Counter(flat) == Counter(swaps)
+    # swaps that overlap share a cell; per cell, their order is kept
+    for c in range(N):
+        assert [k for k in flat if c - 1 <= k <= c] == \
+            [k for k in swaps if c - 1 <= k <= c]
+    assert len(layers) <= max(1, 2 * N - 3)
+
+
+@pytest.mark.parametrize("N", [2, 3, 7, 16])
+def test_reversal_takes_2n_minus_3_layers(N):
+    assert len(swap_layers(perm_to_swaps(range(N)[::-1]))) == max(1, 2 * N - 3)
+
+
+def test_cell_swap_refuses_pairs_sharing_a_cell():
+    with pytest.raises(InputError, match="shares a cell"):
+        CellSwap((3, 2), [1, 2], 0.05)
+
+
+def test_realize_perm_applies_one_map_per_layer():
+    sigma = [int(v) for v in np.random.default_rng(4).permutation(16)]
+    rep = realize_perm(sigma, (4, 4), 0.1, seed=1, samples=2000)
+    assert [m.k for m in rep.plane_map.maps] == swap_layers(rep.swaps)
+
+
+def test_realize_perm_needs_a_try():
+    with pytest.raises(InputError, match="max_retries"):
+        realize_perm([1, 0], (2, 1), 0.1, max_retries=0)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1.0, 1.5, -0.1, float("nan")])
+def test_realize_perm_eps_range(eps):
+    with pytest.raises(InputError, match="eps"):
+        realize_perm([1, 0], (2, 1), eps)
+
+
+def test_realize_perm_one_swap_with_large_eps():
+    # eps / len(swaps) would be a delta of 0.7; the swap takes less
+    rep = realize_perm([1, 0], (2, 1), 0.7, samples=2000)
+    assert 0 < rep.delta < 0.5 and rep.obedient >= 0.3
+
+
+def test_grid_past_cap_refused():
+    N = MAX_SMOOTH_CELLS + 1
+    with pytest.raises(ResourceError,
+                       match="smooth %dx1 grid needs %d cells, cap is %d"
+                       % (N, N, MAX_SMOOTH_CELLS)):
+        realize_perm(list(range(N)), (N, 1), 0.1)
+
