@@ -555,15 +555,14 @@ def _obedience_table(grid, plane, sigma, rng, samples, out):
     pts = rng.random((samples, 2))
     src = smoothreal.cell_of_points(grid, pts)
     dst = smoothreal.cell_of_points(grid, plane.forward(pts))
-    target = np.asarray(sigma)[src]
-    total_ok = 0
-    for cell in range(m * n):
-        mask = src == cell
-        ok = int(np.sum(dst[mask] == target[mask]))
-        total_ok += ok
-        out.write("rect %2d -> %2d obedient %.4f\n"
-                  % (cell, sigma[cell], ok / max(1, int(mask.sum()))))
-    return total_ok / samples
+    drawn = np.bincount(src, minlength=m * n).tolist()
+    obeyed = np.bincount(src[dst == np.asarray(sigma)[src]],
+                         minlength=m * n).tolist()
+    for cell, (ok, count) in enumerate(zip(obeyed, drawn)):
+        out.write("rect %2d -> %2d obedient %s\n"
+                  % (cell, sigma[cell], "%.4f" % (ok / count) if count
+                     else "n/a (0 samples)"))
+    return sum(obeyed) / samples
 
 
 def cmd_smooth(args, out):

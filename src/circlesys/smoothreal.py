@@ -9,6 +9,14 @@ identity, so the swaps patch together over the grid.  Every Jacobian in
 the chain is 1 (almost everywhere for the concentric map, exactly for
 the twist), hence so is the composite's.
 
+The concentric map sends the square of sup-radius t onto the circle of
+radius 2t/sqrt(pi) and is odd, so a swap has three regions, told apart
+by that radius alone: inside r_in = R - gamma it is the point reflection
+(u, v) -> (2 - u, 1 - v), beyond R it is the identity, and only on the
+thin ring between them do the points go through the concentric map and
+the twist.  The reflection (one rounded subtraction per coordinate) and
+the identity are computed directly, not through the disk.
+
 Cells are numbered along the boustrophedon path (row 0 left to right,
 row 1 right to left, ...), which makes consecutive indices spatially
 adjacent, so adjacent transpositions suffice to realize any cell
@@ -119,9 +127,11 @@ class StandardSwap(PlaneMap):
     """Half-turn swap of the two unit cells of [0,2]x[0,1].
 
     delta is the exceptional mass as a fraction of the pair: the map is
-    an exact point reflection on the disk of area 2*(1-delta) and the
-    identity outside the disk of area 2*(1-delta/2); a smooth twist
-    interpolates on the ring between them.
+    the exact point reflection (u, v) -> (2 - u, 1 - v) on the disk of
+    area 2*(1-delta) (radius r_in) and exactly the identity outside the
+    disk of area 2*(1-delta/2) (radius R); a smooth twist interpolates
+    on the ring r_in <= r < R between them, and only ring points go
+    through the concentric map.
     """
 
     def __init__(self, delta):
@@ -133,21 +143,24 @@ class StandardSwap(PlaneMap):
         self.gamma = self.R - self.r_in
 
     def _twist(self, pts, sign):
-        # a layer of swaps hands over most points at once, so each
-        # stage's temporaries are dropped before the next is made
-        X, Y = _square_to_disk((pts[:, 0] - 1.0) / math.sqrt(2),
-                               (pts[:, 1] - 0.5) * math.sqrt(2))
-        f = sign * (math.pi
-                    * smoothstep((self.R - np.hypot(X, Y)) / self.gamma))
-        c, s = np.cos(f), np.sin(f)
-        del f
-        X, Y = X * c - Y * s, X * s + Y * c
-        del c, s
-        x, y = _disk_to_square(X, Y)
-        del X, Y
-        out = np.empty_like(pts, dtype=float)
-        out[:, 0] = x * math.sqrt(2) + 1.0
-        out[:, 1] = y / math.sqrt(2) + 0.5
+        x = (pts[:, 0] - 1.0) / math.sqrt(2)
+        y = (pts[:, 1] - 0.5) * math.sqrt(2)
+        # disk radius of each point: that of its square ring
+        r = np.maximum(np.abs(x), np.abs(y)) * (2.0 / math.sqrt(math.pi))
+        core = r < self.r_in
+        out = pts.copy()
+        # the twist angle is +-pi on the core, where the odd concentric
+        # map makes the half-turn a point reflection of the rectangle
+        np.subtract((2.0, 1.0), pts, out=out, where=core[:, None])
+        ring = np.flatnonzero(~core & (r < self.R))     # r_in <= r < R
+        if len(ring):
+            X, Y = _square_to_disk(x[ring], y[ring])
+            f = sign * (math.pi
+                        * smoothstep((self.R - np.hypot(X, Y)) / self.gamma))
+            c, s = np.cos(f), np.sin(f)
+            x, y = _disk_to_square(X * c - Y * s, X * s + Y * c)
+            out[ring, 0] = x * math.sqrt(2) + 1.0
+            out[ring, 1] = y / math.sqrt(2) + 0.5
         return out
 
     def forward(self, pts):
@@ -262,10 +275,11 @@ def zigzag_index(grid, col, row):
 def cell_of_points(grid, pts):
     """Boustrophedon cell index of each point."""
     m, n = grid
-    col = np.clip((pts[:, 0] * m).astype(int), 0, m - 1)
-    row = np.clip((pts[:, 1] * n).astype(int), 0, n - 1)
-    pos = np.where(row % 2 == 0, col, m - 1 - col)
-    return row * m + pos
+    index = np.arange(m * n).reshape(n, m)
+    index[1::2] = index[1::2, ::-1]
+    col = np.minimum(np.maximum((pts[:, 0] * m).astype(int), 0), m - 1)
+    row = np.minimum(np.maximum((pts[:, 1] * n).astype(int), 0), n - 1)
+    return index[row, col]
 
 
 def perm_to_swaps(sigma):

@@ -236,7 +236,10 @@ def test_12_smoothing():
         m, n = int(rng.integers(1, 6)), int(rng.integers(1, 6))
         sigma = [int(v) for v in rng.permutation(m * n)]
         swaps = perm_to_swaps(sigma)       # recomposition asserted inside
-        ok &= len(swaps) <= (m * n) ** 2
+        # bubble sort makes exactly one adjacent swap per inversion
+        ok &= len(swaps) == sum(1 for i in range(m * n)
+                                for j in range(i + 1, m * n)
+                                if sigma[i] > sigma[j])
     sigma = [int(v) for v in np.random.default_rng(8).permutation(16)]
     rep4 = realize_perm(sigma, (4, 4), 0.1, seed=9, samples=100000)
     ok &= rep4.obedient >= 0.9

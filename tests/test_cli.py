@@ -438,3 +438,12 @@ def test_smooth_swap_cli(desk):
                       "--eps", "0.05", "--samples", "5000"])
     assert code == 0
     assert text.strip().endswith(")") or "PASS" in text
+
+
+def test_smooth_obedience_names_cells_without_samples():
+    # the one sample lands in cell 1, so cell 0 has nothing to report
+    code, text = run(["smooth", "swap", "--grid", "2x1", "--k", "0",
+                      "--samples", "1"])
+    assert (code, text) == (0, "rect  0 ->  1 obedient n/a (0 samples)\n"
+                               "rect  1 ->  0 obedient 1.0000\n"
+                               "PASS obedient 1.0000 (need 0.9500)\n")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circlesys import smoothreal
 from circlesys.errors import InputError, ResourceError, ToleranceError
 from circlesys.procsim import h_from_words
 from circlesys.ratarith import derive_params
@@ -15,7 +16,7 @@ from circlesys.smoothreal import (MAX_SMOOTH_CELLS, CellSwap, Composite,
                                   polar_twist_jacobian, realize_perm,
                                   sample_jacobian, stage_map, swap_layers,
                                   zigzag_cell, zigzag_index)
-from circlesys.smoothreal import _disk_to_square, _square_to_disk
+from circlesys.smoothreal import _disk_to_square, _square_to_disk, smoothstep
 
 RNG = np.random.default_rng(20240817)
 
@@ -43,10 +44,146 @@ def test_standard_swap_regions():
     outer = r > sw.R + 1e-6
     # exact point reflection on the inner disk, identity outside
     refl = np.stack([2.0 - pts[:, 0], 1.0 - pts[:, 1]], axis=1)
-    assert np.max(np.abs(out[inner] - refl[inner])) < 1e-12
-    assert np.max(np.abs(out[outer] - pts[outer])) < 1e-12
+    assert np.array_equal(out[inner], refl[inner])
+    assert np.array_equal(out[outer], pts[outer])
     back = sw.inverse(out)
     assert np.max(np.abs(back - pts)) < 1e-9
+
+
+def twist_before_core_split(self, pts, sign):
+    """StandardSwap._twist before it split off the core and the outside,
+    verbatim: every point goes through the concentric map and the twist."""
+    # a layer of swaps hands over most points at once, so each
+    # stage's temporaries are dropped before the next is made
+    X, Y = _square_to_disk((pts[:, 0] - 1.0) / math.sqrt(2),
+                           (pts[:, 1] - 0.5) * math.sqrt(2))
+    f = sign * (math.pi
+                * smoothstep((self.R - np.hypot(X, Y)) / self.gamma))
+    c, s = np.cos(f), np.sin(f)
+    del f
+    X, Y = X * c - Y * s, X * s + Y * c
+    del c, s
+    x, y = _disk_to_square(X, Y)
+    del X, Y
+    out = np.empty_like(pts, dtype=float)
+    out[:, 0] = x * math.sqrt(2) + 1.0
+    out[:, 1] = y / math.sqrt(2) + 0.5
+    return out
+
+
+def swap_radius(pts):
+    """Disk radius of each point of [0,2]x[0,1]: 2/sqrt(pi) times the
+    sup-radius of its square ring."""
+    x = (pts[:, 0] - 1.0) / math.sqrt(2)
+    y = (pts[:, 1] - 0.5) * math.sqrt(2)
+    return np.maximum(np.abs(x), np.abs(y)) * (2.0 / math.sqrt(math.pi))
+
+
+def reflect(pts):
+    return np.stack([2.0 - pts[:, 0], 1.0 - pts[:, 1]], axis=1)
+
+
+@st.composite
+def swaps_and_points(draw):
+    """A StandardSwap with delta in (0, 1/2) and points of [0,2]x[0,1]:
+    drawn ones, the corners, edge midpoints and centre, and points
+    on the ring r_in <= r <= R, its two rims included."""
+    sw = StandardSwap(draw(st.floats(0, 0.5, exclude_min=True,
+                                     exclude_max=True)))
+    drawn = draw(st.lists(st.tuples(st.floats(0, 2), st.floats(0, 1)),
+                          max_size=40))
+    marks = [(u, v) for u in (0.0, 1.0, 2.0) for v in (0.0, 0.5, 1.0)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    radius = np.concatenate([[sw.r_in, sw.R] * 8,
+                             rng.uniform(sw.r_in, sw.R, 200)])
+    t = radius * (math.sqrt(math.pi) / 2)        # sup-radius of the square
+    s = rng.uniform(-1, 1, len(t)) * t
+    side = rng.integers(0, 4, len(t))
+    x = np.where(side == 0, t, np.where(side == 1, -t, s))
+    y = np.where(side == 2, t, np.where(side == 3, -t, s))
+    ring = np.stack([x * math.sqrt(2) + 1.0, y / math.sqrt(2) + 0.5], axis=1)
+    pts = np.vstack([np.array(drawn + marks, dtype=float).reshape(-1, 2),
+                     np.clip(ring, (0.0, 0.0), (2.0, 1.0))])
+    return sw, pts
+
+
+@given(swaps_and_points())
+@settings(max_examples=100, deadline=None)
+def test_standard_swap_core_is_exact_reflection(swap_pts):
+    sw, pts = swap_pts
+    core = swap_radius(pts) < sw.r_in
+    for out in (sw.forward(pts), sw.inverse(pts)):
+        assert np.array_equal(out[core], reflect(pts)[core])
+
+
+@given(swaps_and_points())
+@settings(max_examples=100, deadline=None)
+def test_standard_swap_is_identity_beyond_r(swap_pts):
+    sw, pts = swap_pts
+    outer = swap_radius(pts) >= sw.R
+    for out in (sw.forward(pts), sw.inverse(pts)):
+        assert np.array_equal(out[outer], pts[outer])
+
+
+@given(swaps_and_points())
+@settings(max_examples=100, deadline=None)
+def test_standard_swap_round_trip_off_the_ring(swap_pts):
+    sw, pts = swap_pts
+    r = swap_radius(pts)
+    out = sw.forward(pts)
+    back = sw.inverse(out)
+    outer = r >= sw.R
+    assert np.array_equal(back[outer], pts[outer])
+    # where both maps reflect, the round trip is 2 - (2 - u), 1 - (1 - v):
+    # exact when u >= 1 and v >= 1/2 (Sterbenz), and otherwise off by the
+    # rounding of 2 - u into (1, 2] or of 1 - v into (1/2, 1], because
+    # those hold half as many doubles as the numbers they mirror
+    both = (r < sw.r_in) & (swap_radius(out) < sw.r_in)
+    exact = both & (pts[:, 0] >= 1) & (pts[:, 1] >= 0.5)
+    assert np.array_equal(back[exact], pts[exact])
+    assert np.all(np.abs(back[both] - pts[both]) <= 2.0 ** -53)
+
+
+@given(swaps_and_points())
+@settings(max_examples=100, deadline=None)
+def test_standard_swap_ring_equals_full_twist(swap_pts):
+    sw, pts = swap_pts
+    r = swap_radius(pts)
+    ring = (r >= sw.r_in) & (r < sw.R)
+    for sign, fn in ((+1.0, sw.forward), (-1.0, sw.inverse)):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = twist_before_core_split(sw, pts, sign)
+        assert np.array_equal(fn(pts)[ring], want[ring])
+
+
+@given(swaps_and_points())
+@settings(max_examples=50, deadline=None)
+def test_standard_swap_sends_only_ring_points_through_the_disk(swap_pts):
+    sw, pts = swap_pts
+    r = swap_radius(pts)
+    ring = (r >= sw.r_in) & (r < sw.R)
+    seen = {"square": [], "disk": []}
+
+    def counted(key, fn):
+        def wrapper(a, b):
+            seen[key].append((a, b))
+            return fn(a, b)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(smoothreal, "_square_to_disk",
+                   counted("square", _square_to_disk))
+        mp.setattr(smoothreal, "_disk_to_square",
+                   counted("disk", _disk_to_square))
+        sw.forward(pts)
+        sw.inverse(pts)
+    want_x = (pts[ring, 0] - 1.0) / math.sqrt(2)
+    want_y = (pts[ring, 1] - 0.5) * math.sqrt(2)
+    assert len(seen["square"]) == len(seen["disk"]) == \
+        (2 if ring.any() else 0)
+    for x, y in seen["square"]:
+        assert np.array_equal(x, want_x) and np.array_equal(y, want_y)
+    assert all(len(X) == len(Y) == ring.sum() for X, Y in seen["disk"])
 
 
 def test_delta_range():
@@ -89,6 +226,41 @@ def test_cell_swap_vertical_pair():
     assert np.array_equal(dst[~moved], src[~moved])
     target = np.where(src == 2, 3, np.where(src == 3, 2, src))
     assert np.mean(dst[moved] == target[moved]) > 0.9
+
+
+def cell_of_points_by_formula(grid, pts):
+    """cell_of_points before the table lookup, verbatim."""
+    m, n = grid
+    col = np.clip((pts[:, 0] * m).astype(int), 0, m - 1)
+    row = np.clip((pts[:, 1] * n).astype(int), 0, n - 1)
+    pos = np.where(row % 2 == 0, col, m - 1 - col)
+    return row * m + pos
+
+
+@st.composite
+def grid_points(draw):
+    """A grid and points on its cell edges, next to them, at 0 and 1 and
+    slightly outside [0, 1]."""
+    grid = draw(st.integers(1, 32)), draw(st.integers(1, 32))
+
+    def coord(cells):
+        edge = st.integers(0, cells).map(lambda k: k / cells)
+        return st.one_of(st.floats(-0.01, 1.01), edge,
+                         edge.map(lambda e: math.nextafter(e, -math.inf)),
+                         edge.map(lambda e: math.nextafter(e, math.inf)))
+
+    pts = draw(st.lists(st.tuples(coord(grid[0]), coord(grid[1])),
+                        min_size=1, max_size=60))
+    return grid, np.array(pts, dtype=float)
+
+
+@given(grid_points())
+@settings(max_examples=200, deadline=None)
+def test_cell_of_points_matches_formula(grid_pts):
+    grid, pts = grid_pts
+    got = cell_of_points(grid, pts)
+    want = cell_of_points_by_formula(grid, pts)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_perm_to_swaps_recompose():
