@@ -188,9 +188,17 @@ def check_cylinder(ctx):
 
 
 def check_process(ctx):
+    # the towers partition the grid when their `atoms` entries in all
+    # hit every atom; entries lie on the grid, as W is gathered from the
+    # identity
     proc = ctx.procs[-1]
-    atoms = np.concatenate(proc.towers())
-    ok = procsim.GridPermutation(proc.cols, proc.rows, atoms).is_permutation()
+    hit = np.zeros(proc.atoms, dtype=bool)
+    entries = 0
+    for s in range(ctx.params.s[proc.stage]):
+        tower = proc.tower(s)
+        hit[tower] = True
+        entries += tower.size
+    ok = entries == proc.atoms and bool(hit.all())
     for n, h in enumerate(proc.h_list):
         rot = procsim.rotation_perm(ctx.params, n, h.cols, h.rows)
         ok &= h.commutes_with(rot)

@@ -50,19 +50,21 @@ def q_labels(params, h_list, stage, cols, rows):
     F_m is F_{m-1} refined to h_m's grid, gathered through h_m, refined
     to the stage-m grid, and then given B and E in the stage-m spacer
     columns.  It rests on two facts: Z_m = lift(Z_{m-1}) lift(h_m)
-    (`compose_stage`) with lifts moving sub-atoms rigidly, so off the
+    (which `compose_stage` keeps factored) with lifts moving sub-atoms rigidly, so off the
     new columns F_m(y) = F_{m-1}(coarse(h_m(y))); and the stage-m marks
-    pulled back through Z_m are whole columns.
+    pulled back through Z_m are whole columns.  Each stage's marks are
+    computed before its frame, so a stage whose column table is past the
+    cap is refused before its frame is allocated.
     """
     if (cols, rows, len(h_list)) != (params.q[stage], params.s[stage], stage):
         raise InputError("a %d x %d grid with %d h tables is not stage %d"
                          % (cols, rows, len(h_list), stage))
     frame = np.arange(params.s[0], dtype=label_dtype(params.s[0]))
     for m, h in enumerate(h_list, 1):
+        marks = spacer_columns(params, m)
         frame = refine(frame, params.q[m - 1], params.s[m - 1],
                        h.cols, h.rows)[h.table]
         frame = refine(frame, h.cols, h.rows, params.q[m], params.s[m])
-        marks = spacer_columns(params, m)
         grid = frame.reshape(params.s[m], params.q[m])
         grid[:, marks.b_cols] = B
         grid[:, marks.e_cols] = E
@@ -194,13 +196,14 @@ def name_stability(coarse, fine):
     Z R^j Z^-1, Z being the stage's relabeling lifted to the fine grid.
     Counted over y = Zf^-1 x, both read F = labels o Zf (`frame_labels`):
     the fine name is F[R_fine^j y], the coarse one labels[Zc R_coarse^j V y]
-    with V = Zc^-1 Zf = lift(h), as `compose_stage` builds Zf = lift(Zc)
-    lift(h).  h commutes with the stage-n rotation (it is built
+    with V = Zc^-1 Zf = lift(h), as `compose_stage` builds Zf = lift(Wf)
+    with Wf = lift(Wc) h.  h commutes with the stage-n rotation (it is built
     equivariant), so V does too and the coarse name is F[R_coarse^j y].
     R^j shifts each row by j sf or j sc columns, and sf - sc = p[n+1] -
     p[n] q[n+1]/q[n] = 1 as p[n+1] = p[n] q[n] k[n] l[n] + 1.  So each row
     of F is matched with itself at offsets j sf and j sc, |j| <= q[n].
-    Each of these premises is asserted.
+    Each of these premises is asserted; that Zf is a permutation is
+    checked on Wf, its factor on h's own grid.
     """
     params, n = coarse.params, coarse.stage
     if fine.stage != n + 1 or fine.h_list[:-1] != coarse.h_list:

@@ -2,14 +2,16 @@
 
 The unit square is cut into cols x rows congruent atoms (columns index
 the x direction).  A stage-n process carries the composed relabeling
-Z_n = h_1 ... h_n as a permutation of the stage-n grid, together with
+Z_n = h_1 ... h_n, a permutation of the stage-n grid, together with
 the rotation by p[n]/q[n]; tower s is the Z_n-image of the rotation
-orbit of one first-column atom.
+orbit of one first-column atom.  Z_n is kept factored as the lift of a
+permutation of h_n's own small grid and is applied to indices on demand.
 
 Atoms are indexed idx = s * cols + u for column u and row s.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +20,8 @@ from .errors import ConstraintError, InputError, ResourceError
 from .ratarith import spacer_columns
 
 DEFAULT_ATOM_CAP = 1 << 24
+# indices a LiftedPermutation maps per pass, so its temporaries stay small
+APPLY_CHUNK = 1 << 16
 
 
 class GridPermutation:
@@ -82,6 +86,45 @@ class GridPermutation:
         return (isinstance(other, GridPermutation)
                 and self.cols == other.cols and self.rows == other.rows
                 and np.array_equal(self.table, other.table))
+
+
+class LiftedPermutation:
+    """`base.lift(cols, rows)` applied to indices without building it.
+
+    A lift moves the block of sub-atoms of each base atom rigidly onto
+    the block of its image, so every index in the block moves by the
+    same amount: apply finds each index's base atom and adds that
+    atom's displacement, a table of base size.  Indices go through in
+    chunks of APPLY_CHUNK, so only the output is full-size.
+    """
+
+    def __init__(self, base, cols, rows):
+        if cols % base.cols or rows % base.rows:
+            raise InputError("%d x %d does not refine %d x %d"
+                             % (cols, rows, base.cols, base.rows))
+        self.base = base
+        self.cols = cols
+        self.rows = rows
+        self._fc = cols // base.cols
+        self._band = cols * (rows // base.rows)     # indices per base row
+        a = np.arange(base.table.size, dtype=np.int64)
+        self._shift = ((base.table // base.cols - a // base.cols) * self._band
+                       + (base.table % base.cols - a % base.cols) * self._fc)
+
+    def apply(self, i):
+        src = np.asarray(i, dtype=np.int64)
+        out = np.empty(src.shape, dtype=np.int64)
+        src, dst = src.reshape(-1), out.reshape(-1)
+        for lo in range(0, src.size, APPLY_CHUNK):
+            chunk = src[lo:lo + APPLY_CHUNK]
+            atom = chunk // self._band * self.base.cols
+            atom += chunk % self.cols // self._fc
+            np.add(chunk, self._shift[atom], out=dst[lo:lo + APPLY_CHUNK])
+        return out
+
+    def is_permutation(self):
+        """A lift is a permutation exactly when its base is."""
+        return self.base.is_permutation()
 
 
 def refine(values, cols, rows, fine_cols, fine_rows):
@@ -153,7 +196,12 @@ def h_from_words(params, n, h_words):
 
 @dataclass
 class GridProcess:
-    """Stage-n process: grid resolution, composed relabeling, towers.
+    """Stage-n process: grid resolution, factored relabeling, towers.
+
+    The relabeling is held as Z = lift(W), W a permutation of h_n's own
+    grid (the stage grid itself at stage 0), so the process holds no
+    per-atom relabeling table; `Z` applies the lift to index arrays on
+    demand.
 
     `labels` holds the stage labels in the rotation frame, labels o Z,
     once `names.frame_labels` has computed them on first use; building
@@ -163,7 +211,7 @@ class GridProcess:
     stage: int
     cols: int
     rows: int
-    Z: GridPermutation
+    W: GridPermutation      # Z = W lifted to the cols x rows stage grid
     h_list: list            # the h permutations at their native resolutions
     labels: object = field(default=None, init=False, repr=False,
                            compare=False)
@@ -172,8 +220,21 @@ class GridProcess:
     def atoms(self):
         return self.cols * self.rows
 
+    @cached_property
+    def Z(self):
+        return LiftedPermutation(self.W, self.cols, self.rows)
+
     def rotation(self):
         return rotation_perm(self.params, self.stage, self.cols, self.rows)
+
+    @cached_property
+    def _orbit_base(self):
+        """Columns of the rotation orbit of atom 0, base to top; read-only
+        and shared by every tower of the process."""
+        q, p = self.params.q[self.stage], self.params.p[self.stage]
+        base = np.arange(q, dtype=np.int64) * p % q * (self.cols // q)
+        base.flags.writeable = False
+        return base
 
     def orbit(self, s):
         """Rotation-frame indices of tower s, base to top (length q[stage])."""
@@ -181,12 +242,8 @@ class GridProcess:
         if not 0 <= s < self.params.s[n]:
             raise InputError("tower %d out of range [0, %d)"
                              % (s, self.params.s[n]))
-        q = self.params.q[n]
-        p = self.params.p[n]
-        step = self.cols // q
-        t = np.arange(q, dtype=np.int64)
-        base_cols = (t * p % q) * step
-        return s * (self.rows // self.params.s[n]) * self.cols + base_cols
+        return s * (self.rows // self.params.s[n]) * self.cols \
+            + self._orbit_base
 
     def tower(self, s):
         """Atom indices of tower s, base to top (length q[stage])."""
@@ -204,7 +261,12 @@ def initial_process(params):
 
 
 def compose_stage(proc, h, cap_atoms=DEFAULT_ATOM_CAP):
-    """Advance a stage-n process to stage n+1 with the relabeling h."""
+    """Advance a stage-n process to stage n+1 with the relabeling h.
+
+    Z_{n+1} = lift(Z_n) lift(h), and lift is a homomorphism over nested
+    grids, so Z_{n+1} = lift(W_{n+1}) with W_{n+1} = lift(W_n) h on h's
+    grid, which refines W_n's.  Only W_{n+1} is built.
+    """
     n = proc.stage
     params = proc.params
     if n >= params.stages:
@@ -217,8 +279,8 @@ def compose_stage(proc, h, cap_atoms=DEFAULT_ATOM_CAP):
     if cols * rows > cap_atoms:
         raise ResourceError("stage-%d grid needs %d atoms, cap is %d"
                             % (n + 1, cols * rows, cap_atoms))
-    Z = proc.Z.lift(cols, rows).compose(h.lift(cols, rows))
-    return GridProcess(params, n + 1, cols, rows, Z, proc.h_list + [h])
+    W = proc.W.lift(h.cols, h.rows).compose(h)
+    return GridProcess(params, n + 1, cols, rows, W, proc.h_list + [h])
 
 
 def build_process(params, h_words_per_stage, cap_atoms=DEFAULT_ATOM_CAP):

@@ -163,15 +163,13 @@ def spacer_columns(params, m):
 
     Column c sits at word position t = j_c (the dynamical order), and
     is newly labelled when that position is a top-level spacer of the
-    stage-m circular product.
+    stage-m circular product.  It reads the stage-m dynamical-order
+    table, so a stage past DEFAULT_TABLE_CAP is a ResourceError.
     """
     if m < 1:
         raise InputError("spacer labels start at stage 1")
     k, l, q_prev = params.k[m - 1], params.l[m - 1], params.q[m - 1]
-    order = dyn_order(params, m)
-    if order.table is None:
-        raise InputError("stage %d too large to materialize column labels" % m)
-    t = order.table
+    t = dyn_order(params, m, require_table=True).table
     order_prev = dyn_order(params, m - 1)
     ji = np.asarray([order_prev[i] for i in range(q_prev)], dtype=np.int64)
     block_len = l * q_prev

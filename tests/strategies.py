@@ -1,11 +1,24 @@
-"""Hypothesis strategies shared by the grid-process tests."""
+"""Hypothesis strategies and oracles shared by the grid-process tests."""
 
 from hypothesis import assume
 from hypothesis import strategies as st
 
 from circlesys.errors import ConstraintError
-from circlesys.procsim import compose_stage, h_from_words, initial_process
+from circlesys.procsim import (GridPermutation, compose_stage, h_from_words,
+                               initial_process)
 from circlesys.ratarith import derive_params
+
+
+def materialised_z(proc):
+    """The stage relabeling Z_n of `proc` as a full table of the stage
+    grid, by the chain Z_m = lift(Z_{m-1}) lift(h_m) from the identity
+    of the stage-0 grid: the oracle of the factored `proc.Z`."""
+    params = proc.params
+    Z = GridPermutation.identity(params.q[0], params.s[0])
+    for m, h in enumerate(proc.h_list, 1):
+        cols, rows = params.q[m], params.s[m]
+        Z = Z.lift(cols, rows).compose(h.lift(cols, rows))
+    return Z
 
 
 @st.composite

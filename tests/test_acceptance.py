@@ -25,6 +25,8 @@ from circlesys.smoothreal import (StandardSwap, cell_of_points, map_distance,
                                   sample_jacobian, stage_map)
 from circlesys.words import B, boundary_stats, circ, parse
 
+from strategies import materialised_z
+
 DESK = derive_params([2, 2], [4, 4], [2, 2, 4])
 BIG = derive_params([2, 2, 4], [4, 4, 4], [2, 2, 4, 8])
 VAR = derive_params([2, 4], [4, 4], [2, 2, 4])
@@ -274,10 +276,11 @@ def test_13_stage_map_consistency():
 
     H = S1.conjugate_out
     rot = p1.rotation()
+    Z1 = materialised_z(p1)
     cur, atoms = pts.copy(), fine_atom(pts)
     match = np.ones(N, bool)
     for _ in range(q1):               # one full tower period
-        match &= coarse_cell(H(cur)) == coarse_of_atom(p1.Z.table[atoms])
+        match &= coarse_cell(H(cur)) == coarse_of_atom(Z1.table[atoms])
         cur[:, 0] = (cur[:, 0] + float(DESK.alpha(1))) % 1.0
         atoms = rot.table[atoms]
     frac_match = float(match.mean())

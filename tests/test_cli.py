@@ -330,6 +330,20 @@ def test_run_resource_cap_exit3(desk):
     assert code == 3
 
 
+def test_run_column_table_cap_exit3(desk, capsys):
+    # 67,108,864 stage-3 atoms fit cap_atoms, but the stage-3 names need
+    # a dyn_order table of q[3] = 8388608 entries, past its cap
+    (desk / "rung.params").write_text("k = 2 4 4\nl = 4 2 8\ns = 2 2 4 8\n")
+    (desk / "w3.txt").write_text("0 1 2 3\n0 1 3 2\n0 2 1 3\n0 2 3 1\n"
+                                 "0 3 1 2\n0 3 2 1\n1 0 2 3\n1 0 3 2\n")
+    code, text = run(["run", manifest(desk,
+        "params = rung.params\nhwords = w1.txt w2var.txt w3.txt\n"
+        "checks = distinct\ncap_atoms = 134217728\n")])
+    assert (code, text) == (3, "")
+    assert capsys.readouterr().err == ("resource cap: stage 3 table needs "
+                                       "8388608 entries, cap is 4194304\n")
+
+
 def test_run_replayable(desk):
     m = manifest(desk, "params = var.params\nprewords = w1.txt w2var.txt\n"
                        "hwords = w1.txt w2var.txt\nseed = 7\n")

@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,12 +13,13 @@ from circlesys.names import (StabilityReport, crosscheck_tower,
                              distinct_names, frame_labels, label_dtype,
                              name_stability, q_labels, simulate_tower_name,
                              spacer_columns, transect_word, u_words)
-from circlesys.procsim import (GridPermutation, compose_stage, h_from_words,
-                               initial_process, rotation_perm, rotation_shift)
+from circlesys.procsim import (GridPermutation, build_process, compose_stage,
+                               h_from_words, initial_process, rotation_perm,
+                               rotation_shift)
 from circlesys.ratarith import derive_params
 from circlesys.words import B, E
 
-from strategies import small_processes
+from strategies import materialised_z, small_processes
 
 DESK = derive_params([2, 2], [4, 4], [2, 2, 4])
 W1 = [(0, 1), (1, 0)]
@@ -161,7 +163,7 @@ def test_q_labels_override():
     # so label counts match the top-stage word structure exactly
     _, _, p2, h1, h2 = desk_procs()
     part = naive_labels(DESK, [h1.lift(512, 4), h2.lift(512, 4)], 2, 512, 4)
-    assert np.array_equal(part[p2.Z.table], frame_labels(p2))
+    assert np.array_equal(part[materialised_z(p2).table], frame_labels(p2))
     name = simulate_tower_name(p2, 0)
     word = cs_words(DESK, [W1, W2_DUP], 2)[0]
     assert sum(1 for x in name if x == B) == sum(1 for x in word if x == B)
@@ -176,7 +178,7 @@ def test_frame_labels_match_atom_order_oracle(procs):
                              proc.cols, proc.rows)
         frame = frame_labels(proc)
         assert frame.dtype == naive.dtype
-        assert np.array_equal(frame, naive[proc.Z.table])
+        assert np.array_equal(frame, naive[materialised_z(proc).table])
 
 
 def test_q_labels_reads_no_full_size_permutation(monkeypatch):
@@ -195,6 +197,28 @@ def test_q_labels_reads_no_full_size_permutation(monkeypatch):
     calls.clear()
     q_labels(DESK, [h1, h2], 2, 512, 4)
     assert calls == []
+
+
+def test_q_labels_refuses_a_stage_past_the_table_cap():
+    # one rung above deep3: q[3] = 8388608 columns, twice the dyn_order
+    # table cap, so the stage-3 spacer columns cannot be labelled; the
+    # refusal comes before the 64 MiB stage-3 frame is allocated
+    params = derive_params([2, 4, 4], [4, 2, 8], [2, 2, 4, 8])
+    w3 = [(0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3), (0, 2, 3, 1),
+          (0, 3, 1, 2), (0, 3, 2, 1), (1, 0, 2, 3), (1, 0, 3, 2)]
+    proc = build_process(params, [W1, W2_VAR, w3], cap_atoms=1 << 27)
+    message = "stage 3 table needs 8388608 entries, cap is 4194304"
+    with pytest.raises(ResourceError, match=message):
+        spacer_columns(params, 3)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match=message):
+            frame_labels(proc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    assert proc.labels is None
 
 
 def test_q_labels_refuses_a_grid_off_the_stage():
@@ -219,11 +243,12 @@ def naive_matched(coarse, fine):
     q = params.q[n]
     cols, rows = fine.cols, fine.rows
     labels = naive_labels(params, fine.h_list, fine.stage, cols, rows)
-    t_coarse = (coarse.Z.lift(cols, rows)
-                .compose(rotation_perm(params, n, cols, rows))
-                .compose(coarse.Z.lift(cols, rows).inverse()))
-    t_fine = (fine.Z.compose(rotation_perm(params, n + 1, cols, rows))
-              .compose(fine.Z.inverse()))
+    Zc = materialised_z(coarse).lift(cols, rows)
+    Zf = materialised_z(fine)
+    t_coarse = (Zc.compose(rotation_perm(params, n, cols, rows))
+                .compose(Zc.inverse()))
+    t_fine = (Zf.compose(rotation_perm(params, n + 1, cols, rows))
+              .compose(Zf.inverse()))
     for table in (t_coarse.table, t_fine.table):
         assert np.array_equal(np.sort(table), np.arange(cols * rows))
     fwd_c = bwd_c = fwd_f = bwd_f = np.arange(cols * rows, dtype=np.int64)
@@ -263,8 +288,8 @@ def v_route_stability(coarse, fine):
     q = params.q[n]
     cols, rows = fine.cols, fine.rows
     labels = naive_labels(params, fine.h_list, fine.stage, cols, rows)
-    Zf = fine.Z
-    Zc = coarse.Z.lift(cols, rows)
+    Zf = materialised_z(fine)
+    Zc = materialised_z(coarse).lift(cols, rows)
     assert Zf.is_permutation() and Zc.is_permutation()
     sf = rotation_shift(params, fine.stage, cols)
     sc = rotation_shift(params, n, cols)
@@ -337,7 +362,7 @@ def naive_u_words(proc, h, s):
     params = proc.params
     k, q, p = params.k[n], params.q[n], params.p[n]
     labels = naive_labels(params, proc.h_list, n, h.cols, h.rows)
-    Z = proc.Z.lift(h.cols, h.rows)
+    Z = materialised_z(proc).lift(h.cols, h.rows)
     out = []
     for j in range(k):
         atoms = [s * h.cols + j + (t * p % q) * k for t in range(q)]

@@ -1,18 +1,23 @@
+import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from circlesys.cli import check_process
 from circlesys.errors import ConstraintError, InputError, ResourceError
-from circlesys.procsim import (EpsApproxReport, GridPermutation,
-                               build_process, check_requirements,
-                               compose_stage, eps_approx, h_from_words,
-                               initial_process, rotation_perm, rotation_shift)
+from circlesys.names import name_stability
+from circlesys.procsim import (APPLY_CHUNK, EpsApproxReport, GridPermutation,
+                               LiftedPermutation, build_process,
+                               check_requirements, compose_stage, eps_approx,
+                               h_from_words, initial_process, rotation_perm,
+                               rotation_shift)
 from circlesys.ratarith import derive_params, spacer_columns
 
-from strategies import small_processes
+from strategies import materialised_z, small_processes
 
 DESK = derive_params([2, 2], [4, 4], [2, 2, 4])
 W1 = [(0, 1), (1, 0)]
@@ -80,7 +85,8 @@ def test_orbit_is_rotation_orbit():
         for s in range(DESK.s[proc.stage]):
             orbit = proc.orbit(s)
             assert np.array_equal(rot[orbit], np.roll(orbit, -1))
-            assert np.array_equal(proc.tower(s), proc.Z.table[orbit])
+            assert np.array_equal(proc.tower(s),
+                                  materialised_z(proc).table[orbit])
     with pytest.raises(InputError):
         procs[1].orbit(2)
 
@@ -124,6 +130,83 @@ def test_lift_moves_each_atom_rigidly(case):
                 fine_dst = ((dst // g.cols) * fr + dr) * cols \
                     + (dst % g.cols) * fc + dc
                 assert lifted.table[fine_src] == fine_dst
+
+
+# index chunks the lifted apply is checked on: empty, one index, and
+# sizes on both sides of one and two chunk boundaries
+CHUNK_SIZES = [0, 1, APPLY_CHUNK - 1, APPLY_CHUNK, APPLY_CHUNK + 1,
+               2 * APPLY_CHUNK + 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_processes(), st.data())
+def test_lifted_apply_matches_materialised_z(procs, data):
+    for proc in procs:
+        table = materialised_z(proc).table
+        assert proc.Z.is_permutation()
+        assert np.array_equal(proc.Z.apply(np.arange(proc.atoms)), table)
+        size = data.draw(st.sampled_from(CHUNK_SIZES)
+                         | st.integers(0, 3 * APPLY_CHUNK))
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        idx = np.random.default_rng(seed).integers(0, proc.atoms, size)
+        got = proc.Z.apply(idx)
+        assert got.dtype == np.int64 and np.array_equal(got, table[idx])
+
+
+def test_lift_refuses_a_grid_it_does_not_refine():
+    _, _, _, _, h2 = desk_procs()
+    for cols, rows in ((24, 4), (16, 6), (8, 4)):
+        with pytest.raises(InputError):
+            LiftedPermutation(h2, cols, rows)
+
+
+def test_process_holds_only_small_tables():
+    # W lives on h's grid, 16 x 4 at stage 2 of DESK, not on the stage grid
+    _, p1, p2, h1, h2 = desk_procs()
+    assert (p2.W.cols, p2.W.rows) == (h2.cols, h2.rows)
+    assert p2.W == p1.W.lift(h2.cols, h2.rows).compose(h2)
+    assert p1.W == h1
+
+
+def test_build_process_allocates_no_full_size_table():
+    # grid3: 524,288 stage-3 atoms, so a full-size int64 Z is 4 MiB
+    params = derive_params([2, 4, 4], [2, 2, 2], [2, 2, 4, 4])
+    w3 = [(0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2)]
+    tracemalloc.start()
+    try:
+        proc = build_process(params, [W1, W2_VAR, w3])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert proc.atoms == 524288
+    assert peak < 1 << 20
+
+
+def not_a_permutation(h, params, n):
+    """h with the first-column image of slot 0 of row 0 also taken by
+    slot 1, in every equivariant copy: it still commutes with the
+    stage-n rotation, but two atoms share each such image."""
+    table = h.table.copy()
+    k = params.k[n]
+    for m in range(params.q[n]):
+        table[m * k] = table[1 + m * k]
+    bad = GridPermutation(h.cols, h.rows, table)
+    assert bad.commutes_with(rotation_perm(params, n, h.cols, h.rows))
+    assert not bad.is_permutation()
+    return bad
+
+
+def test_checks_fail_when_h_is_not_a_permutation():
+    p0, p1, p2, _, h2 = desk_procs()
+    bad = compose_stage(p1, not_a_permutation(h2, DESK, 1))
+    assert not bad.Z.is_permutation()
+    good, _, _ = check_process(SimpleNamespace(params=DESK,
+                                               procs=[p0, p1, p2]))
+    ok, value, _ = check_process(SimpleNamespace(params=DESK,
+                                                 procs=[p0, p1, bad]))
+    assert good and not ok and value == "2048 atoms"
+    with pytest.raises(AssertionError):
+        name_stability(p1, bad)
 
 
 def test_h_from_words_validation():
