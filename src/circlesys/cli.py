@@ -115,8 +115,8 @@ def check_numerology(ctx):
         if q > ctx.cap_atoms:
             skipped.append("%d(q>cap)" % n)
             continue
-        t = dyn_order(ctx.params, n, cap=ctx.cap_atoms).table
-        if not np.all((q - t[1:]) == t[q - np.arange(1, q)]):
+        t = dyn_order(ctx.params, n).table
+        if not np.array_equal(q - t[1:], t[:0:-1]):
             return False, "stage %d" % n, "q-j_i = j_{q-i}"
         total += q - 1
     return True, str(total) + _skipped(skipped), "q-j_i = j_{q-i}"

@@ -53,8 +53,8 @@ def q_labels(params, h_list, stage, cols, rows):
     (which `compose_stage` keeps factored) with lifts moving sub-atoms rigidly, so off the
     new columns F_m(y) = F_{m-1}(coarse(h_m(y))); and the stage-m marks
     pulled back through Z_m are whole columns.  Each stage's marks are
-    computed before its frame, so a stage whose column table is past the
-    cap is refused before its frame is allocated.
+    computed before its frame, so a stage whose dynamical-order table is
+    past int64 is refused before its frame is allocated.
     """
     if (cols, rows, len(h_list)) != (params.q[stage], params.s[stage], stage):
         raise InputError("a %d x %d grid with %d h tables is not stage %d"
@@ -111,13 +111,6 @@ def u_words(proc, h, s):
     return [tuple(word) for word in frame[h.table[s * h.cols + col]].tolist()]
 
 
-@dataclass
-class Transect:
-    """Stage-(n+1) word rebuilt by following the transit interval."""
-    stage: int
-    word: tuple
-
-
 def transect_word(params, n, children):
     """Rebuild the stage-(n+1) word by stepping an interval of width
     1/q[n+1] through its passes, without using the circular product.
@@ -156,7 +149,7 @@ def transect_word(params, n, children):
             a = x // block_len       # occupied column of the k*q grid
             out.append(children[a % k][dynpos[a // k]])
         x = (x + p2) % q2
-    return Transect(n + 1, tuple(out))
+    return tuple(out)
 
 
 def crosscheck_tower(proc_next, proc, h, s):

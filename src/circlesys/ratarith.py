@@ -13,14 +13,12 @@ alpha[n+1] - alpha[n] = 1 / q[n+1].
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 import numpy as np
 
 from .errors import ConstraintError, InputError, ResourceError
-
-#: default cap on materialized dynamical-order tables (number of entries)
-DEFAULT_TABLE_CAP = 2 ** 22
 
 
 @dataclass(frozen=True)
@@ -93,20 +91,15 @@ class DynOrder:
 
     j(i) is the number of rotation steps after which the orbit of the
     base interval lands on the i-th interval in geometric order:
-    j(i) = p[n]^{-1} * i mod q[n].  Tables up to `cap` entries are
-    materialized (int64 is safe while q < 2**31); larger stages fall
-    back to on-demand evaluation from the stored modular inverse.
+    j(i) = p[n]^{-1} * i mod q[n].  Point queries are exact at any q;
+    `table` holds all q entries as int64, built on first read; a stage
+    of 2**31 entries or more would overflow it and is refused.
     """
 
-    def __init__(self, p, q, cap=DEFAULT_TABLE_CAP):
-        self.p = p
+    def __init__(self, p, q):
         self.q = q
         # q[0] = 1 forces p=0; its "inverse" is 0 as well
         self.pinv = pow(p, -1, q) if q > 1 else 0
-        if q <= cap:
-            self.table = (self.pinv * np.arange(q, dtype=np.int64)) % q
-        else:
-            self.table = None
 
     def __len__(self):
         return self.q
@@ -114,24 +107,22 @@ class DynOrder:
     def __getitem__(self, i):
         if not 0 <= i < self.q:
             raise InputError("interval index %d out of range [0, %d)" % (i, self.q))
-        if self.table is not None:
-            return int(self.table[i])
-        return (self.pinv * i) % self.q
+        return self.pinv * int(i) % self.q
+
+    @cached_property
+    def table(self):
+        # pinv * i < q**2 stays below 2**63 while q < 2**31
+        if self.q >= 2 ** 31:
+            raise ResourceError("dynamical-order table needs %d entries, "
+                                "int64 limit is %d" % (self.q, 2 ** 31 - 1))
+        return self.pinv * np.arange(self.q, dtype=np.int64) % self.q
 
 
-def dyn_order(params, n, cap=DEFAULT_TABLE_CAP, require_table=False):
-    """DynOrder for stage n of `params`.
-
-    With require_table=True a stage whose table would exceed `cap`
-    raises ResourceError instead of going on-demand.
-    """
+def dyn_order(params, n):
+    """DynOrder for stage n of `params`."""
     if not 0 <= n <= params.stages:
         raise InputError("stage %d out of range [0, %d]" % (n, params.stages))
-    q = params.q[n]
-    if require_table and q > cap:
-        raise ResourceError("stage %d table needs %d entries, cap is %d"
-                            % (n, q, cap))
-    return DynOrder(params.p[n], q, cap=cap)
+    return DynOrder(params.p[n], params.q[n])
 
 
 def d_index(params, n, x):
@@ -143,11 +134,7 @@ def d_index(params, n, x):
     x = Fraction(x)
     if not 0 <= x < 1:
         raise InputError("x = %s must lie in [0, 1)" % x)
-    q = params.q[n]
-    i = int(x * q)  # geometric interval index
-    if q == 1:
-        return 0
-    return (pow(params.p[n], -1, q) * i) % q
+    return dyn_order(params, n)[int(x * params.q[n])]
 
 
 @dataclass
@@ -163,15 +150,14 @@ def spacer_columns(params, m):
 
     Column c sits at word position t = j_c (the dynamical order), and
     is newly labelled when that position is a top-level spacer of the
-    stage-m circular product.  It reads the stage-m dynamical-order
-    table, so a stage past DEFAULT_TABLE_CAP is a ResourceError.
+    stage-m circular product.  It reads the stage-m and stage-(m-1)
+    dynamical-order tables, so it is bounded by their int64 limit.
     """
     if m < 1:
         raise InputError("spacer labels start at stage 1")
     k, l, q_prev = params.k[m - 1], params.l[m - 1], params.q[m - 1]
-    t = dyn_order(params, m, require_table=True).table
-    order_prev = dyn_order(params, m - 1)
-    ji = np.asarray([order_prev[i] for i in range(q_prev)], dtype=np.int64)
+    t = dyn_order(params, m).table
+    ji = dyn_order(params, m - 1).table
     block_len = l * q_prev
     i = t // (k * block_len)
     rr = t % block_len

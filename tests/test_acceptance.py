@@ -76,10 +76,10 @@ def test_02_reverse_numerology():
         for i in range(1, q):
             ok &= q - order[i] == order[q - i]
             checks += 1
-    # stage 3 at the 2^22 table cap, vectorized
+    # stage 3, 2^22 identities, vectorized
     q3 = BIG.q[3]
     assert q3 == 2 ** 22
-    t = dyn_order(BIG, 3, cap=q3, require_table=True).table
+    t = dyn_order(BIG, 3).table
     i = np.arange(1, q3)
     ok &= bool(np.all(q3 - t[i] == t[q3 - i]))
     checks += q3 - 1

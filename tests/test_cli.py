@@ -330,18 +330,33 @@ def test_run_resource_cap_exit3(desk):
     assert code == 3
 
 
-def test_run_column_table_cap_exit3(desk, capsys):
-    # 67,108,864 stage-3 atoms fit cap_atoms, but the stage-3 names need
-    # a dyn_order table of q[3] = 8388608 entries, past its cap
+def test_run_thin_rung_past_2_22_columns(desk):
+    # stage 3 has q[3] = 4194368 columns, just past 2^22; one strip and
+    # one child per stage keep it to one row, so the names checks run
+    (desk / "thin.params").write_text("k = 1 1 1\nl = 2 2 65537\n"
+                                      "s = 1 1 1 1\n")
+    (desk / "w0.txt").write_text("0\n")
+    code, text = run(["run", manifest(desk,
+        "params = thin.params\nhwords = w0.txt w0.txt w0.txt\n"
+        "checks = distinct stability numerology\ncap_atoms = 4194368\n")])
+    assert code == 0
+    assert text == (
+        "CHECK distinct PASS value=distinct bound=pairwise distinct tower names\n"
+        "CHECK numerology PASS value=4194375 bound=q-j_i = j_{q-i}\n"
+        "CHECK stability PASS value=4194177/4194368 bound=>= 65534/65537\n")
+
+
+def test_run_stage_grid_past_cap_atoms_exit3(desk, capsys):
+    # 67,108,864 stage-3 atoms, one past cap_atoms
     (desk / "rung.params").write_text("k = 2 4 4\nl = 4 2 8\ns = 2 2 4 8\n")
     (desk / "w3.txt").write_text("0 1 2 3\n0 1 3 2\n0 2 1 3\n0 2 3 1\n"
                                  "0 3 1 2\n0 3 2 1\n1 0 2 3\n1 0 3 2\n")
     code, text = run(["run", manifest(desk,
         "params = rung.params\nhwords = w1.txt w2var.txt w3.txt\n"
-        "checks = distinct\ncap_atoms = 134217728\n")])
+        "checks = distinct\ncap_atoms = 67108863\n")])
     assert (code, text) == (3, "")
-    assert capsys.readouterr().err == ("resource cap: stage 3 table needs "
-                                       "8388608 entries, cap is 4194304\n")
+    assert capsys.readouterr().err == ("resource cap: stage-3 grid needs "
+                                       "67108864 atoms, cap is 67108863\n")
 
 
 def test_run_replayable(desk):

@@ -1,11 +1,11 @@
 import sys
 import threading
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circlesys.consys import build_sequence
 from circlesys.errors import InputError, OracleMismatch, ResourceError
@@ -16,8 +16,8 @@ from circlesys.names import (StabilityReport, crosscheck_tower,
 from circlesys.procsim import (GridPermutation, build_process, compose_stage,
                                h_from_words, initial_process, rotation_perm,
                                rotation_shift)
-from circlesys.ratarith import derive_params
-from circlesys.words import B, E
+from circlesys.ratarith import derive_params, dyn_order
+from circlesys.words import B, E, circ
 
 from strategies import materialised_z, small_processes
 
@@ -113,7 +113,7 @@ def test_transect_matches_simulation():
     lv1 = cs_words(DESK, [W1, W2_DUP], 1)
     for s in range(4):
         tr = transect_word(DESK, 1, [lv1[c] for c in W2_DUP[s]])
-        assert tuple(tr.word) == tuple(int(x) for x in simulate_tower_name(p2, s))
+        assert tr == tuple(int(x) for x in simulate_tower_name(p2, s))
 
 
 def test_u_words_are_rotation_orbit():
@@ -199,26 +199,39 @@ def test_q_labels_reads_no_full_size_permutation(monkeypatch):
     assert calls == []
 
 
-def test_q_labels_refuses_a_stage_past_the_table_cap():
-    # one rung above deep3: q[3] = 8388608 columns, twice the dyn_order
-    # table cap, so the stage-3 spacer columns cannot be labelled; the
-    # refusal comes before the 64 MiB stage-3 frame is allocated
-    params = derive_params([2, 4, 4], [4, 2, 8], [2, 2, 4, 8])
-    w3 = [(0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3), (0, 2, 3, 1),
-          (0, 3, 1, 2), (0, 3, 2, 1), (1, 0, 2, 3), (1, 0, 3, 2)]
-    proc = build_process(params, [W1, W2_VAR, w3], cap_atoms=1 << 27)
-    message = "stage 3 table needs 8388608 entries, cap is 4194304"
-    with pytest.raises(ResourceError, match=message):
-        spacer_columns(params, 3)
-    tracemalloc.start()
-    try:
-        with pytest.raises(ResourceError, match=message):
-            frame_labels(proc)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 << 20
-    assert proc.labels is None
+def test_frame_labels_thin_rung_past_2_22_columns():
+    # q[3] = 4194368 columns, just past 2^22: one strip and one child per
+    # stage keep the grid to one row, and the stage-3 names are labelled
+    params = derive_params([1, 1, 1], [2, 2, 65537], [1, 1, 1, 1])
+    q3 = params.q[3]
+    assert q3 == 4194368
+    proc = build_process(params, [[(0,)]] * 3, cap_atoms=q3)
+    frame = frame_labels(proc)
+    assert frame.shape == (q3,)
+    marks = spacer_columns(params, 3)
+    assert int(marks.b_cols.sum()) + int(marks.e_cols.sum()) == q3 // 65537
+    assert np.all(frame[marks.b_cols] == B)
+    assert np.all(frame[marks.e_cols] == E)
+
+
+@given(st.lists(st.tuples(st.integers(1, 4), st.integers(2, 5)),
+                min_size=1, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_spacer_columns_match_the_word_route(kl):
+    # spacer-free children make every B/E of the circular product a
+    # top-level spacer; column c reads word position j_c
+    params = derive_params([k for k, _ in kl], [l for _, l in kl],
+                           [1] * (len(kl) + 1))
+    for m in range(1, params.stages + 1):
+        if params.q[m] > 4096:
+            break
+        k, l, q = params.k[m - 1], params.l[m - 1], params.q[m - 1]
+        w = circ([(0,) * q] * k, k, l, q, dyn_order(params, m - 1))
+        order = dyn_order(params, m)
+        j = [order[c] for c in range(params.q[m])]
+        marks = spacer_columns(params, m)
+        assert marks.b_cols.tolist() == [w[t] == B for t in j]
+        assert marks.e_cols.tolist() == [w[t] == E for t in j]
 
 
 def test_q_labels_refuses_a_grid_off_the_stage():

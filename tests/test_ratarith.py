@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -99,13 +100,23 @@ def test_load_params_rejects_non_utf8(tmp_path):
         load_params(str(path))
 
 
-def test_dyn_order_cap():
-    with pytest.raises(ResourceError):
-        dyn_order(derive_params([2, 2], [4, 4], [2, 2, 4]), 2, cap=100,
-                  require_table=True)
-    # without require_table the order still answers point queries
-    order = dyn_order(derive_params(*DESK), 2, cap=100)
-    assert order[1] == 449
+def test_dyn_order_table_refuses_past_int64():
+    # point queries stay exact at any depth, past int64 included
+    params = derive_params([2] * 6, [4] * 6, [1] * 7)
+    p, q = params.p[6], params.q[6]
+    order = dyn_order(params, 6)
+    assert q > 2 ** 63
+    assert order[1] * p % q == 1
+    assert order[q - 1] == q - order[1]
+    # the int64 table is refused before anything is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match="needs 2147483649 entries"):
+            DynOrder(1, 2 ** 31 + 1).table
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @st.composite
@@ -123,6 +134,26 @@ def test_gcd_invariant(c):
     params = derive_params(k, l, s)
     for n in range(1, len(params.q)):
         assert math.gcd(params.p[n], params.q[n]) == 1
+
+
+@given(coeffs())
+@settings(max_examples=40, deadline=None)
+def test_dyn_order_routes_agree(c):
+    # scalar lookup, vectorised table, d_index and a naive orbit walk
+    params = derive_params(*c)
+    for n in range(params.stages + 1):
+        p, q = params.p[n], params.q[n]
+        if q > 4096:
+            break
+        steps = [0] * q             # steps for the orbit of 0 to reach i
+        cell = 0
+        for step in range(q):
+            steps[cell] = step
+            cell = (cell + p) % q
+        order = dyn_order(params, n)
+        assert order.table.tolist() == steps
+        assert [order[i] for i in range(q)] == steps
+        assert [d_index(params, n, Fraction(i, q)) for i in range(q)] == steps
 
 
 @given(coeffs())
