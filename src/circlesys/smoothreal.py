@@ -21,8 +21,10 @@ Cells are numbered along the boustrophedon path (row 0 left to right,
 row 1 right to left, ...), which makes consecutive indices spatially
 adjacent, so adjacent transpositions suffice to realize any cell
 permutation.  Swaps on disjoint pairs commute, so the swap list is
-scheduled into layers of disjoint swaps, and each layer is one map
-that classifies every point once.
+scheduled into layers of disjoint swaps, each one map (CellSwap).  A
+schedule (CellSchedule) finds each point's cell once per pass and
+carries it from layer to layer: a layer finds its points by their
+cells, moves only those, and finds only their cells again.
 """
 
 import math
@@ -143,15 +145,17 @@ class StandardSwap(PlaneMap):
         self.gamma = self.R - self.r_in
 
     def _twist(self, pts, sign):
-        x = (pts[:, 0] - 1.0) / math.sqrt(2)
-        y = (pts[:, 1] - 0.5) * math.sqrt(2)
+        u, v = pts[:, 0], pts[:, 1]
+        x = (u - 1.0) / math.sqrt(2)
+        y = (v - 0.5) * math.sqrt(2)
         # disk radius of each point: that of its square ring
         r = np.maximum(np.abs(x), np.abs(y)) * (2.0 / math.sqrt(math.pi))
         core = r < self.r_in
-        out = pts.copy()
+        out = np.empty_like(pts)
         # the twist angle is +-pi on the core, where the odd concentric
         # map makes the half-turn a point reflection of the rectangle
-        np.subtract((2.0, 1.0), pts, out=out, where=core[:, None])
+        out[:, 0] = np.where(core, 2.0 - u, u)
+        out[:, 1] = np.where(core, 1.0 - v, v)
         ring = np.flatnonzero(~core & (r < self.R))     # r_in <= r < R
         if len(ring):
             X, Y = _square_to_disk(x[ring], y[ring])
@@ -193,12 +197,15 @@ class CellSwap(PlaneMap):
 
     k is one boustrophedon pair index (cells k and k+1) or a sequence
     of them with no cell in common.  Disjoint swaps commute, so all of
-    them are one map: each point's cell is found once, a table names
-    the pair holding it, and one StandardSwap call moves every point
-    inside a pair.  Each point goes through its own pair's conjugation
-    alone, so a layer equals its swaps applied one by one, bit for bit
-    (short of a point within an ulp of a cell edge, whose cell and
-    rectangle test can disagree).
+    them are one map.  It works on TrackedPoints, which carry each
+    point's cell: one gather of per-cell tables finds the points inside
+    a pair with their pair's origin and orientation, one StandardSwap
+    call moves them, and only their cells are found again.  A plain
+    (N, 2) array is tracked on the way in and returned as an array.
+    Each point goes through its own pair's conjugation alone, so a
+    layer equals its swaps applied one by one, bit for bit (short of a
+    point within an ulp of a cell edge, whose cell and rectangle test
+    can disagree).
     """
 
     def __init__(self, grid, k, delta):
@@ -225,16 +232,28 @@ class CellSwap(PlaneMap):
         self.transpose = np.array(transpose, dtype=bool)
         self.origin = np.array(origin, dtype=float).reshape(-1, 2)
         self.scale = (1.0 / m, 1.0 / n)         # (x, y) sizes of one cell
+        self.index = zigzag_table(grid)
+        # per cell: in a pair, and that pair's orientation and origin
+        self.paired = self.pair_of_cell >= 0
+        pair = self.pair_of_cell[self.paired]
+        self.flip_of_cell = np.zeros(m * n, dtype=bool)
+        self.flip_of_cell[self.paired] = self.transpose[pair]
+        self.x0_of_cell = np.zeros(m * n)
+        self.x0_of_cell[self.paired] = self.origin[pair, 0]
+        self.y0_of_cell = np.zeros(m * n)
+        self.y0_of_cell[self.paired] = self.origin[pair, 1]
 
     def _apply(self, pts, fn):
-        pts = np.array(pts, dtype=float, copy=True)
-        pair = self.pair_of_cell[cell_of_points(self.grid, pts)]
-        hit = np.flatnonzero(pair >= 0)
-        pair = pair[hit]
-        flip = self.transpose[pair]
-        std = np.empty((len(hit), 2))
-        u = (pts[hit, 0] - self.origin[pair, 0]) / self.scale[0]
-        v = (pts[hit, 1] - self.origin[pair, 1]) / self.scale[1]
+        if not isinstance(pts, TrackedPoints):
+            return self._apply(TrackedPoints(self.index, pts), fn).array()
+        hit = np.flatnonzero(self.paired[pts.cell])
+        cell = pts.cell[hit]
+        flip = self.flip_of_cell[cell]
+        x0, y0 = self.x0_of_cell[cell], self.y0_of_cell[cell]
+        # column-major, so StandardSwap works on contiguous columns
+        std = np.empty((len(hit), 2), order="F")
+        u = (pts.x[hit] - x0) / self.scale[0]
+        v = (pts.y[hit] - y0) / self.scale[1]
         std[:, 0] = np.where(flip, v, u)
         std[:, 1] = np.where(flip, u, v)
         del u, v
@@ -242,13 +261,15 @@ class CellSwap(PlaneMap):
         inside = (std[:, 0] >= 0) & (std[:, 0] < 2.0) & \
                  (std[:, 1] >= 0) & (std[:, 1] < 1.0)
         if not inside.all():
-            hit, pair, flip, std = (a[inside] for a in (hit, pair, flip, std))
+            hit, flip, x0, y0, std = (a[inside]
+                                      for a in (hit, flip, x0, y0, std))
         if len(hit):
             std = fn(std)
-            pts[hit, 0] = (np.where(flip, std[:, 1], std[:, 0])
-                           * self.scale[0] + self.origin[pair, 0])
-            pts[hit, 1] = (np.where(flip, std[:, 0], std[:, 1])
-                           * self.scale[1] + self.origin[pair, 1])
+            x = np.where(flip, std[:, 1], std[:, 0]) * self.scale[0] + x0
+            y = np.where(flip, std[:, 0], std[:, 1]) * self.scale[1] + y0
+            pts.x[hit] = x
+            pts.y[hit] = y
+            pts.cell[hit] = _cells(self.index, x, y)
         return pts
 
     def forward(self, pts):
@@ -256,6 +277,40 @@ class CellSwap(PlaneMap):
 
     def inverse(self, pts):
         return self._apply(pts, self.inner.inverse)
+
+
+class TrackedPoints:
+    """Points as contiguous x and y columns plus each point's
+    boustrophedon cell under `index` (a `zigzag_table`), found once.
+    A CellSwap updates all three in place, so a schedule of layers on
+    one grid tracks the cells from layer to layer."""
+
+    def __init__(self, index, pts):
+        pts = np.asarray(pts, dtype=float)
+        self.x = np.array(pts[:, 0])
+        self.y = np.array(pts[:, 1])
+        self.cell = _cells(index, self.x, self.y)
+
+    def __len__(self):
+        return len(self.x)
+
+    def array(self):
+        return np.stack([self.x, self.y], axis=1)
+
+
+class CellSchedule(Composite):
+    """The CellSwap layers of one grid, applied in order to one tracked
+    copy of the points, so each point's cell is found once per pass."""
+
+    def __init__(self, grid, layers, delta):
+        super().__init__(CellSwap(grid, layer, delta) for layer in layers)
+        self.index = zigzag_table(grid)
+
+    def forward(self, pts):
+        return super().forward(TrackedPoints(self.index, pts)).array()
+
+    def inverse(self, pts):
+        return super().inverse(TrackedPoints(self.index, pts)).array()
 
 
 def zigzag_cell(grid, k):
@@ -272,14 +327,24 @@ def zigzag_index(grid, col, row):
     return row * m + pos
 
 
-def cell_of_points(grid, pts):
-    """Boustrophedon cell index of each point."""
+def zigzag_table(grid):
+    """(n, m) table of the boustrophedon index of each (row, column)."""
     m, n = grid
     index = np.arange(m * n).reshape(n, m)
     index[1::2] = index[1::2, ::-1]
-    col = np.minimum(np.maximum((pts[:, 0] * m).astype(int), 0), m - 1)
-    row = np.minimum(np.maximum((pts[:, 1] * n).astype(int), 0), n - 1)
-    return index[row, col]
+    return index
+
+
+def _cells(index, x, y):
+    n, m = index.shape
+    col = np.minimum(np.maximum((x * m).astype(int), 0), m - 1)
+    row = np.minimum(np.maximum((y * n).astype(int), 0), n - 1)
+    return index.ravel()[row * m + col]
+
+
+def cell_of_points(grid, pts):
+    """Boustrophedon cell index of each point."""
+    return _cells(zigzag_table(grid), pts[:, 0], pts[:, 1])
 
 
 def perm_to_swaps(sigma):
@@ -367,6 +432,8 @@ def realize_perm(sigma, grid, eps, seed=0, samples=20000, max_retries=3):
     if max_retries < 1:
         raise InputError("max_retries must be at least 1, got %r"
                          % (max_retries,))
+    if samples < 1:
+        raise InputError("samples must be at least 1, got %r" % (samples,))
     if len(sigma) != m * n:
         raise InputError("permutation has %d entries, the %dx%d grid %d cells"
                          % (len(sigma), m, n, m * n))
@@ -379,7 +446,7 @@ def realize_perm(sigma, grid, eps, seed=0, samples=20000, max_retries=3):
     target = np.asarray(sigma)[cell_of_points(grid, pts)]
     delta = min(eps / len(swaps), MAX_DELTA)
     for _ in range(max_retries):
-        plane = Composite([CellSwap(grid, layer, delta) for layer in layers])
+        plane = CellSchedule(grid, layers, delta)
         landed = cell_of_points(grid, plane.forward(pts))
         obedient = float(np.mean(landed == target))
         if obedient >= 1 - eps:

@@ -246,21 +246,20 @@ def boundary_stats(word, k=None, l=None, q=None, order=None):
     """
     if isinstance(word, LazyCircularWord):
         k, l, q, order = word.k, word.l, word.q, word.order
-    else:
-        if None in (k, l, q, order):
-            raise InputError("materialized word needs k, l, q, order")
+    elif None in (k, l, q, order):
+        raise InputError("materialized word needs k, l, q, order")
+    n = k * l * q * q
+    intervals = _boundary_intervals(k, l, q, order)
+    if not isinstance(word, LazyCircularWord):
         word = tuple(word)
-        _check = k * l * q * q
-        if len(word) != _check:
-            raise InputError("length %d is not k*l*q**2 = %d" % (len(word), _check))
-        for lo, hi in _boundary_intervals(k, l, q, order):
+        if len(word) != n:
+            raise InputError("length %d is not k*l*q**2 = %d" % (len(word), n))
+        for lo, hi in intervals:
             want = B if lo % (l * q) == 0 else E
-            if any(c != want for c in word[lo:hi]):
+            if word[lo:hi] != (want,) * (hi - lo):
                 raise InputError("letters in [%d, %d) do not match a spacer run"
                                  % (lo, hi))
 
-    n = k * l * q * q
-    intervals = _boundary_intervals(k, l, q, order)
     boundary = sum(hi - lo for lo, hi in intervals)
     assert Fraction(boundary, n) == Fraction(1, l)
 

@@ -10,9 +10,9 @@ from circlesys import smoothreal
 from circlesys.errors import InputError, ResourceError, ToleranceError
 from circlesys.procsim import h_from_words
 from circlesys.ratarith import derive_params
-from circlesys.smoothreal import (MAX_SMOOTH_CELLS, CellSwap, Composite,
-                                  PlaneMap, StandardSwap, cell_of_points,
-                                  map_distance, perm_to_swaps,
+from circlesys.smoothreal import (MAX_SMOOTH_CELLS, CellSchedule, CellSwap,
+                                  Composite, PlaneMap, StandardSwap,
+                                  cell_of_points, map_distance, perm_to_swaps,
                                   polar_twist_jacobian, realize_perm,
                                   sample_jacobian, stage_map, swap_layers,
                                   zigzag_cell, zigzag_index)
@@ -365,6 +365,52 @@ class OnePairSwap(PlaneMap):
         return self._apply(pts, self.inner.inverse)
 
 
+class UntrackedCellSwap(CellSwap):
+    """CellSwap whose _apply finds every point's cell on every call:
+    CellSwap._apply before the cells were tracked, verbatim."""
+
+    def _apply(self, pts, fn):
+        pts = np.array(pts, dtype=float, copy=True)
+        pair = self.pair_of_cell[cell_of_points(self.grid, pts)]
+        hit = np.flatnonzero(pair >= 0)
+        pair = pair[hit]
+        flip = self.transpose[pair]
+        std = np.empty((len(hit), 2))
+        u = (pts[hit, 0] - self.origin[pair, 0]) / self.scale[0]
+        v = (pts[hit, 1] - self.origin[pair, 1]) / self.scale[1]
+        std[:, 0] = np.where(flip, v, u)
+        std[:, 1] = np.where(flip, u, v)
+        del u, v
+        # at a cell edge the rectangle, the swap's domain, has the last word
+        inside = (std[:, 0] >= 0) & (std[:, 0] < 2.0) & \
+                 (std[:, 1] >= 0) & (std[:, 1] < 1.0)
+        if not inside.all():
+            hit, pair, flip, std = (a[inside] for a in (hit, pair, flip, std))
+        if len(hit):
+            std = fn(std)
+            pts[hit, 0] = (np.where(flip, std[:, 1], std[:, 0])
+                           * self.scale[0] + self.origin[pair, 0])
+            pts[hit, 1] = (np.where(flip, std[:, 0], std[:, 1])
+                           * self.scale[1] + self.origin[pair, 1])
+        return pts
+
+
+def edge_points(grid, rng, count):
+    """`count` uniform points of the unit square, then every point whose
+    x is a cell edge i/m or the double just below or above one, and whose
+    y is likewise j/n or a neighbour of it."""
+    m, n = grid
+
+    def near(edges):
+        return np.concatenate([edges, np.nextafter(edges, -np.inf),
+                               np.nextafter(edges, np.inf)])
+
+    xs = near(np.arange(m + 1) / m)
+    ys = near(np.arange(n + 1) / n)
+    cross = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)
+    return np.vstack([rng.random((count, 2)), cross])
+
+
 @given(grid_perms(), st.floats(1e-3, 0.49), st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_layered_map_equals_per_swap_map(grid_perm, delta, seed):
@@ -377,6 +423,56 @@ def test_layered_map_equals_per_swap_map(grid_perm, delta, seed):
                    Composite([OnePairSwap(grid, k, delta) for k in swaps])):
         assert np.array_equal(layered.forward(pts), oracle.forward(pts))
         assert np.array_equal(layered.inverse(pts), oracle.inverse(pts))
+
+
+@given(grid_perms(), st.floats(1e-3, 0.49), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_tracked_schedule_equals_untracked_layers(grid_perm, delta, seed):
+    grid, sigma = grid_perm
+    swaps = perm_to_swaps(sigma)
+    layers = swap_layers(swaps)
+    tracked = CellSchedule(grid, layers, delta)
+    pts = edge_points(grid, np.random.default_rng(seed), 300)
+    untracked = Composite([UntrackedCellSwap(grid, layer, delta)
+                           for layer in layers])
+    assert np.array_equal(tracked.forward(pts), untracked.forward(pts))
+    assert np.array_equal(tracked.inverse(pts), untracked.inverse(pts))
+    # per swap, a point within an ulp of a cell edge can fall in another
+    # pair's rectangle than its cell's, so only the drawn points compare
+    pts = pts[:300]
+    per_swap = Composite([OnePairSwap(grid, k, delta) for k in swaps])
+    assert np.array_equal(tracked.forward(pts), per_swap.forward(pts))
+    assert np.array_equal(tracked.inverse(pts), per_swap.inverse(pts))
+
+
+@given(grid_perms(), st.floats(1e-3, 0.49), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_tracked_schedule_contract(grid_perm, delta, seed):
+    grid, sigma = grid_perm
+    swaps = perm_to_swaps(sigma)
+    layers = swap_layers(swaps)
+    pts = edge_points(grid, np.random.default_rng(seed), 300)
+    given_pts = pts.copy()
+    paired = np.isin(cell_of_points(grid, pts),
+                     [c for k in swaps for c in (k, k + 1)])
+    schedule = CellSchedule(grid, layers, delta)
+    maps = [schedule] + [CellSwap(grid, layer, delta) for layer in layers[:1]]
+    for plane in maps:
+        for fn in (plane.forward, plane.inverse):
+            out = fn(pts)
+            assert out.shape == pts.shape and not np.shares_memory(out, pts)
+            assert np.array_equal(pts, given_pts)
+    # points outside every pair are never moved, at a cell edge too
+    for fn in (schedule.forward, schedule.inverse):
+        assert np.array_equal(fn(pts)[~paired], pts[~paired])
+    # each layer undoes itself to rounding; through the whole schedule
+    # later layers' twists amplify those roundings, so the bound is per layer
+    trail = pts[:300]
+    for layer in schedule.maps:
+        moved = layer.forward(trail)
+        assert np.max(np.abs(layer.inverse(moved) - trail), initial=0.0) < 1e-9
+        trail = moved
+    assert np.array_equal(trail, schedule.forward(pts[:300]))
 
 
 @given(grid_perms())
@@ -411,12 +507,20 @@ def test_cell_swap_refuses_pairs_sharing_a_cell():
 def test_realize_perm_applies_one_map_per_layer():
     sigma = [int(v) for v in np.random.default_rng(4).permutation(16)]
     rep = realize_perm(sigma, (4, 4), 0.1, seed=1, samples=2000)
+    assert isinstance(rep.plane_map, CellSchedule)
     assert [m.k for m in rep.plane_map.maps] == swap_layers(rep.swaps)
 
 
 def test_realize_perm_needs_a_try():
     with pytest.raises(InputError, match="max_retries"):
         realize_perm([1, 0], (2, 1), 0.1, max_retries=0)
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_realize_perm_needs_a_sample(samples):
+    with pytest.raises(InputError,
+                       match="samples must be at least 1, got %d" % samples):
+        realize_perm([1, 0], (2, 1), 0.1, samples=samples)
 
 
 @pytest.mark.parametrize("eps", [0.0, 1.0, 1.5, -0.1, float("nan")])

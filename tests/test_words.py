@@ -148,6 +148,29 @@ def test_boundary_stats_rejects_noncircular():
         boundary_stats((0, 1, 0, 1), k=2, l=2, q=1, order=dyn_order(DESK, 0))
 
 
+def test_boundary_stats_names_the_first_corrupted_spacer_run():
+    w0, w1 = stage1_words()
+    order = dyn_order(DESK, 1)
+    w = circ([w0, w1], 2, 4, 8, order)
+    runs = words._boundary_intervals(2, 4, 8, order)
+    b_run = next(r for r in runs if r[1] - r[0] >= 3 and w[r[0]] == B)
+    e_run = next(r for r in runs if r[1] - r[0] >= 3 and w[r[0]] == E)
+    assert b_run < e_run
+
+    def corrupt(*runs):
+        bad = list(w)
+        for lo, hi in runs:
+            bad[(lo + hi) // 2] = 0
+        return bad
+
+    for bad, (lo, hi) in ((corrupt(b_run), b_run), (corrupt(e_run), e_run),
+                          (corrupt(e_run, b_run), b_run)):
+        with pytest.raises(InputError) as err:
+            boundary_stats(bad, k=2, l=4, q=8, order=order)
+        assert str(err.value) == \
+            "letters in [%d, %d) do not match a spacer run" % (lo, hi)
+
+
 def test_half_spacer_degenerate():
     w = circ([(0,)], 1, 2, 1, DynOrder(0, 1))
     assert boundary_stats(w, k=1, l=2, q=1,
