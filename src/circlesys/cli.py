@@ -23,7 +23,7 @@ import numpy as np
 from . import consys, factor, names, procsim, smoothreal, words
 from .errors import (CoherenceError, ConstraintError, InputError,
                      OracleMismatch, ResourceError, ToleranceError)
-from .ratarith import (content_lines, dyn_order, load_params,
+from .ratarith import (chunks, content_lines, dyn_order, load_params,
                        parse_key_values, read_text)
 
 
@@ -115,8 +115,7 @@ def check_numerology(ctx):
         if q > ctx.cap_atoms:
             skipped.append("%d(q>cap)" % n)
             continue
-        t = dyn_order(ctx.params, n).table
-        if not np.array_equal(q - t[1:], t[:0:-1]):
+        if not dyn_order(ctx.params, n).mirrored():
             return False, "stage %d" % n, "q-j_i = j_{q-i}"
         total += q - 1
     return True, str(total) + _skipped(skipped), "q-j_i = j_{q-i}"
@@ -190,14 +189,15 @@ def check_cylinder(ctx):
 def check_process(ctx):
     # the towers partition the grid when their `atoms` entries in all
     # hit every atom; entries lie on the grid, as W is gathered from the
-    # identity
+    # identity.  Towers are read a chunk of levels at a time.
     proc = ctx.procs[-1]
     hit = np.zeros(proc.atoms, dtype=bool)
     entries = 0
     for s in range(ctx.params.s[proc.stage]):
-        tower = proc.tower(s)
-        hit[tower] = True
-        entries += tower.size
+        for lo, hi in chunks(0, ctx.params.q[proc.stage]):
+            tower = proc.tower(s, lo, hi)
+            hit[tower] = True
+            entries += tower.size
     ok = entries == proc.atoms and bool(hit.all())
     for n, h in enumerate(proc.h_list):
         rot = procsim.rotation_perm(ctx.params, n, h.cols, h.rows)
@@ -511,12 +511,12 @@ def cmd_names(args, out):
     ctx = _context_from_args(args)
     if args.action == "tower":
         name = names.simulate_tower_name(ctx.procs[-1], args.index)
-        out.write(words.word_to_text(name) + "\n")
+        out.write(words.word_to_text(name.tolist()) + "\n")
         return 0
     proc, prev = ctx.procs[-1], ctx.procs[-2]  # crosscheck
     for s in range(ctx.params.s[proc.stage]):
-        out.write(words.word_to_text(names.simulate_tower_name(proc, s))
-                  + "\n")
+        name = names.simulate_tower_name(proc, s)
+        out.write(words.word_to_text(name.tolist()) + "\n")
         try:
             names.crosscheck_tower(proc, prev, proc.h_list[-1], s)
         except OracleMismatch as exc:

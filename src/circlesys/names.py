@@ -9,7 +9,8 @@ letter-for-letter with a circular product of the previous stage's
 names.  The two computations share nothing past the parameters: one
 reads grid labels, the other multiplies words.  The grid route keeps
 each process's labels in its rotation frame, labels o Z, built from the
-small h tables (`q_labels`); tower s reads it along `proc.orbit(s)`.
+small h tables (`q_labels`); tower s reads it along `proc.orbit(s)`,
+one chunk of levels at a time, into a name array of the label dtype.
 """
 
 import threading
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import InputError, OracleMismatch, ResourceError
 from .procsim import refine, rotation_perm, rotation_shift
-from .ratarith import dyn_order, spacer_columns
+from .ratarith import chunks, dyn_order, spacer_columns
 from .words import B, E, circ
 
 # serialises the first computation of a process's labels across threads
@@ -66,8 +67,8 @@ def q_labels(params, h_list, stage, cols, rows):
                        h.cols, h.rows)[h.table]
         frame = refine(frame, h.cols, h.rows, params.q[m], params.s[m])
         grid = frame.reshape(params.s[m], params.q[m])
-        grid[:, marks.b_cols] = B
-        grid[:, marks.e_cols] = E
+        np.copyto(grid, B, where=marks.b_cols)
+        np.copyto(grid, E, where=marks.e_cols)
     return frame
 
 
@@ -85,8 +86,13 @@ def frame_labels(proc):
 
 
 def simulate_tower_name(proc, s):
-    """Label sequence along tower s of the given process, base to top."""
-    return tuple(frame_labels(proc)[proc.orbit(s)].tolist())
+    """Label sequence along tower s of the given process, base to top,
+    as an array of the frame's label dtype, gathered chunk by chunk."""
+    frame = frame_labels(proc)
+    name = np.empty(proc.params.q[proc.stage], dtype=frame.dtype)
+    for lo, hi in chunks(0, name.size):
+        name[lo:hi] = frame[proc.orbit(s, lo, hi)]
+    return name
 
 
 def u_words(proc, h, s):
@@ -159,18 +165,22 @@ def crosscheck_tower(proc_next, proc, h, s):
     route takes the circular product of the child name-words chosen by
     h_words[s].  They must agree everywhere: on the interior by the
     name computation, on the spacers because both install them from the
-    same column arithmetic.  Raises OracleMismatch with the first
-    differing position.
+    same column arithmetic.  Both names are arrays of the label dtype;
+    the symbolic one is built from the child words alone.  Raises
+    OracleMismatch with the first differing position and both letters.
     """
     simulated = simulate_tower_name(proc_next, s)
     us = u_words(proc, h, s)
     n, params = proc.stage, proc.params
     symbolic = circ(us, params.k[n], params.l[n], params.q[n],
-                    dyn_order(params, n))
-    if simulated != symbolic:
-        i = next(i for i, (a, b) in enumerate(zip(simulated, symbolic)) if a != b)
-        raise OracleMismatch("tower %d name disagrees at position %d" % (s, i),
-                             index=i, left=simulated[i], right=symbolic[i])
+                    dyn_order(params, n), dtype=simulated.dtype)
+    for lo, hi in chunks(0, simulated.size):
+        bad = np.flatnonzero(simulated[lo:hi] != symbolic[lo:hi])
+        if bad.size:
+            i = lo + int(bad[0])
+            raise OracleMismatch(
+                "tower %d name disagrees at position %d" % (s, i), index=i,
+                left=int(simulated[i]), right=int(symbolic[i]))
     return simulated
 
 
@@ -232,11 +242,19 @@ class DistinctReport:
 
 
 def distinct_names(proc):
-    """Whether all towers of the process carry different names."""
-    seen = {}
+    """Whether all towers of the process carry different names.
+
+    Towers are keyed by a hash of their name, so only one name is held
+    at a time; towers with equal keys are compared letter by letter, so
+    a collision never reports a duplicate.  The witness is the first
+    tower whose name repeats, with the first tower carrying that name.
+    """
+    seen = {}       # key -> earlier towers with that key, names distinct
     for s in range(proc.params.s[proc.stage]):
-        name = frame_labels(proc)[proc.orbit(s)].tobytes()
-        if name in seen:
-            return DistinctReport(False, (seen[name], s))
-        seen[name] = s
+        name = simulate_tower_name(proc, s)
+        key = hash(name.tobytes())
+        for t in seen.get(key, ()):
+            if np.array_equal(simulate_tower_name(proc, t), name):
+                return DistinctReport(False, (t, s))
+        seen.setdefault(key, []).append(s)
     return DistinctReport(True, None)

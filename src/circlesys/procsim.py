@@ -17,11 +17,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConstraintError, InputError, ResourceError
-from .ratarith import spacer_columns
+from .ratarith import chunks, spacer_columns
 
 DEFAULT_ATOM_CAP = 1 << 24
-# indices a LiftedPermutation maps per pass, so its temporaries stay small
-APPLY_CHUNK = 1 << 16
 
 
 class GridPermutation:
@@ -95,7 +93,7 @@ class LiftedPermutation:
     the block of its image, so every index in the block moves by the
     same amount: apply finds each index's base atom and adds that
     atom's displacement, a table of base size.  Indices go through in
-    chunks of APPLY_CHUNK, so only the output is full-size.
+    `ratarith.chunks`, so only the output is full-size.
     """
 
     def __init__(self, base, cols, rows):
@@ -115,11 +113,11 @@ class LiftedPermutation:
         src = np.asarray(i, dtype=np.int64)
         out = np.empty(src.shape, dtype=np.int64)
         src, dst = src.reshape(-1), out.reshape(-1)
-        for lo in range(0, src.size, APPLY_CHUNK):
-            chunk = src[lo:lo + APPLY_CHUNK]
+        for lo, hi in chunks(0, src.size):
+            chunk = src[lo:hi]
             atom = chunk // self._band * self.base.cols
             atom += chunk % self.cols // self._fc
-            np.add(chunk, self._shift[atom], out=dst[lo:lo + APPLY_CHUNK])
+            np.add(chunk, self._shift[atom], out=dst[lo:hi])
         return out
 
     def is_permutation(self):
@@ -129,12 +127,15 @@ class LiftedPermutation:
 
 def refine(values, cols, rows, fine_cols, fine_rows):
     """Per-atom values of a cols x rows grid read on a grid refining it:
-    each fine atom takes the value of the atom that contains it."""
+    each fine atom takes the value of the atom that contains it.  The
+    output is the only allocation, filled by one broadcast write."""
     if fine_cols % cols or fine_rows % rows:
         raise InputError("%d x %d does not refine %d x %d"
                          % (fine_cols, fine_rows, cols, rows))
-    grid = np.repeat(values.reshape(rows, cols), fine_cols // cols, axis=1)
-    return np.repeat(grid, fine_rows // rows, axis=0).reshape(-1)
+    out = np.empty(fine_cols * fine_rows, dtype=values.dtype)
+    out.reshape(rows, fine_rows // rows, cols, fine_cols // cols)[...] = \
+        values.reshape(rows, 1, cols, 1)
+    return out
 
 
 def rotation_shift(params, n, cols):
@@ -227,27 +228,30 @@ class GridProcess:
     def rotation(self):
         return rotation_perm(self.params, self.stage, self.cols, self.rows)
 
-    @cached_property
-    def _orbit_base(self):
-        """Columns of the rotation orbit of atom 0, base to top; read-only
-        and shared by every tower of the process."""
-        q, p = self.params.q[self.stage], self.params.p[self.stage]
-        base = np.arange(q, dtype=np.int64) * p % q * (self.cols // q)
-        base.flags.writeable = False
-        return base
-
-    def orbit(self, s):
-        """Rotation-frame indices of tower s, base to top (length q[stage])."""
+    def orbit(self, s, lo=0, hi=None):
+        """Rotation-frame indices of levels lo..hi-1 of tower s, base to
+        top; the whole tower, q[stage] levels, by default.  Level t lies
+        in column t p mod q (of q) of the tower's first row, so only
+        these levels are computed."""
         n = self.stage
+        q, p = self.params.q[n], self.params.p[n]
+        hi = q if hi is None else hi
         if not 0 <= s < self.params.s[n]:
             raise InputError("tower %d out of range [0, %d)"
                              % (s, self.params.s[n]))
-        return s * (self.rows // self.params.s[n]) * self.cols \
-            + self._orbit_base
+        if not 0 <= lo <= hi <= q:
+            raise InputError("levels [%d, %d) outside a tower of height %d"
+                             % (lo, hi, q))
+        # (lo + t) p = t p + lo p (mod q): int64-exact for a chunk of levels
+        col = (np.arange(hi - lo, dtype=np.int64) * p + lo * p % q) % q
+        col *= self.cols // q
+        col += s * (self.rows // self.params.s[n]) * self.cols
+        return col
 
-    def tower(self, s):
-        """Atom indices of tower s, base to top (length q[stage])."""
-        return self.Z.apply(self.orbit(s))
+    def tower(self, s, lo=0, hi=None):
+        """Atom indices of levels lo..hi-1 of tower s, base to top; the
+        whole tower by default."""
+        return self.Z.apply(self.orbit(s, lo, hi))
 
     def towers(self):
         return [self.tower(s) for s in range(self.params.s[self.stage])]
@@ -330,8 +334,13 @@ def eps_approx(coarse, fine):
     marks = spacer_columns(params, fine.stage)
     col_of_t = np.arange(qf, dtype=np.int64) * params.p[fine.stage] % qf
     is_spacer = marks.b_cols[col_of_t] | marks.e_cols[col_of_t]
+    # the spacer positions lie in runs, each ending at one of run_ends;
+    # the scan deletes what is left of a run from wherever it enters
+    run_ends = np.flatnonzero(np.diff(is_spacer, prepend=False,
+                                      append=False))[1::2]
 
-    deleted = []
+    mask = np.zeros(fine.atoms, dtype=bool)     # the deleted set D
+    deleted = 0
     blocks = 0
     subordinate = True
     for s in range(params.s[fine.stage]):
@@ -340,8 +349,10 @@ def eps_approx(coarse, fine):
         t = 0
         while t < qf:
             if is_spacer[t]:
-                deleted.append(tw[t])
-                t += 1
+                end = int(run_ends[np.searchsorted(run_ends, t, "right")])
+                mask[tw[t:end]] = True
+                deleted += end - t
+                t = end
                 continue
             S, step = divmod(int(own[t]), q)
             if (step == 0 and t + q <= qf
@@ -350,18 +361,18 @@ def eps_approx(coarse, fine):
                 t += q
             else:
                 subordinate = False
-                deleted.append(tw[t])
+                mask[tw[t]] = True
+                deleted += 1
                 t += 1
 
-    mask = np.zeros(fine.atoms, dtype=bool)
-    if deleted:
-        mask[np.array(deleted, dtype=np.int64)] = True
     per_level = np.zeros(n_coarse * q, dtype=np.int64)
-    np.add.at(per_level, owner[~mask], 1)
+    for lo, hi in chunks(0, fine.atoms):
+        per_level += np.bincount(owner[lo:hi][~mask[lo:hi]],
+                                 minlength=per_level.size)
     per_level = per_level.reshape(n_coarse, q)
     levels_equal = all(len(set(row)) == 1 for row in per_level.tolist())
-    return EpsApproxReport(Fraction(len(deleted), fine.atoms),
-                           len(deleted), blocks, subordinate, levels_equal)
+    return EpsApproxReport(Fraction(deleted, fine.atoms), deleted, blocks,
+                           subordinate, levels_equal)
 
 
 @dataclass

@@ -20,6 +20,18 @@ import numpy as np
 
 from .errors import ConstraintError, InputError, ResourceError
 
+# entries per pass of the chunked array routes (dynamical order, column
+# marks, tower orbits, lifted relabelings, tower names), so that no
+# temporary has one int64 entry per column or per tower level
+CHUNK = 1 << 14
+
+
+def chunks(lo, hi):
+    """The ranges [a, b) of at most CHUNK entries that tile [lo, hi)."""
+    step = CHUNK
+    for a in range(lo, hi, step):
+        yield a, min(a + step, hi)
+
 
 @dataclass(frozen=True)
 class Params:
@@ -92,8 +104,9 @@ class DynOrder:
     j(i) is the number of rotation steps after which the orbit of the
     base interval lands on the i-th interval in geometric order:
     j(i) = p[n]^{-1} * i mod q[n].  Point queries are exact at any q;
-    `table` holds all q entries as int64, built on first read; a stage
-    of 2**31 entries or more would overflow it and is refused.
+    `of` evaluates an int64 array of indices at once, and `table` holds
+    all q entries, built on first read.  The array forms compute
+    pinv * i in int64, so a stage of 2**31 entries or more is refused.
     """
 
     def __init__(self, p, q):
@@ -109,13 +122,30 @@ class DynOrder:
             raise InputError("interval index %d out of range [0, %d)" % (i, self.q))
         return self.pinv * int(i) % self.q
 
-    @cached_property
-    def table(self):
+    def require_int64(self):
+        """Refuse a stage whose j_i the array forms cannot compute."""
         # pinv * i < q**2 stays below 2**63 while q < 2**31
         if self.q >= 2 ** 31:
             raise ResourceError("dynamical-order table needs %d entries, "
                                 "int64 limit is %d" % (self.q, 2 ** 31 - 1))
-        return self.pinv * np.arange(self.q, dtype=np.int64) % self.q
+
+    def of(self, i):
+        """j_i for an int64 array i of interval indices."""
+        self.require_int64()
+        return self.pinv * i % self.q
+
+    @cached_property
+    def table(self):
+        self.require_int64()        # before the q-entry arange
+        return self.of(np.arange(self.q, dtype=np.int64))
+
+    def mirrored(self):
+        """Whether q - j_i = j_{q-i} for 0 < i < q, read chunk by chunk."""
+        for lo, hi in chunks(1, self.q):
+            i = np.arange(lo, hi, dtype=np.int64)
+            if not np.array_equal(self.q - self.of(i), self.of(self.q - i)):
+                return False
+        return True
 
 
 def dyn_order(params, n):
@@ -150,20 +180,24 @@ def spacer_columns(params, m):
 
     Column c sits at word position t = j_c (the dynamical order), and
     is newly labelled when that position is a top-level spacer of the
-    stage-m circular product.  It reads the stage-m and stage-(m-1)
-    dynamical-order tables, so it is bounded by their int64 limit.
+    stage-m circular product.  The positions are evaluated CHUNK columns
+    at a time, so only the two bool marks are column-sized; a stage past
+    the int64 limit of `DynOrder.of` is refused before they are allocated.
     """
     if m < 1:
         raise InputError("spacer labels start at stage 1")
     k, l, q_prev = params.k[m - 1], params.l[m - 1], params.q[m - 1]
-    t = dyn_order(params, m).table
-    ji = dyn_order(params, m - 1).table
+    order, prev = dyn_order(params, m), dyn_order(params, m - 1)
+    order.require_int64()
     block_len = l * q_prev
-    i = t // (k * block_len)
-    rr = t % block_len
-    head = q_prev - ji[i]
-    b_cols = rr < head
-    e_cols = rr >= block_len - ji[i]
+    b_cols = np.empty(order.q, dtype=bool)
+    e_cols = np.empty(order.q, dtype=bool)
+    for lo, hi in chunks(0, order.q):
+        t = order.of(np.arange(lo, hi, dtype=np.int64))
+        ji = prev.of(t // (k * block_len))
+        rr = t % block_len
+        np.less(rr, q_prev - ji, out=b_cols[lo:hi])
+        np.greater_equal(rr, block_len - ji, out=e_cols[lo:hi])
     return NameLabeling(m, b_cols, e_cols)
 
 

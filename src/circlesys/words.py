@@ -54,21 +54,31 @@ def _check_structure(children, k, l, q):
                              % (j, len(w), q))
 
 
-def circ(children, k, l, q, order):
-    """Materialize the circular product as a tuple of symbols.
+def circ(children, k, l, q, order, dtype=None):
+    """Materialize the circular product as a numpy array of `dtype`, or
+    as a tuple of Python ints when no dtype is given.
 
     `order` is indexable with order[i] = j_i for i < q (a DynOrder or
-    any sequence).  Result length is k*l*q**2.
+    any sequence).  Result length is k*l*q**2.  The array is allocated
+    once and written pass by pass: in pass i every block is b^(q-j_i),
+    its child repeated l-1 times, then e^(j_i), so one slice write per
+    run fills that run in all k blocks.  The tuple is read off an array
+    of the smallest dtype that holds the symbols.
     """
     _check_structure(children, k, l, q)
-    out = []
+    as_tuple = dtype is None
+    body = np.asarray(children, dtype=dtype)
+    if as_tuple:
+        dtype = np.promote_types(np.int8, np.min_scalar_type(body.max()))
+    body = np.tile(body.astype(dtype), l - 1)
+    out = np.empty((q, k, l * q), dtype=dtype)
     for i in range(q):
-        ji = order[i]
-        for j in range(k):
-            out.extend([B] * (q - ji))
-            out.extend(tuple(children[j]) * (l - 1))
-            out.extend([E] * ji)
-    return tuple(out)
+        head = q - order[i]
+        out[i, :, :head] = B
+        out[i, :, head:head + body.shape[1]] = body
+        out[i, :, head + body.shape[1]:] = E
+    out = out.reshape(-1)
+    return tuple(out.tolist()) if as_tuple else out
 
 
 class LazyCircularWord:

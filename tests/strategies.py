@@ -52,6 +52,12 @@ def small_processes(draw):
         except ConstraintError:
             assume(False)
         assume(params.q[2] <= 512)
+    return process_chain(draw, params)
+
+
+def process_chain(draw, params):
+    """The processes of every stage of `params`, each h-word a random
+    permutation of the balanced multiset its stage requires."""
     procs = [initial_process(params)]
     for n in range(params.stages):
         k, lo, hi = params.k[n], params.s[n], params.s[n + 1]

@@ -315,7 +315,7 @@ def test_14_negative_controls():
     try:
         for s in range(4):
             crosscheck_tower(p2, p1, bad_h, s)
-    except OracleMismatch:
-        raised = True
+    except OracleMismatch as exc:
+        raised = (exc.index, exc.left, exc.right) == (9, 0, 1)
     ok &= raised
     report(14, "negative-controls", ok)

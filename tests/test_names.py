@@ -105,7 +105,9 @@ def test_crosscheck_detects_corruption():
     with pytest.raises(OracleMismatch) as exc:
         for s in range(4):
             crosscheck_tower(p2, p1, bad_h, s)
-    assert exc.value.index >= 0
+    # tower 0 reads strip 0 where the wrong child words predict strip 1
+    assert (exc.value.index, exc.value.left, exc.value.right) == (9, 0, 1)
+    assert type(exc.value.left) is int and type(exc.value.right) is int
 
 
 def test_transect_matches_simulation():
@@ -364,8 +366,8 @@ def test_memoised_names_match_fresh_labels(procs):
         fresh = naive_labels(proc.params, proc.h_list, proc.stage,
                              proc.cols, proc.rows)
         for s in range(proc.params.s[proc.stage]):
-            assert simulate_tower_name(proc, s) \
-                == tuple(int(v) for v in fresh[proc.tower(s)])
+            assert simulate_tower_name(proc, s).tolist() \
+                == [int(v) for v in fresh[proc.tower(s)]]
 
 
 def naive_u_words(proc, h, s):

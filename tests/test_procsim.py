@@ -10,14 +10,14 @@ from hypothesis import strategies as st
 from circlesys.cli import check_process
 from circlesys.errors import ConstraintError, InputError, ResourceError
 from circlesys.names import name_stability
-from circlesys.procsim import (APPLY_CHUNK, EpsApproxReport, GridPermutation,
+from circlesys.procsim import (EpsApproxReport, GridPermutation,
                                LiftedPermutation, build_process,
                                check_requirements, compose_stage, eps_approx,
                                h_from_words, initial_process, rotation_perm,
                                rotation_shift)
-from circlesys.ratarith import derive_params, spacer_columns
+from circlesys.ratarith import CHUNK, derive_params, spacer_columns
 
-from strategies import materialised_z, small_processes
+from strategies import materialised_z, process_chain, small_processes
 
 DESK = derive_params([2, 2], [4, 4], [2, 2, 4])
 W1 = [(0, 1), (1, 0)]
@@ -134,8 +134,7 @@ def test_lift_moves_each_atom_rigidly(case):
 
 # index chunks the lifted apply is checked on: empty, one index, and
 # sizes on both sides of one and two chunk boundaries
-CHUNK_SIZES = [0, 1, APPLY_CHUNK - 1, APPLY_CHUNK, APPLY_CHUNK + 1,
-               2 * APPLY_CHUNK + 1]
+CHUNK_SIZES = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1]
 
 
 @settings(max_examples=60, deadline=None)
@@ -146,7 +145,7 @@ def test_lifted_apply_matches_materialised_z(procs, data):
         assert proc.Z.is_permutation()
         assert np.array_equal(proc.Z.apply(np.arange(proc.atoms)), table)
         size = data.draw(st.sampled_from(CHUNK_SIZES)
-                         | st.integers(0, 3 * APPLY_CHUNK))
+                         | st.integers(0, 3 * CHUNK))
         seed = data.draw(st.integers(0, 2 ** 32 - 1))
         idx = np.random.default_rng(seed).integers(0, proc.atoms, size)
         got = proc.Z.apply(idx)
@@ -294,10 +293,23 @@ def naive_eps_approx(coarse, fine):
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_processes())
-def test_eps_approx_matches_atom_by_atom_owner(procs):
-    for coarse, fine in zip(procs, procs[1:]):
-        assert eps_approx(coarse, fine) == naive_eps_approx(coarse, fine)
+@given(small_processes(), st.data())
+def test_eps_approx_matches_atom_by_atom_owner(procs, data):
+    # a coarse and a fine process built from different h-words need not
+    # be subordinate, so the failed-position path is compared too
+    other = process_chain(data.draw, procs[0].params)
+    for chain in (procs, other):
+        for coarse, fine in zip(procs, chain[1:]):
+            assert eps_approx(coarse, fine) == naive_eps_approx(coarse, fine)
+
+
+def test_eps_approx_of_unrelated_processes_matches_oracle():
+    p0, p1, _, _, h2 = desk_procs()
+    q1 = compose_stage(p0, h_from_words(DESK, 0, [(1, 0), (0, 1)]))
+    fine = compose_stage(q1, h2)
+    rep = eps_approx(p1, fine)
+    assert not rep.subordinate
+    assert rep == naive_eps_approx(p1, fine)
 
 
 def test_requirements_desk_duplicate():
