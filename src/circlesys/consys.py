@@ -34,8 +34,7 @@ class ConstructionSequence:
         return all(isinstance(w, tuple) for w in self.levels[n])
 
 
-def build_sequence(sigma_size, params, prewords, word_cap=DEFAULT_WORD_CAP,
-                   strict=False):
+def build_sequence(sigma_size, params, prewords, strict=False):
     """Iterate the circular product over the given preword tuples.
 
     prewords[n] is a list of k[n]-tuples of indices into level n.
@@ -46,9 +45,9 @@ def build_sequence(sigma_size, params, prewords, word_cap=DEFAULT_WORD_CAP,
     """
     if sigma_size < 1:
         raise InputError("alphabet must be non-empty")
-    if sigma_size > word_cap:
+    if sigma_size > DEFAULT_WORD_CAP:
         raise ResourceError("alphabet of %d letters exceeds the word cap %d"
-                            % (sigma_size, word_cap))
+                            % (sigma_size, DEFAULT_WORD_CAP))
     if len(prewords) > params.stages:
         raise InputError("got %d preword lists but only %d stages of parameters"
                          % (len(prewords), params.stages))
@@ -91,7 +90,8 @@ def build_sequence(sigma_size, params, prewords, word_cap=DEFAULT_WORD_CAP,
         level = []
         for tup in kept:
             children = [prev[c] for c in tup]
-            if next_len <= word_cap and all(isinstance(c, tuple) for c in children):
+            if next_len <= DEFAULT_WORD_CAP and all(
+                    isinstance(c, tuple) for c in children):
                 level.append(circ(children, k, l, q, order))
             else:
                 level.append(LazyCircularWord(children, k, l, q, order))

@@ -39,6 +39,8 @@ from .errors import InputError, ResourceError, ToleranceError
 MAX_SMOOTH_CELLS = 1024
 # the largest per-swap delta realize_perm uses (StandardSwap needs < 1/2)
 MAX_DELTA = 0.25
+# how many times realize_perm halves delta before giving up
+MAX_RETRIES = 3
 
 
 class PlaneMap:
@@ -416,22 +418,19 @@ class RealizeReport:
     obedient: float         # sampled fraction landing in the right cell
 
 
-def realize_perm(sigma, grid, eps, seed=0, samples=20000, max_retries=3):
+def realize_perm(sigma, grid, eps, seed=0, samples=20000):
     """Smooth map moving each grid cell onto its image under sigma.
 
     The exceptional budget eps is split evenly over the adjacent swaps
     (at most MAX_DELTA each), which are applied in layers of disjoint
     swaps (`swap_layers`); the
     sampled obedient fraction must reach 1 - eps or the budget is
-    halved and retried, with ToleranceError after max_retries.
+    halved and retried, with ToleranceError after MAX_RETRIES tries.
     """
     m, n = grid
     check_smooth_cells("smooth %dx%d grid" % (m, n), grid)
     if not 0 < eps < 1:
         raise InputError("eps must be in (0, 1), got %r" % (eps,))
-    if max_retries < 1:
-        raise InputError("max_retries must be at least 1, got %r"
-                         % (max_retries,))
     if samples < 1:
         raise InputError("samples must be at least 1, got %r" % (samples,))
     if len(sigma) != m * n:
@@ -445,7 +444,7 @@ def realize_perm(sigma, grid, eps, seed=0, samples=20000, max_retries=3):
     pts = rng.random((samples, 2))
     target = np.asarray(sigma)[cell_of_points(grid, pts)]
     delta = min(eps / len(swaps), MAX_DELTA)
-    for _ in range(max_retries):
+    for _ in range(MAX_RETRIES):
         plane = CellSchedule(grid, layers, delta)
         landed = cell_of_points(grid, plane.forward(pts))
         obedient = float(np.mean(landed == target))

@@ -135,50 +135,11 @@ def decode_position(word, m):
     return word.decode(m)
 
 
-# Two primes below 2**31 and a base below both: a product of two
-# residues fits in int64, a prefix sum of fewer than 2**31 residues stays
-# below 2**62, and the two normalised hashes pack into one int64 key.
-_MODULI = (2147483647, 2147483629)
-_BASE = 911382323
-_MAX_LETTERS = 1 << 31
-
-
 def _letters_array(letters):
     try:
         return np.array(letters, dtype=np.int64)
     except OverflowError:
         raise InputError("letters must be integers that fit in int64")
-
-
-def _powers(n, p):
-    """_BASE**j mod p for j < n, by doubling the filled prefix."""
-    pw = np.ones(n, dtype=np.int64)
-    step, size = _BASE, 1
-    while size < n:
-        m = min(size, n - size)
-        pw[size:size + m] = pw[:m] * step % p
-        step = step * step % p
-        size *= 2
-    return pw
-
-
-def _normalised_hashes(text, dictionary, p):
-    """Hashes mod p of every window of the text and of every dictionary
-    word, each scaled so that equal strings get equal values.
-
-    With H(w) = sum_j w[j] base^j and P the prefix sums of
-    text[j] base^j, the window at offset o satisfies
-    P[o+L] - P[o] = base^o H(window), so multiplying by base^(M-o),
-    M the last offset, gives base^M H(window) with no modular inverse.
-    """
-    n, length = len(text), dictionary.shape[1]
-    last = n - length
-    pw = _powers(n, p)
-    prefix = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(text % p * pw % p, out=prefix[1:])
-    windows = (prefix[length:] - prefix[:last + 1]) % p * pw[last::-1] % p
-    words = (dictionary % p * pw[:length] % p).sum(axis=1) % p * pw[last] % p
-    return windows, words
 
 
 def parse(x, words):
@@ -187,13 +148,14 @@ def parse(x, words):
     Every dictionary word must have the same length L.  Overlapping
     occurrences are reported, in offset order; a word listed twice is
     reported under its first index.  Letters must be integers that fit
-    in int64, and x must have fewer than 2**31 letters.
+    in int64.
 
-    The scan is a Karp-Rabin rolling hash (Karp & Rabin 1987) under two
-    primes, evaluated for all offsets at once from prefix sums, so it
-    costs O(|x| + |dictionary|) plus L per reported occurrence: every
-    hash hit is confirmed by an exact comparison, so a collision never
-    yields a false occurrence.
+    The text and the words are packed as bytes of the narrowest signed
+    dtype holding every letter.  Each distinct word is found by exact
+    byte search, restarted one byte past each match; a match at a byte
+    offset off the letter width does not start on a letter and is
+    skipped.  `bytes.find` is linear in the text (CPython >= 3.10 uses
+    the Crochemore-Perrin two-way algorithm): O(|x|) plus L per match.
     """
     words = [tuple(w) for w in words]
     if not words:
@@ -201,27 +163,25 @@ def parse(x, words):
     length = len(words[0])
     if length == 0 or any(len(w) != length for w in words):
         raise InputError("dictionary words must share a positive length")
-    x = tuple(x)
-    if len(x) >= _MAX_LETTERS:
-        raise InputError("text of %d letters exceeds the scan limit of %d"
-                         % (len(x), _MAX_LETTERS - 1))
-    text = _letters_array(x)
+    text = _letters_array(tuple(x))
     dictionary = _letters_array(words)
-    if len(x) < length:
+    if len(text) < length:
         return []
-    index = {}
-    for i, w in enumerate(words):
-        index.setdefault(w, i)
-    (windows1, words1), (windows2, words2) = (
-        _normalised_hashes(text, dictionary, p) for p in _MODULI)
-    window_keys = windows1 << 31 | windows2
-    word_keys = words1 << 31 | words2
+    lo = min(text.min(), dictionary.min())
+    hi = max(text.max(), dictionary.max())
+    dtype = np.min_scalar_type(min(int(lo), -1 - int(hi)))
+    packed = text.astype(dtype).tobytes()
+    first = {}
+    for i, w in enumerate(dictionary.astype(dtype)):
+        first.setdefault(w.tobytes(), i)
     hits = []
-    for off in np.flatnonzero(np.isin(window_keys, word_keys)).tolist():
-        i = index.get(x[off:off + length])
-        if i is not None:
-            hits.append((off, i))
-    return hits
+    for needle, i in first.items():
+        at = packed.find(needle)
+        while at >= 0:
+            if at % dtype.itemsize == 0:
+                hits.append((at // dtype.itemsize, i))
+            at = packed.find(needle, at + 1)
+    return sorted(hits)
 
 
 @dataclass(frozen=True)

@@ -511,11 +511,6 @@ def test_realize_perm_applies_one_map_per_layer():
     assert [m.k for m in rep.plane_map.maps] == swap_layers(rep.swaps)
 
 
-def test_realize_perm_needs_a_try():
-    with pytest.raises(InputError, match="max_retries"):
-        realize_perm([1, 0], (2, 1), 0.1, max_retries=0)
-
-
 @pytest.mark.parametrize("samples", [0, -5])
 def test_realize_perm_needs_a_sample(samples):
     with pytest.raises(InputError,

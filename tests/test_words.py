@@ -79,11 +79,11 @@ def test_parse_examples():
     assert parse((0, 0, 0), [w0]) == []
 
 
-# 0 and P*Q are congruent under both primes of the scan, so windows that
-# differ only there have equal hashes and only the exact check tells
-# them apart
-P, Q = words._MODULI
-LETTERS = st.sampled_from([E, B, 0, 1, 2, P, P * Q])
+# 0 and P*Q are congruent modulo both primes, and P*Q needs int64
+# packing; 256, 257 and 65537 need int16 and int32 packing, whose bytes
+# can match off a letter boundary
+P, Q = 2147483647, 2147483629
+LETTERS = st.sampled_from([E, B, 0, 1, 2, 256, 257, 65537, P, P * Q])
 
 
 @st.composite
@@ -121,17 +121,21 @@ def test_parse_rejects_hash_collisions():
     assert parse((0, 1), [(P * Q, 1), (0, 1)]) == [(0, 1)]
 
 
-def test_parse_input_errors(monkeypatch):
+def test_parse_matches_only_on_letter_boundaries():
+    # int16 packing: the bytes of 257 start at byte offset 1 of (256, 1)
+    assert parse((256, 1), [(257,)]) == []
+    assert parse((256, 1, 257), [(257,)]) == [(2, 0)]
+    # int32 packing: the bytes of 256 start at byte offset 3 of (65536, 1)
+    assert parse((65536, 1), [(256,)]) == []
+
+
+def test_parse_input_errors():
     with pytest.raises(InputError):
         parse((0, 1), [])
     with pytest.raises(InputError):
         parse((0, 1), [(0,), (0, 1)])
     with pytest.raises(InputError):
         parse((2 ** 63, 1), [(1,)])
-    monkeypatch.setattr(words, "_MAX_LETTERS", 4)
-    assert parse((0,) * 3, [(0,)]) == [(0, 0), (1, 0), (2, 0)]
-    with pytest.raises(InputError):
-        parse((0,) * 4, [(0,)])
 
 
 def test_boundary_stats_desk():
