@@ -394,8 +394,9 @@ def emit_words(cs, stage, rng=None, out=sys.stdout):
         raise InputError("range [%d, %d) outside word length %d"
                          % (lo, hi, total))
     for w in level:
-        toks = [w[m] for m in range(lo, hi)]
-        out.write(words.word_to_text(tuple(toks)) + "\n")
+        toks = ([w[m] for m in range(lo, hi)]
+                if isinstance(w, words.LazyCircularWord) else w[lo:hi])
+        out.write(words.word_to_text(toks) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,11 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import ConstraintError, InputError, ResourceError
 from .ratarith import dyn_order
-from .words import LazyCircularWord, circ, parse
+from .words import E, LazyCircularWord, circ, parse
 
 #: materialize level words up to this many letters each
 DEFAULT_WORD_CAP = 1 << 20
@@ -24,14 +26,16 @@ class ConstructionSequence:
     params: object
     sigma_size: int
     prewords: list          # prewords[n] builds level n+1 from level n
-    levels: list            # levels[n] = list of words (tuples or lazy)
+    # levels[n] = list of level-n words: read-only int arrays of one
+    # dtype per sequence when materialized, else LazyCircularWords
+    levels: list
 
     @property
     def depth(self):
         return len(self.levels) - 1
 
     def is_materialized(self, n):
-        return all(isinstance(w, tuple) for w in self.levels[n])
+        return not any(isinstance(w, LazyCircularWord) for w in self.levels[n])
 
 
 def build_sequence(sigma_size, params, prewords, strict=False):
@@ -42,6 +46,11 @@ def build_sequence(sigma_size, params, prewords, strict=False):
     same word twice).  In strict mode each level-n word must occur
     exactly k[n]/|level n| times in every tuple, which is what makes
     the next level strongly uniform.
+
+    Materialized words are read-only numpy arrays of the narrowest
+    signed dtype that holds every letter (B, E and sigma_size - 1):
+    int8 up to 128 letters, int32 at the alphabet cap.  Level 0 holds
+    one length-1 view per letter.
     """
     if sigma_size < 1:
         raise InputError("alphabet must be non-empty")
@@ -51,7 +60,10 @@ def build_sequence(sigma_size, params, prewords, strict=False):
     if len(prewords) > params.stages:
         raise InputError("got %d preword lists but only %d stages of parameters"
                          % (len(prewords), params.stages))
-    levels = [[(a,) for a in range(sigma_size)]]
+    dtype = np.min_scalar_type(min(E, -sigma_size))
+    alphabet = np.arange(sigma_size, dtype=dtype)
+    alphabet.flags.writeable = False
+    levels = [list(alphabet.reshape(-1, 1))]
     kept_prewords = []
     for n, tuples in enumerate(prewords):
         k, l, q = params.k[n], params.l[n], params.q[n]
@@ -90,9 +102,11 @@ def build_sequence(sigma_size, params, prewords, strict=False):
         level = []
         for tup in kept:
             children = [prev[c] for c in tup]
-            if next_len <= DEFAULT_WORD_CAP and all(
-                    isinstance(c, tuple) for c in children):
-                level.append(circ(children, k, l, q, order))
+            if next_len <= DEFAULT_WORD_CAP and not any(
+                    isinstance(c, LazyCircularWord) for c in children):
+                word = circ(children, k, l, q, order, dtype=dtype)
+                word.flags.writeable = False
+                level.append(word)
             else:
                 level.append(LazyCircularWord(children, k, l, q, order))
         kept_prewords.append(kept)
@@ -106,16 +120,18 @@ def check_unique_readability(cs, n):
     For every ordered pair (u, v) of level-n words, any level-n word
     occurring in uv must sit at offset 0 or len(u).  Returns the list of
     violations as (u_index, v_index, offset, found_index); empty means
-    the level is uniquely readable.
+    the level is uniquely readable.  Each pair is joined with
+    np.concatenate, so array and tuple words are read alike.
     """
     level = cs.levels[n]
     if not cs.is_materialized(n):
-        raise InputError("level %d is lazy; readability scan needs tuples" % n)
+        raise InputError("level %d is lazy; readability scan needs "
+                         "materialized words" % n)
     q = len(level[0])
     bad = []
     for ui, u in enumerate(level):
         for vi, v in enumerate(level):
-            for off, wi in parse(u + v, level):
+            for off, wi in parse(np.concatenate([u, v]), level):
                 if off not in (0, q):
                     bad.append((ui, vi, off, wi))
     return bad
@@ -210,7 +226,9 @@ def estimate_cylinder(cs, u, base_level, n, eps=None):
         ui = u
     else:
         u = tuple(u)
-        matches = [i for i, w in enumerate(base) if w == u]
+        matches = [i for i, w in enumerate(base)
+                   if not isinstance(w, LazyCircularWord)
+                   and len(w) == len(u) and tuple(w) == u]
         if not matches:
             raise InputError("u is not a level-%d word" % base_level)
         ui = matches[0]

@@ -1,9 +1,11 @@
 """Words over an integer alphabet and the circular product operator.
 
 Inner symbols are non-negative ints.  Two reserved letters mark the
-spacer runs: B (written `b`) and E (written `e`).  A word is a plain
-tuple of ints; big stages use LazyCircularWord, which stores the
-construction DAG and decodes single positions on demand.
+spacer runs: B (written `b`) and E (written `e`).  A word is any
+sequence of ints: a tuple, or a one-dimensional integer numpy array
+(a construction sequence keeps its materialized words as read-only
+arrays of one narrow dtype).  Big stages use LazyCircularWord, which
+stores the construction DAG and decodes single positions on demand.
 
 The circular product of k words of common length q, with multiplicity
 l and dynamical ordering j, is
@@ -15,6 +17,7 @@ of total length k * l * q**2.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -84,9 +87,10 @@ def circ(children, k, l, q, order, dtype=None):
 class LazyCircularWord:
     """Circular product evaluated positionally, without materializing.
 
-    Children may be tuples or further LazyCircularWords; only the
-    lengths and the stage orderings are held in memory, so stage words
-    far beyond RAM can still be decoded letter by letter.
+    Children may be tuples, integer arrays or further LazyCircularWords;
+    only the lengths and the stage orderings are held in memory, so
+    stage words far beyond RAM can still be decoded letter by letter.
+    A letter is returned as a Python int whatever the children hold.
     """
 
     def __init__(self, children, k, l, q, order):
@@ -124,8 +128,7 @@ class LazyCircularWord:
         pos = self.decode(m)
         if isinstance(pos, Boundary):
             return pos.letter
-        child = self.children[pos.block]
-        return child[pos.inner]
+        return int(self.children[pos.block][pos.inner])
 
 
 def decode_position(word, m):
@@ -136,8 +139,12 @@ def decode_position(word, m):
 
 
 def _letters_array(letters):
+    """A signed integer array as it is; any other sequence as an int64
+    copy of its letters."""
+    if isinstance(letters, np.ndarray) and letters.dtype.kind == "i":
+        return letters
     try:
-        return np.array(letters, dtype=np.int64)
+        return np.array(tuple(letters), dtype=np.int64)
     except OverflowError:
         raise InputError("letters must be integers that fit in int64")
 
@@ -151,29 +158,31 @@ def parse(x, words):
     in int64.
 
     The text and the words are packed as bytes of the narrowest signed
-    dtype holding every letter.  Each distinct word is found by exact
-    byte search, restarted one byte past each match; a match at a byte
-    offset off the letter width does not start on a letter and is
-    skipped.  `bytes.find` is linear in the text (CPython >= 3.10 uses
-    the Crochemore-Perrin two-way algorithm): O(|x|) plus L per match.
+    dtype holding every letter; signed integer arrays are packed as
+    they are, any other sequence goes through an int64 copy.  Each
+    distinct word is found by exact byte search, restarted one byte
+    past each match; a match at a byte offset off the letter width does
+    not start on a letter and is skipped.  `bytes.find` is linear in
+    the text (CPython >= 3.10 uses the Crochemore-Perrin two-way
+    algorithm): O(|x|) plus L per match.
     """
-    words = [tuple(w) for w in words]
+    words = list(words)
     if not words:
         raise InputError("empty dictionary")
     length = len(words[0])
     if length == 0 or any(len(w) != length for w in words):
         raise InputError("dictionary words must share a positive length")
-    text = _letters_array(tuple(x))
-    dictionary = _letters_array(words)
+    text = _letters_array(x)
+    dictionary = [_letters_array(w) for w in words]
     if len(text) < length:
         return []
-    lo = min(text.min(), dictionary.min())
-    hi = max(text.max(), dictionary.max())
-    dtype = np.min_scalar_type(min(int(lo), -1 - int(hi)))
-    packed = text.astype(dtype).tobytes()
+    lo = min(int(a.min()) for a in [text] + dictionary)
+    hi = max(int(a.max()) for a in [text] + dictionary)
+    dtype = np.min_scalar_type(min(lo, -1 - hi))
+    packed = text.astype(dtype, copy=False).tobytes()
     first = {}
-    for i, w in enumerate(dictionary.astype(dtype)):
-        first.setdefault(w.tobytes(), i)
+    for i, w in enumerate(dictionary):
+        first.setdefault(w.astype(dtype, copy=False).tobytes(), i)
     hits = []
     for needle, i in first.items():
         at = packed.find(needle)
@@ -205,31 +214,12 @@ def _boundary_intervals(k, l, q, order):
     return out
 
 
-def boundary_stats(word, k=None, l=None, q=None, order=None):
-    """Spacer mass of a circular product, exactly.
-
-    For a LazyCircularWord the structure is taken from the word itself.
-    A materialized tuple needs k, l, q, order passed in; its letters are
-    checked against the predicted spacer layout and InputError is raised
-    if they disagree (i.e. the word is not a circular product with this
-    structure).
-    """
-    if isinstance(word, LazyCircularWord):
-        k, l, q, order = word.k, word.l, word.q, word.order
-    elif None in (k, l, q, order):
-        raise InputError("materialized word needs k, l, q, order")
+@lru_cache(maxsize=8)
+def _spacer_mass(k, l, q, js):
+    """(spacer positions, positions within q of a spacer) of a circular
+    product whose dynamical ordering is the tuple js."""
     n = k * l * q * q
-    intervals = _boundary_intervals(k, l, q, order)
-    if not isinstance(word, LazyCircularWord):
-        word = tuple(word)
-        if len(word) != n:
-            raise InputError("length %d is not k*l*q**2 = %d" % (len(word), n))
-        for lo, hi in intervals:
-            want = B if lo % (l * q) == 0 else E
-            if word[lo:hi] != (want,) * (hi - lo):
-                raise InputError("letters in [%d, %d) do not match a spacer run"
-                                 % (lo, hi))
-
+    intervals = _boundary_intervals(k, l, q, js)
     boundary = sum(hi - lo for lo, hi in intervals)
     assert Fraction(boundary, n) == Fraction(1, l)
 
@@ -242,11 +232,63 @@ def boundary_stats(word, k=None, l=None, q=None, order=None):
         if hi > lo:
             near += hi - lo
             cursor = hi
+    return boundary, near
+
+
+@lru_cache(maxsize=8)
+def _spacer_layout(k, l, q, js):
+    """Predicted spacer letters of a circular product, shaped (q, 1, l*q)
+    to broadcast over its (pass, block, position) view: B or E on the
+    spacer runs, 0 elsewhere, and the bool mask of the runs.  Every
+    block of pass i shares one row.  Read-only, as the cache shares it."""
+    block_len = l * q
+    letters = np.zeros((q, block_len), dtype=np.int8)
+    for i, ji in enumerate(js):
+        letters[i, :q - ji] = B
+        letters[i, block_len - ji:] = E
+    spacer = letters != 0
+    letters.flags.writeable = spacer.flags.writeable = False
+    return letters[:, None, :], spacer[:, None, :]
+
+
+def boundary_stats(word, k=None, l=None, q=None, order=None):
+    """Spacer mass of a circular product, exactly.
+
+    For a LazyCircularWord the structure is taken from the word itself.
+    A materialized word (a tuple or an array) needs k, l, q, order
+    passed in; its letters are compared with the predicted spacer
+    layout in one array compare, and InputError names the first spacer
+    run they disagree with (the word is not a circular product with
+    this structure).  The layout and the masses are computed once per
+    structure and shared by every word of a stage.
+    """
+    if isinstance(word, LazyCircularWord):
+        k, l, q, order = word.k, word.l, word.q, word.order
+    elif None in (k, l, q, order):
+        raise InputError("materialized word needs k, l, q, order")
+    n = k * l * q * q
+    js = tuple(int(order[i]) for i in range(q))
+    if not isinstance(word, LazyCircularWord):
+        if len(word) != n:
+            raise InputError("length %d is not k*l*q**2 = %d" % (len(word), n))
+        letters, spacer = _spacer_layout(k, l, q, js)
+        bad = np.asarray(word).reshape(q, k, l * q) != letters
+        bad &= spacer
+        if bad.any():
+            block, r = divmod(int(np.argmax(bad)), l * q)
+            base, ji = block * l * q, js[block // k]
+            lo, hi = ((base, base + q - ji) if r < q - ji
+                      else (base + l * q - ji, base + l * q))
+            raise InputError("letters in [%d, %d) do not match a spacer run"
+                             % (lo, hi))
+    boundary, near = _spacer_mass(k, l, q, js)
     return BoundaryStats(Fraction(boundary, n), Fraction(near, n))
 
 
 def word_to_text(word):
     """Space-separated token form; inner symbols decimal, spacers b/e."""
+    if isinstance(word, np.ndarray):
+        word = word.tolist()
     toks = []
     for c in word:
         if c == B:

@@ -1,4 +1,5 @@
-"""Hypothesis strategies and oracles shared by the grid-process tests."""
+"""Hypothesis strategies and oracles shared by the grid-process and
+construction-sequence tests."""
 
 from hypothesis import assume
 from hypothesis import strategies as st
@@ -66,3 +67,25 @@ def process_chain(draw, params):
         h = h_from_words(params, n, h_words)
         procs.append(compose_stage(procs[-1], h))
     return procs
+
+
+@st.composite
+def small_sequences(draw):
+    """(sigma_size, params, prewords) of a construction sequence of one
+    or two stages, every level materialized (words of at most 1728
+    letters).  Half the alphabets are small, half have 120 to 300
+    letters, on both sides of the int8 limit.  The prewords of a stage
+    are distinct tuples, so none is collapsed."""
+    stages = draw(st.integers(1, 2))
+    k = [draw(st.integers(1, 3)) for _ in range(stages)]
+    l = [draw(st.integers(2, 4)) for _ in range(stages)]
+    params = derive_params(k, l, [1] * (stages + 1))
+    sigma = draw(st.one_of(st.integers(1, 4), st.integers(120, 300)))
+    prewords, size = [], sigma
+    for n in range(stages):
+        letter = st.integers(0, size - 1)
+        tuples = draw(st.lists(st.tuples(*[letter] * k[n]), min_size=1,
+                               max_size=4, unique=True))
+        prewords.append(tuples)
+        size = len(tuples)
+    return sigma, params, prewords

@@ -111,7 +111,7 @@ def test_04_unique_readability():
     offsets = set()
     for u in lv:
         for v in lv:
-            offsets |= {off for off, _ in parse(u + v, lv)}
+            offsets |= {off for off, _ in parse(np.concatenate([u, v]), lv)}
     ok &= offsets == {0, 512}
     dt = time.perf_counter() - t0
     report(4, "unique-readability", ok and dt < 1.0, "offsets %s" % sorted(offsets))

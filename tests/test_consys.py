@@ -1,12 +1,18 @@
+import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from circlesys.consys import (ConstructionSequence, build_sequence,
                               check_unique_readability, estimate_cylinder,
                               in_S_window, verify_uniformity)
 from circlesys.errors import ConstraintError, InputError
-from circlesys.ratarith import derive_params
+from circlesys.ratarith import derive_params, dyn_order
+from circlesys.words import circ
+
+from strategies import small_sequences
 
 DESK = derive_params([2, 2], [4, 4], [2, 2, 4])
 W1 = [(0, 1), (1, 0)]
@@ -34,6 +40,46 @@ def test_readability_reports_planted_violation():
     cs = ConstructionSequence(DESK, 2, [W1],
                               [[(0,), (1,)], [(0, 0, 1), (1, 0, 0)]])
     assert check_unique_readability(cs, 1) == [(0, 0, 2, 1), (1, 1, 1, 0)]
+
+
+def test_readability_reports_planted_violation_in_array_words():
+    # the same planted pair as int8 arrays: a pair joined with `u + v`
+    # would add letters and find nothing
+    level = [np.array(w, dtype=np.int8) for w in [(0, 0, 1), (1, 0, 0)]]
+    cs = ConstructionSequence(DESK, 2, [W1], [
+        [np.array([a], dtype=np.int8) for a in (0, 1)], level])
+    assert check_unique_readability(cs, 1) == [(0, 0, 2, 1), (1, 1, 1, 0)]
+
+
+@given(small_sequences())
+@settings(max_examples=60, deadline=None)
+def test_array_levels_equal_the_tuple_route(case):
+    sigma, params, prewords = case
+    cs = build_sequence(sigma, params, prewords)
+    want = [(a,) for a in range(sigma)]
+    for n in range(cs.depth + 1):
+        if n:
+            k, l, q = params.k[n - 1], params.l[n - 1], params.q[n - 1]
+            want = [circ([want[c] for c in tup], k, l, q,
+                         dyn_order(params, n - 1))
+                    for tup in prewords[n - 1]]
+        level = cs.levels[n]
+        assert cs.is_materialized(n)
+        assert [tuple(w.tolist()) for w in level] == want
+        assert not any(w.flags.writeable for w in level)
+        assert {w.dtype for w in level} == {cs.levels[0][0].dtype}
+        if sigma <= 126:
+            assert level[0].dtype == np.int8
+
+
+def test_grid3_level_words_take_one_byte_per_letter():
+    # the grid3 benchmark's sequence: 4 stage-3 words of 131,072 letters
+    # take 512 KiB as int8 arrays (4 MiB of pointers as tuples)
+    params = derive_params([2, 4, 4], [2, 2, 2], [2, 2, 4, 4])
+    w2 = [(0, 0, 1, 1), (0, 1, 0, 1), (1, 0, 1, 0), (1, 1, 0, 0)]
+    w3 = list(itertools.permutations(range(4)))[:4]
+    cs = build_sequence(2, params, [W1, w2, w3])
+    assert sum(w.nbytes for w in cs.levels[3]) == 524288
 
 
 def test_rung3_readability():

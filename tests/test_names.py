@@ -83,9 +83,11 @@ def test_simulated_names_equal_construction_words():
     lv1 = cs_words(DESK, [W1, W2_DUP], 1)
     lv2 = cs_words(DESK, [W1, W2_DUP], 2)
     for s in range(2):
-        assert tuple(int(x) for x in simulate_tower_name(p1, s)) == lv1[s]
+        assert tuple(int(x) for x in simulate_tower_name(p1, s)) == \
+            tuple(int(x) for x in lv1[s])
     for s in range(4):
-        assert tuple(int(x) for x in simulate_tower_name(p2, s)) == lv2[s % 2]
+        assert tuple(int(x) for x in simulate_tower_name(p2, s)) == \
+            tuple(int(x) for x in lv2[s % 2])
 
 
 def test_crosscheck_all_towers():

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,6 +50,14 @@ def test_lazy_matches_materialized():
     lazy = lazy_stage2()
     mat = circ([w0, w1], 2, 4, 8, dyn_order(DESK, 1))
     assert tuple(lazy[m] for m in range(512)) == mat
+
+
+def test_lazy_letters_are_python_ints_over_array_children():
+    w0, w1 = stage1_words()
+    lazy = lazy_stage2([np.array(w, dtype=np.int8) for w in (w0, w1)])
+    letters = [lazy[m] for m in range(len(lazy))]
+    assert all(type(c) is int for c in letters)
+    assert tuple(letters) == circ([w0, w1], 2, 4, 8, dyn_order(DESK, 1))
 
 
 def test_decode_oracles():
@@ -219,3 +228,18 @@ def test_circ_boundary_fraction(sys_):
     stats = boundary_stats(w, k=k, l=l, q=q, order=order)
     assert stats.boundary_fraction == Fraction(1, l)
     assert stats.near_fraction <= Fraction(3, l)
+
+
+@given(small_systems(), st.data())
+@settings(max_examples=60)
+def test_boundary_stats_names_the_corrupted_run_of_an_array(sys_, data):
+    children, k, l, q, p = sys_
+    order = DynOrder(p, q)
+    word = circ(children, k, l, q, order, dtype=np.int8)
+    runs = words._boundary_intervals(k, l, q, order)
+    lo, hi = data.draw(st.sampled_from(runs))
+    word[data.draw(st.integers(lo, hi - 1))] = 0
+    with pytest.raises(InputError) as err:
+        boundary_stats(word, k=k, l=l, q=q, order=order)
+    assert str(err.value) == \
+        "letters in [%d, %d) do not match a spacer run" % (lo, hi)
