@@ -15,7 +15,7 @@ from .procsim import (GridPermutation, GridProcess, build_process,
                       h_from_words, initial_process, rotation_perm)
 from .names import (crosscheck_tower, distinct_names, frame_labels,
                     name_stability, q_labels, simulate_tower_name,
-                    spacer_columns, transect_word, u_words)
+                    spacer_columns, u_words)
 from .factor import (BoundaryCrossing, SymbolicPoint, collapse_pi,
                      enumerate_coherent, rho_trace, shift_point)
 from .smoothreal import (CellSwap, Composite, StandardSwap, map_distance,

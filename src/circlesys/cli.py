@@ -23,7 +23,7 @@ import numpy as np
 from . import consys, factor, names, procsim, smoothreal, words
 from .errors import (CoherenceError, ConstraintError, InputError,
                      OracleMismatch, ResourceError, ToleranceError)
-from .ratarith import (chunks, content_lines, dyn_order, load_params,
+from .ratarith import (content_lines, dyn_order, load_params,
                        parse_key_values, read_text)
 
 
@@ -187,18 +187,12 @@ def check_cylinder(ctx):
 
 
 def check_process(ctx):
-    # the towers partition the grid when their `atoms` entries in all
-    # hit every atom; entries lie on the grid, as W is gathered from the
-    # identity.  Towers are read a chunk of levels at a time.
+    """The towers partition the grid, and each h commutes with its stage's
+    rotation.  Premise: tower s is Z of `orbit(s)`, row s read at the
+    columns t p mod q, so as gcd(p, q) = 1 the orbits tile the grid, and
+    the towers do exactly when Z is a permutation, that is, when W is."""
     proc = ctx.procs[-1]
-    hit = np.zeros(proc.atoms, dtype=bool)
-    entries = 0
-    for s in range(ctx.params.s[proc.stage]):
-        for lo, hi in chunks(0, ctx.params.q[proc.stage]):
-            tower = proc.tower(s, lo, hi)
-            hit[tower] = True
-            entries += tower.size
-    ok = entries == proc.atoms and bool(hit.all())
+    ok = proc.Z.is_permutation()
     for n, h in enumerate(proc.h_list):
         rot = procsim.rotation_perm(ctx.params, n, h.cols, h.rows)
         ok &= h.commutes_with(rot)
@@ -457,6 +451,10 @@ def cmd_words(args, out):
         if not 0 <= args.stage <= ctx.cs.depth:
             raise InputError("stage %d out of range [0, %d]"
                              % (args.stage, ctx.cs.depth))
+        if not ctx.cs.is_materialized(args.stage):
+            raise InputError("stage %d words have %d letters, past the word "
+                             "cap %d" % (args.stage, len(ctx.cs.levels[
+                                 args.stage][0]), consys.DEFAULT_WORD_CAP))
         target = words.text_to_word(args.text)
         hits = words.parse(target, ctx.cs.levels[args.stage])
         for off, wi in hits:

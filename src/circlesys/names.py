@@ -8,9 +8,8 @@ index, spacers are B and E), so a simulated tower name can be compared
 letter-for-letter with a circular product of the previous stage's
 names.  The two computations share nothing past the parameters: one
 reads grid labels, the other multiplies words.  The grid route keeps
-each process's labels in its rotation frame, labels o Z, built from the
-small h tables (`q_labels`); tower s reads it along `proc.orbit(s)`,
-one chunk of levels at a time, into a name array of the label dtype.
+each process's labels o Z as `FrameRuns`, column runs that all rows
+share (`q_labels`); tower s reads row s along `proc.orbit(s)`.
 """
 
 import threading
@@ -19,9 +18,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import ratarith
 from .errors import InputError, OracleMismatch, ResourceError
 from .procsim import refine, rotation_perm, rotation_shift
-from .ratarith import chunks, dyn_order, spacer_columns
+from .ratarith import FrameRuns, chunks, dyn_order, spacer_columns
 from .words import B, E, circ
 
 # serialises the first computation of a process's labels across threads
@@ -29,21 +29,18 @@ _LABELS_LOCK = threading.Lock()
 
 
 def label_dtype(s0):
-    """Narrowest signed integer dtype holding the labels 0..s0-1, B and E.
-
-    int8 while s0 <= 128; a fixed-width label table must not wrap, so a
-    strip count no dtype can hold is refused.
-    """
-    for dtype in (np.int8, np.int16, np.int32, np.int64):
-        info = np.iinfo(dtype)
-        if info.min <= min(B, E) and s0 - 1 <= info.max:
-            return np.dtype(dtype)
-    raise ResourceError("%d base strips do not fit a 64-bit label" % s0)
+    """Narrowest signed integer dtype holding the labels 0..s0-1, B and E:
+    the one holding -s0 (int8 while s0 <= 128).  A fixed-width label table
+    must not wrap, so a strip count no dtype can hold is refused."""
+    dtype = np.min_scalar_type(min(B, E, -s0))
+    if dtype.kind != "i":
+        raise ResourceError("%d base strips do not fit a 64-bit label" % s0)
+    return dtype
 
 
 def q_labels(params, h_list, stage, cols, rows):
     """Labels of the stage-n process in its rotation frame, F = labels o Z,
-    one `label_dtype(s[0])` entry per atom of the cols x rows stage grid.
+    as `FrameRuns` of `label_dtype(s[0])` over the cols x rows stage grid.
 
     An atom is b/e when its pullback through Z_m lands in a stage-m
     spacer column for some m <= stage, the latest such stage winning;
@@ -51,47 +48,61 @@ def q_labels(params, h_list, stage, cols, rows):
     F_m is F_{m-1} refined to h_m's grid, gathered through h_m, refined
     to the stage-m grid, and then given B and E in the stage-m spacer
     columns.  It rests on two facts: Z_m = lift(Z_{m-1}) lift(h_m)
-    (which `compose_stage` keeps factored) with lifts moving sub-atoms rigidly, so off the
-    new columns F_m(y) = F_{m-1}(coarse(h_m(y))); and the stage-m marks
-    pulled back through Z_m are whole columns.  Each stage's marks are
-    computed before its frame, so a stage whose dynamical-order table is
-    past int64 is refused before its frame is allocated.
+    (which `compose_stage` keeps factored) with lifts moving sub-atoms
+    rigidly, so off the new columns F_m(y) = F_{m-1}(coarse(h_m(y))); and
+    the stage-m marks pulled back through Z_m are whole columns.  So the
+    gather runs on h_m's own small grid, whose column runs refine by
+    scaling their breakpoints; the mark runs go on top, and a piece equal
+    to its predecessor in every row is merged into it.
     """
     if (cols, rows, len(h_list)) != (params.q[stage], params.s[stage], stage):
         raise InputError("a %d x %d grid with %d h tables is not stage %d"
                          % (cols, rows, len(h_list), stage))
-    frame = np.arange(params.s[0], dtype=label_dtype(params.s[0]))
+    dtype = label_dtype(params.s[0])
+    frame = FrameRuns(1, np.zeros(1, dtype=np.int64),
+                      np.arange(params.s[0], dtype=dtype).reshape(-1, 1))
     for m, h in enumerate(h_list, 1):
         marks = spacer_columns(params, m)
-        frame = refine(frame, params.q[m - 1], params.s[m - 1],
-                       h.cols, h.rows)[h.table]
-        frame = refine(frame, h.cols, h.rows, params.q[m], params.s[m])
-        grid = frame.reshape(params.s[m], params.q[m])
-        np.copyto(grid, B, where=marks.b_cols)
-        np.copyto(grid, E, where=marks.e_cols)
+        q0, s0 = params.q[m - 1], params.s[m - 1]
+        grid = refine(frame.at(np.arange(q0 * s0)), q0, s0, h.cols,
+                      h.rows)[h.table].reshape(h.rows, h.cols)
+        cuts = np.flatnonzero(np.append(True, np.any(
+            grid[:, 1:] != grid[:, :-1], axis=0)))
+        scaled = cuts * (params.q[m] // h.cols)
+        # a start in both lists repeats; `keep` drops the repeat
+        starts = np.sort(np.concatenate([scaled, marks.starts]))
+        kind = marks.at(starts)
+        base = grid[:, cuts[np.searchsorted(scaled, starts, "right") - 1]]
+        letters = np.where(kind == 0, base, kind).astype(dtype)
+        keep = np.append(True, np.any(letters[:, 1:] != letters[:, :-1],
+                                      axis=0))
+        frame = FrameRuns(params.q[m], starts[keep], letters[:, keep])
     return frame
 
 
 def frame_labels(proc):
     """Stage labels of `proc` in its rotation frame (entry y labels atom
     Z(y)), computed by `q_labels` on first use and kept read-only on the
-    process, so every name check of one process shares one table."""
+    process, so every name check of one process shares one frame."""
     with _LABELS_LOCK:
         if proc.labels is None:
             labels = q_labels(proc.params, proc.h_list, proc.stage,
                               proc.cols, proc.rows)
-            labels.flags.writeable = False
+            labels.starts.flags.writeable = False
+            labels.letters.flags.writeable = False
             proc.labels = labels
     return proc.labels
 
 
 def simulate_tower_name(proc, s):
     """Label sequence along tower s of the given process, base to top,
-    as an array of the frame's label dtype, gathered chunk by chunk."""
-    frame = frame_labels(proc)
-    name = np.empty(proc.params.q[proc.stage], dtype=frame.dtype)
+    as an array of the frame's label dtype: the tower's frame row (level
+    0 is its column 0) read along the orbit chunk by chunk."""
+    base = int(proc.orbit(s, 0, 1)[0])
+    row = frame_labels(proc).row(base // proc.cols)
+    name = np.empty(proc.params.q[proc.stage], dtype=row.dtype)
     for lo, hi in chunks(0, name.size):
-        name[lo:hi] = frame[proc.orbit(s, lo, hi)]
+        name[lo:hi] = row[proc.orbit(s, lo, hi) - base]
     return name
 
 
@@ -113,49 +124,10 @@ def u_words(proc, h, s):
         raise InputError("h resolution %dx%d does not fit stage %d"
                          % (h.cols, h.rows, n))
     col = np.arange(k)[:, None] + (np.arange(q) * p % q)[None, :] * k
-    frame = refine(frame_labels(proc), proc.cols, proc.rows, h.cols, h.rows)
-    return [tuple(word) for word in frame[h.table[s * h.cols + col]].tolist()]
-
-
-def transect_word(params, n, children):
-    """Rebuild the stage-(n+1) word by stepping an interval of width
-    1/q[n+1] through its passes, without using the circular product.
-
-    The dynamical order is recovered by walking the stage-n rotation
-    orbit; inner letters come from the geometric column the interval
-    occupies at each step; the b/e runs follow the pass arithmetic.
-    The first pass has no e run, so each child's first copy shows up
-    as a full b run.
-    """
-    k, l, q = params.k[n], params.l[n], params.q[n]
-    p = params.p[n]
-    p2, q2 = params.p[n + 1], params.q[n + 1]
-    children = [tuple(w) for w in children]
-    if len(children) != k or any(len(w) != q for w in children):
-        raise InputError("need %d children of length %d" % (k, q))
-
-    dynpos = [0] * q                 # steps for the orbit to reach column c
-    c = 0
-    for step in range(q):
-        dynpos[c] = step
-        c = (c + p) % q
-
-    out = []
-    x = 0                            # interval position, in units of 1/q[n+1]
-    block_len = l * q
-    for t in range(k * l * q * q):
-        m = t // (k * block_len)
-        rr = t % block_len
-        jm = dynpos[m]
-        if rr < q - jm:
-            out.append(B)
-        elif rr >= block_len - jm:
-            out.append(E)
-        else:
-            a = x // block_len       # occupied column of the k*q grid
-            out.append(children[a % k][dynpos[a // k]])
-        x = (x + p2) % q2
-    return tuple(out)
+    atom = h.table[s * h.cols + col]
+    row = atom // h.cols // (h.rows // proc.rows)   # rows of the stage atoms
+    return [tuple(word) for word in frame_labels(proc).at(
+        row * proc.cols + atom % h.cols // k).tolist()]
 
 
 def crosscheck_tower(proc_next, proc, h, s):
@@ -207,6 +179,12 @@ def name_stability(coarse, fine):
     of F is matched with itself at offsets j sf and j sc, |j| <= q[n].
     Each of these premises is asserted; that Zf is a permutation is
     checked on Wf, its factor on h's own grid.
+
+    On F's runs, with w = u + j sc, shift j > 0 fails at u when row[w] !=
+    row[w + j], and shift -j at u = w + j + j sc: a step function of w,
+    stepping at the run starts and at the run starts minus j.  Per row,
+    the matched atoms are cols minus the length of the union of these
+    unequal intervals, merged by sort and sweep (Klee 1977).
     """
     params, n = coarse.params, coarse.stage
     if fine.stage != n + 1 or fine.h_list[:-1] != coarse.h_list:
@@ -219,20 +197,60 @@ def name_stability(coarse, fine):
     sf = rotation_shift(params, n + 1, cols)
     sc = rotation_shift(params, n, cols)
     assert (sf - sc) % cols == 1
-    frame = frame_labels(fine).reshape(rows, cols)
-    shifts = [(j * sf % cols, j * sc % cols) for j in range(-q, q + 1)]
-    chunk = 1 << 18         # columns per pass, so `ok` stays in cache
-    matched = 0
-    for row in frame:
-        twice = np.tile(row, 2)         # twice[u + a] = row[(u + a) % cols]
-        for lo in range(0, cols, chunk):
-            hi = min(lo + chunk, cols)
-            ok = np.ones(hi - lo, dtype=bool)
-            for a, b in shifts:
-                ok &= twice[lo + a:hi + a] == twice[lo + b:hi + b]
-            matched += int(np.count_nonzero(ok))
+    frame = frame_labels(fine)
+    starts, letters, pieces = frame.starts, frame.letters, frame.starts.size
+    # disjoint unequal intervals of each row, then of all rows at once;
+    # a pass holds about 8 arrays of 2 entries per piece and shift
+    bad = [np.empty(0, dtype=np.int64)] * (rows + 1)
+    per = max(1, ratarith.CHUNK // (16 * pieces))
+    for j0 in range(1, q + 1, per):
+        if bad[-1][:2].tolist() == [cols]:      # every atom is unmatched
+            break
+        j = np.arange(j0, min(j0 + per, q + 1), dtype=np.int64)[:, None]
+        # per shift, the run starts merged with the run starts minus j;
+        # the low bit marks the shifted ones, which sort after
+        w = np.concatenate([np.broadcast_to(2 * starts, (j.size, pieces)),
+                            (starts - j) % cols * 2 + 1], axis=1)
+        w.sort(axis=1)
+        shifted = w & 1
+        w >>= 1
+        a = np.cumsum(1 - shifted, axis=1) - 1              # piece of w
+        b = (np.cumsum(shifted, axis=1) - 1                 # piece of w + j
+             + np.searchsorted(starts, j)) % pieces
+        length = np.diff(w, axis=1, append=cols)
+        step = (length > 0) & (a != b)
+        j = np.broadcast_to(j, w.shape)[step]
+        w, length, a, b = w[step], length[step], a[step], b[step]
+        unequal = letters[:, a] != letters[:, b]
+        every = unequal.all(axis=0)
+        for r, mask in enumerate(list(unequal & ~every) + [every]):
+            if mask.any():
+                lo = np.concatenate([w[mask] - j[mask] * sc,
+                                     w[mask] + j[mask] * (sc + 1)]) % cols
+                bad[r] = _union(bad[r], lo, np.tile(length[mask], 2), cols)
+    unmatched = sum(int(np.sum(_union(bad[-1], keys >> 32, keys & _LENGTH,
+                                      cols) & _LENGTH)) for keys in bad[:-1])
+    matched = fine.atoms - unmatched
     return StabilityReport(matched, fine.atoms, Fraction(matched, fine.atoms),
                            1 - Fraction(3, params.l[n]))
+
+
+# an interval [lo, lo + length) of a row is the key lo << 32 | length;
+# both fit 31 bits, as no stage has 2**31 columns (`spacer_columns`)
+_LENGTH = (1 << 32) - 1
+
+
+def _union(keys, lo, length, cols):
+    """Keys of the disjoint intervals covering `keys` and the arcs [lo, lo +
+    length) of a circle of cols columns, split at column 0: sorted by
+    start, an interval opens past the running maximum of the ends."""
+    over = lo + length - cols
+    keys = np.sort(np.concatenate([keys, lo << 32 | (length - np.maximum(
+        over, 0)), over[over > 0]]))
+    lo = keys >> 32
+    hi = np.maximum.accumulate(lo + (keys & _LENGTH))    # running max of ends
+    first = np.flatnonzero(lo > np.r_[-1, hi[:-1]])
+    return lo[first] << 32 | (np.maximum.reduceat(hi, first) - lo[first])
 
 
 @dataclass
@@ -244,17 +262,16 @@ class DistinctReport:
 def distinct_names(proc):
     """Whether all towers of the process carry different names.
 
-    Towers are keyed by a hash of their name, so only one name is held
-    at a time; towers with equal keys are compared letter by letter, so
-    a collision never reports a duplicate.  The witness is the first
-    tower whose name repeats, with the first tower carrying that name.
+    Premise: tower s reads row s of the frame (`frame_labels`) at the
+    columns t p mod q, t < q, one bijection for every row as gcd(p, q) =
+    1.  So two towers share a name exactly when their frame rows, hence
+    their rows of the letter table (the runs are shared), are equal.
+    The witness is the first tower whose name repeats, with the first
+    tower carrying that name.
     """
-    seen = {}       # key -> earlier towers with that key, names distinct
-    for s in range(proc.params.s[proc.stage]):
-        name = simulate_tower_name(proc, s)
-        key = hash(name.tobytes())
-        for t in seen.get(key, ()):
-            if np.array_equal(simulate_tower_name(proc, t), name):
-                return DistinctReport(False, (t, s))
-        seen.setdefault(key, []).append(s)
+    first = {}
+    for s, row in enumerate(frame_labels(proc).letters):
+        t = first.setdefault(row.tobytes(), s)
+        if t != s:
+            return DistinctReport(False, (t, s))
     return DistinctReport(True, None)

@@ -205,8 +205,8 @@ class GridProcess:
     demand.
 
     `labels` holds the stage labels in the rotation frame, labels o Z,
-    once `names.frame_labels` has computed them on first use; building
-    a process leaves it None.
+    as `FrameRuns` once `names.frame_labels` has computed them on first
+    use; building a process leaves it None.
     """
     params: object
     stage: int
@@ -333,7 +333,7 @@ def eps_approx(coarse, fine):
     # occupies is freshly labelled at the fine stage
     marks = spacer_columns(params, fine.stage)
     col_of_t = np.arange(qf, dtype=np.int64) * params.p[fine.stage] % qf
-    is_spacer = marks.b_cols[col_of_t] | marks.e_cols[col_of_t]
+    is_spacer = marks.row(0)[col_of_t] != 0
     # the spacer positions lie in runs, each ending at one of run_ends;
     # the scan deletes what is left of a run from wherever it enters
     run_ends = np.flatnonzero(np.diff(is_spacer, prepend=False,

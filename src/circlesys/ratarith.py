@@ -19,9 +19,10 @@ from math import gcd
 import numpy as np
 
 from .errors import ConstraintError, InputError, ResourceError
+from .words import B, E
 
-# entries per pass of the chunked array routes (dynamical order, column
-# marks, tower orbits, lifted relabelings, tower names), so that no
+# entries per pass of the chunked array routes (dynamical order, tower
+# orbits, lifted relabelings, tower names, stability shifts), so that no
 # temporary has one int64 entry per column or per tower level
 CHUNK = 1 << 14
 
@@ -167,38 +168,50 @@ def d_index(params, n, x):
     return dyn_order(params, n)[int(x * params.q[n])]
 
 
-@dataclass
-class NameLabeling:
-    """Spacer columns newly labelled at one stage, in geometric order."""
-    stage: int
-    b_cols: np.ndarray      # bool over q[stage] columns
-    e_cols: np.ndarray
+@dataclass(frozen=True)
+class FrameRuns:
+    """Rows of letters as runs on column breakpoints that all rows share:
+    row r holds letters[r, i] on [starts[i], starts[i + 1]) or to cols."""
+    cols: int
+    starts: np.ndarray      # sorted int64, starts[0] == 0
+    letters: np.ndarray     # rows x pieces
+
+    def at(self, idx):
+        """Letters at the int64 flat indices idx = row * cols + column."""
+        piece = np.searchsorted(self.starts, idx % self.cols, "right") - 1
+        return self.letters[idx // self.cols, piece]
+
+    def row(self, r):
+        """Row r, one letter per column."""
+        lengths = np.diff(self.starts, append=self.cols)
+        return np.repeat(self.letters[r], lengths)
 
 
 def spacer_columns(params, m):
-    """Which stage-m columns acquire a b or e label at stage m.
+    """Which stage-m columns acquire a b or e label at stage m: a one-row
+    FrameRuns over the q[m] columns, of B, E and 0 for unlabelled.
 
-    Column c sits at word position t = j_c (the dynamical order), and
-    is newly labelled when that position is a top-level spacer of the
-    stage-m circular product.  The positions are evaluated CHUNK columns
-    at a time, so only the two bool marks are column-sized; a stage past
-    the int64 limit of `DynOrder.of` is refused before they are allocated.
+    Column c is newly labelled when its word position t = j_c is a
+    top-level spacer of the stage-m circular product.  With Q = q[m-1],
+    c = p[m] t mod q[m] puts pass a of the word, t = a k l Q + b, on the
+    columns A k l Q + b with A = a + b p[m-1] mod Q.  So in each block of
+    l Q columns, (A k + i) l Q + r for r < l Q, pass a has j_a = j_A - r
+    mod Q at stage m-1, and the spacer tests r < Q - j_a and r >= l Q -
+    j_a hold on the first j_A + 1 and the last Q - j_A - 1 columns: k Q
+    blocks, with no column-sized work.  A stage past the int64 limit of
+    `DynOrder.of` is refused.
     """
     if m < 1:
         raise InputError("spacer labels start at stage 1")
-    k, l, q_prev = params.k[m - 1], params.l[m - 1], params.q[m - 1]
-    order, prev = dyn_order(params, m), dyn_order(params, m - 1)
-    order.require_int64()
-    block_len = l * q_prev
-    b_cols = np.empty(order.q, dtype=bool)
-    e_cols = np.empty(order.q, dtype=bool)
-    for lo, hi in chunks(0, order.q):
-        t = order.of(np.arange(lo, hi, dtype=np.int64))
-        ji = prev.of(t // (k * block_len))
-        rr = t % block_len
-        np.less(rr, q_prev - ji, out=b_cols[lo:hi])
-        np.greater_equal(rr, block_len - ji, out=e_cols[lo:hi])
-    return NameLabeling(m, b_cols, e_cols)
+    k, l, Q = params.k[m - 1], params.l[m - 1], params.q[m - 1]
+    dyn_order(params, m).require_int64()
+    j = np.repeat(dyn_order(params, m - 1).table, k)    # j_A of block (A, i)
+    block = np.arange(k * Q, dtype=np.int64) * (l * Q)
+    starts = np.stack([block, block + j + 1, block + (l - 1) * Q + j + 1],
+                      axis=1).reshape(-1)
+    kinds = np.tile(np.array([B, 0, E], dtype=np.int8), k * Q)
+    keep = np.diff(starts, append=params.q[m]) > 0  # E is empty at j_A = Q-1
+    return FrameRuns(params.q[m], starts[keep], kinds[keep].reshape(1, -1))
 
 
 def read_text(path):

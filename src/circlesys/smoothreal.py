@@ -580,31 +580,3 @@ def sample_jacobian(plane_map, pts, h=1e-5):
     jxy = (fyp[:, 0] - fym[:, 0]) / (2 * h)
     jyy = (fyp[:, 1] - fym[:, 1]) / (2 * h)
     return jxx * jyy - jxy * jyx
-
-
-def polar_twist_jacobian(delta, r, h=1e-6):
-    """Finite-difference Jacobian of the twist in polar coordinates.
-
-    (r, theta) -> (r, theta + f(r)) has determinant exactly 1; the
-    finite difference confirms it to roundoff regardless of how steep
-    f is, because dr'/dtheta vanishes identically.
-    """
-    swap = StandardSwap(delta)
-
-    def fwd(rr, th):
-        f = math.pi * float(smoothstep(np.asarray([(swap.R - rr) / swap.gamma]))[0])
-        return rr, th + f
-
-    r = np.asarray(r, dtype=float)
-    dets = []
-    for rr in r:
-        r1p, t1p = fwd(rr + h, 0.3)
-        r1m, t1m = fwd(rr - h, 0.3)
-        r2p, t2p = fwd(rr, 0.3 + h)
-        r2m, t2m = fwd(rr, 0.3 - h)
-        drr = (r1p - r1m) / (2 * h)
-        dtr = (t1p - t1m) / (2 * h)
-        drt = (r2p - r2m) / (2 * h)
-        dtt = (t2p - t2m) / (2 * h)
-        dets.append(drr * dtt - drt * dtr)
-    return np.asarray(dets)

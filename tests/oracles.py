@@ -1,0 +1,163 @@
+"""The dense routes that the run-length frame replaced, kept as oracles.
+
+Each holds one entry per column or per atom, as the package did before
+its frame became column runs: the spacer marks as two bool columns from
+the whole dynamical-order tables, the frame as one label per atom, the
+stability count by rolling every row through every shift, distinct
+names by hashing every tower's name, and the process check by
+scattering every tower level into one bool per atom.  `transect_word`
+builds a stage word without the circular product, by stepping an
+interval through its passes.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+
+from circlesys.errors import InputError
+from circlesys.names import StabilityReport, label_dtype
+from circlesys.procsim import refine, rotation_perm, rotation_shift
+from circlesys.ratarith import chunks, dyn_order
+from circlesys.words import B, E
+
+
+def dense(runs):
+    """A FrameRuns with one letter per atom, row after row."""
+    lengths = np.diff(runs.starts, append=runs.cols)
+    return np.repeat(runs.letters, lengths, axis=1).reshape(-1)
+
+
+def table_marks(params, m):
+    """(b_cols, e_cols): the stage-m spacer columns as bools, each column
+    c tested at its word position j_c of the stage-m circular product,
+    from the whole stage-m and stage-(m-1) tables."""
+    k, l, q_prev = params.k[m - 1], params.l[m - 1], params.q[m - 1]
+    t = dyn_order(params, m).table
+    ji = dyn_order(params, m - 1).table
+    block_len = l * q_prev
+    i = t // (k * block_len)
+    rr = t % block_len
+    return rr < q_prev - ji[i], rr >= block_len - ji[i]
+
+
+def dense_q_labels(params, h_list, stage, cols, rows):
+    """`q_labels` with one label per atom: F_{m-1} refined to h_m's grid,
+    gathered through h_m, refined to the stage-m grid, then given B and
+    E in the stage-m spacer columns."""
+    frame = np.arange(params.s[0], dtype=label_dtype(params.s[0]))
+    for m, h in enumerate(h_list, 1):
+        b_cols, e_cols = table_marks(params, m)
+        frame = refine(frame, params.q[m - 1], params.s[m - 1],
+                       h.cols, h.rows)[h.table]
+        frame = refine(frame, h.cols, h.rows, params.q[m], params.s[m])
+        grid = frame.reshape(params.s[m], params.q[m])
+        np.copyto(grid, B, where=b_cols)
+        np.copyto(grid, E, where=e_cols)
+    assert frame.size == cols * rows
+    return frame
+
+
+def dense_frame(proc):
+    return dense_q_labels(proc.params, proc.h_list, proc.stage, proc.cols,
+                          proc.rows)
+
+
+def dense_name_stability(coarse, fine):
+    """`name_stability` by matching every row of the dense frame with
+    itself at the offsets j sf and j sc, |j| <= q[n], atom by atom."""
+    params, n = coarse.params, coarse.stage
+    q = params.q[n]
+    cols, rows = fine.cols, fine.rows
+    sf = rotation_shift(params, n + 1, cols)
+    sc = rotation_shift(params, n, cols)
+    frame = dense_frame(fine).reshape(rows, cols)
+    shifts = [(j * sf % cols, j * sc % cols) for j in range(-q, q + 1)]
+    matched = 0
+    for row in frame:
+        twice = np.tile(row, 2)         # twice[u + a] = row[(u + a) % cols]
+        ok = np.ones(cols, dtype=bool)
+        for a, b in shifts:
+            ok &= twice[a:cols + a] == twice[b:cols + b]
+        matched += int(np.count_nonzero(ok))
+    return StabilityReport(matched, fine.atoms, Fraction(matched, fine.atoms),
+                           1 - Fraction(3, params.l[n]))
+
+
+def hashed_distinct_names(proc):
+    """`distinct_names` by reading every tower's name off the dense frame,
+    keyed by a hash of its bytes and compared letter by letter on equal
+    keys: (distinct, witness)."""
+    frame = dense_frame(proc)
+
+    def name(s):
+        return frame[proc.orbit(s)]
+
+    seen = {}
+    for s in range(proc.params.s[proc.stage]):
+        key = hash(name(s).tobytes())
+        for t in seen.get(key, ()):
+            if np.array_equal(name(t), name(s)):
+                return False, (t, s)
+        seen.setdefault(key, []).append(s)
+    return True, None
+
+
+def scatter_check_process(ctx):
+    """`check_process` by scattering every tower level into one bool per
+    atom: the towers partition the grid when their `atoms` entries hit
+    every atom (entries lie on the grid, as W is gathered from the
+    identity)."""
+    proc = ctx.procs[-1]
+    hit = np.zeros(proc.atoms, dtype=bool)
+    entries = 0
+    for s in range(ctx.params.s[proc.stage]):
+        for lo, hi in chunks(0, ctx.params.q[proc.stage]):
+            tower = proc.tower(s, lo, hi)
+            hit[tower] = True
+            entries += tower.size
+    ok = entries == proc.atoms and bool(hit.all())
+    for n, h in enumerate(proc.h_list):
+        rot = rotation_perm(ctx.params, n, h.cols, h.rows)
+        ok &= h.commutes_with(rot)
+    return ok, "%d atoms" % proc.atoms, "towers partition; h rot = rot h"
+
+
+def transect_word(params, n, children):
+    """Rebuild the stage-(n+1) word by stepping an interval of width
+    1/q[n+1] through its passes, without using the circular product.
+
+    The dynamical order is recovered by walking the stage-n rotation
+    orbit; inner letters come from the geometric column the interval
+    occupies at each step; the b/e runs follow the pass arithmetic.
+    The first pass has no e run, so each child's first copy shows up
+    as a full b run.
+    """
+    k, l, q = params.k[n], params.l[n], params.q[n]
+    p = params.p[n]
+    p2, q2 = params.p[n + 1], params.q[n + 1]
+    children = [tuple(w) for w in children]
+    if len(children) != k or any(len(w) != q for w in children):
+        raise InputError("need %d children of length %d" % (k, q))
+
+    dynpos = [0] * q                 # steps for the orbit to reach column c
+    c = 0
+    for step in range(q):
+        dynpos[c] = step
+        c = (c + p) % q
+
+    out = []
+    x = 0                            # interval position, in units of 1/q[n+1]
+    block_len = l * q
+    for t in range(k * l * q * q):
+        m = t // (k * block_len)
+        rr = t % block_len
+        jm = dynpos[m]
+        if rr < q - jm:
+            out.append(B)
+        elif rr >= block_len - jm:
+            out.append(E)
+        else:
+            a = x // block_len       # occupied column of the k*q grid
+            out.append(children[a % k][dynpos[a // k]])
+        x = (x + p2) % q2
+    return tuple(out)

@@ -17,16 +17,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circlesys import names, ratarith
+from circlesys import ratarith
 from circlesys.cli import (check_distinct, check_names, check_numerology,
                            check_process)
 from circlesys.errors import InputError, ResourceError
 from circlesys.names import distinct_names, frame_labels, simulate_tower_name
 from circlesys.procsim import build_process, refine
-from circlesys.ratarith import (DynOrder, NameLabeling, chunks,
-                                derive_params, dyn_order, spacer_columns)
+from circlesys.ratarith import (DynOrder, chunks, derive_params, dyn_order,
+                                spacer_columns)
 from circlesys.words import B, E, circ
 
+from oracles import dense, scatter_check_process, table_marks
 from strategies import materialised_z, small_processes
 
 CHUNKS = st.sampled_from([1, 3, 7])
@@ -76,8 +77,8 @@ def test_orbit_and_tower_pieces_match_whole_towers(procs, size, data):
             assert np.array_equal(proc.tower(s, lo, hi), z[orbit[lo:hi]])
             with chunk_size(size):
                 name = simulate_tower_name(proc, s)
-            assert name.dtype == frame_labels(proc).dtype
-            assert np.array_equal(name, frame_labels(proc)[orbit])
+            assert name.dtype == frame_labels(proc).letters.dtype
+            assert np.array_equal(name, dense(frame_labels(proc))[orbit])
 
 
 def test_orbit_refuses_levels_off_the_tower():
@@ -91,10 +92,11 @@ def test_orbit_refuses_levels_off_the_tower():
 @settings(max_examples=40, deadline=None)
 @given(small_processes(), CHUNKS)
 def test_check_process_by_pieces_matches_whole(procs, size):
+    # the premise route against the scatter of tower pieces
     ctx = SimpleNamespace(params=procs[0].params, procs=small(procs))
     whole = check_process(ctx)
     with chunk_size(size):
-        assert check_process(ctx) == whole
+        assert scatter_check_process(ctx) == whole
     assert whole[0]
 
 
@@ -137,17 +139,6 @@ def test_array_circ_matches_extended_circ(case, dtype):
         assert tuple(word.tolist()) == want
 
 
-def table_spacer_columns(params, m):
-    """spacer_columns from the whole stage-m and stage-(m-1) tables."""
-    k, l, q_prev = params.k[m - 1], params.l[m - 1], params.q[m - 1]
-    t = dyn_order(params, m).table
-    ji = dyn_order(params, m - 1).table
-    block_len = l * q_prev
-    i = t // (k * block_len)
-    rr = t % block_len
-    return NameLabeling(m, rr < q_prev - ji[i], rr >= block_len - ji[i])
-
-
 @st.composite
 def coefficients(draw):
     n = draw(st.integers(1, 3))
@@ -157,17 +148,19 @@ def coefficients(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(coefficients(), CHUNKS)
-def test_spacer_columns_match_the_table_formula(params, size):
+@given(coefficients())
+def test_spacer_columns_match_the_table_formula(params):
+    # the closed-form runs against each column's word position
     for m in range(1, params.stages + 1):
         if params.q[m] > 4096:
             break
-        want = table_spacer_columns(params, m)
-        with chunk_size(size):
-            got = spacer_columns(params, m)
-        assert got.stage == m
-        assert np.array_equal(got.b_cols, want.b_cols)
-        assert np.array_equal(got.e_cols, want.e_cols)
+        b_cols, e_cols = table_marks(params, m)
+        got = spacer_columns(params, m)
+        assert got.cols == params.q[m] and got.letters.shape[0] == 1
+        # runs are maximal: no piece repeats its predecessor's kind
+        assert np.all(got.letters[0, 1:] != got.letters[0, :-1])
+        assert np.array_equal(dense(got), np.where(b_cols, B, 0)
+                              + np.where(e_cols, E, 0))
 
 
 def test_marks_and_numerology_refuse_past_int64_before_allocating():
@@ -217,7 +210,7 @@ def dict_of_bytes_distinct(proc):
     """distinct_names keyed by the whole name's bytes."""
     seen = {}
     for s in range(proc.params.s[proc.stage]):
-        name = frame_labels(proc)[whole_orbit(proc, s)].tobytes()
+        name = dense(frame_labels(proc))[whole_orbit(proc, s)].tobytes()
         if name in seen:
             return (False, (seen[name], s))
         seen[name] = s
@@ -229,15 +222,10 @@ DESK_DUP = [[(0, 1), (1, 0)], [(0, 1), (1, 0), (0, 1), (1, 0)]]
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_processes(), CHUNKS, st.booleans())
-def test_distinct_names_match_dict_of_bytes(procs, size, collide):
-    # with `collide`, every name hashes alike, so each tower is told
-    # apart by the exact compare alone
+@given(small_processes(), CHUNKS)
+def test_distinct_names_match_dict_of_bytes(procs, size):
     procs = small(procs) + [build_process(DESK, DESK_DUP)]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ratarith, "CHUNK", size)
-        if collide:
-            mp.setattr(names, "hash", lambda _: 0, raising=False)
+    with chunk_size(size):
         for proc in procs:
             rep = distinct_names(proc)
             assert (rep.distinct, rep.witness) == dict_of_bytes_distinct(proc)
@@ -271,16 +259,17 @@ def traced_peak(fn, *args):
                                    check_distinct, check_numerology],
                          ids=lambda f: f.__name__)
 def test_grid_checks_peak_below_two_frames(check):
+    # a frame of one int8 label per atom is the unit of the bound
     ctx = grid3_context()
     assert GRID3.q[3] >= 2 ** 17
     (ok, _, _), peak = traced_peak(check, ctx)
-    frame = frame_labels(ctx.procs[-1])
+    frame_bytes = GRID3.q[3] * GRID3.s[3]
     assert ok
-    assert peak < 2 * frame.nbytes + (1 << 20), peak
+    assert peak < 2 * frame_bytes + (1 << 20), peak
 
 
 def test_spacer_columns_peak_below_two_frames():
     marks, peak = traced_peak(spacer_columns, GRID3, 3)
     frame_bytes = GRID3.q[3] * GRID3.s[3]       # int8 labels
-    assert marks.b_cols.size == GRID3.q[3]
+    assert marks.cols == GRID3.q[3]
     assert peak < 2 * frame_bytes + (1 << 20), peak

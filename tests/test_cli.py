@@ -2,6 +2,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -14,12 +15,16 @@ VAR_PARAMS = "k = 2 4\nl = 4 4\ns = 2 2 4\n"
 W1 = "0 1\n1 0\n"
 W2_DUP = "0 1\n1 0\n0 1\n1 0\n"
 W2_VAR = "0 0 1 1\n0 1 0 1\n1 0 1 0\n1 1 0 0\n"
+# stage 3 words have 4*32*128**2 = 2**21 letters, past the word cap
+LAZY_PARAMS = "k = 2 4 4\nl = 2 2 32\ns = 2 2 4 4\n"
+W3 = "0 1 2 3\n1 2 3 0\n2 3 0 1\n3 0 1 2\n"
 
 
 @pytest.fixture
 def desk(tmp_path):
     files = {"desk.params": DESK_PARAMS, "w1.txt": W1, "w2.txt": W2_DUP,
-             "var.params": VAR_PARAMS, "w2var.txt": W2_VAR}
+             "var.params": VAR_PARAMS, "w2var.txt": W2_VAR,
+             "lazy.params": LAZY_PARAMS, "w3.txt": W3}
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     return tmp_path
@@ -133,6 +138,9 @@ def test_names_crosscheck_verdict(desk):
 
 
 WORDS = ["--prewords", "w1.txt", "--prewords", "w2.txt"]
+LAZY = ["words", "parse", "--params", "lazy.params", "--prewords", "w1.txt",
+        "--prewords", "w2var.txt", "--prewords", "w3.txt", "--stage", "3",
+        "--text", "0 1 2"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -159,6 +167,7 @@ WORDS = ["--prewords", "w1.txt", "--prewords", "w2.txt"]
      "--seed", "-1"],
     ["factor", "pi", "--params", "desk.params", "--point", "0,1,9",
      "--width", "-5"],
+    LAZY,
 ], ids=lambda argv: " ".join(argv[:2] + argv[-2:]))
 def test_bad_input_exits_2(desk, capsys, monkeypatch, argv):
     monkeypatch.chdir(desk)
@@ -167,6 +176,16 @@ def test_bad_input_exits_2(desk, capsys, monkeypatch, argv):
     assert code == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_words_parse_refuses_a_lazy_stage_at_once(desk, capsys, monkeypatch):
+    monkeypatch.chdir(desk)
+    start = time.perf_counter()
+    code, _ = run(LAZY)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert capsys.readouterr().err == ("error: stage 3 words have 2097152 "
+                                       "letters, past the word cap 1048576\n")
 
 
 @pytest.mark.parametrize("exc", [ToleranceError("eps not reached"),
@@ -211,9 +230,6 @@ def test_run_numerology_checks_deepest_stage(desk):
 
 
 def test_run_readability_names_stages(desk):
-    # stage 3 words have 4*32*128**2 = 2**21 letters, past the word cap
-    (desk / "lazy.params").write_text("k = 2 4 4\nl = 2 2 32\ns = 2 2 4 4\n")
-    (desk / "w3.txt").write_text("0 1 2 3\n1 2 3 0\n2 3 0 1\n3 0 1 2\n")
     code, text = run(["run", manifest(desk,
         "params = lazy.params\nprewords = w1.txt w2var.txt w3.txt\n"
         "checks = readability\n")])
@@ -231,8 +247,6 @@ def test_run_numerology_names_stages_past_cap(desk):
 
 
 def test_run_boundary_names_lazy_stages(desk):
-    (desk / "lazy.params").write_text("k = 2 4 4\nl = 2 2 32\ns = 2 2 4 4\n")
-    (desk / "w3.txt").write_text("0 1 2 3\n1 2 3 0\n2 3 0 1\n3 0 1 2\n")
     code, text = run(["run", manifest(desk,
         "params = lazy.params\nprewords = w1.txt w2var.txt w3.txt\n"
         "checks = boundary\n")])

@@ -2,6 +2,7 @@
 
 import glob
 import os
+import re
 import subprocess
 import sys
 
@@ -24,3 +25,20 @@ def test_demo_exits_0(path):
     proc = subprocess.run([sys.executable, path], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_rung_measure_script(tmp_path):
+    # the deep-rung timer on the demo manifest: its report, then the
+    # child's wall time and peak RSS; named checks run alone
+    script = os.path.join(ROOT, "demos", "rungs", "measure.py")
+    manifest = os.path.join(ROOT, "demos", "data", "manifest.txt")
+    for checks, count in (([], 12), (["process", "distinct"], 2)):
+        proc = subprocess.run([sys.executable, script, manifest] + checks,
+                              cwd=tmp_path, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        *report, last = proc.stdout.splitlines()
+        assert len(report) == count
+        assert all(" PASS " in line for line in report)
+        assert re.fullmatch(r"wall_s=\d+\.\d{3} peak_rss_mb=\d+\.\d exit=0",
+                            last)

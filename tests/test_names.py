@@ -12,13 +12,14 @@ from circlesys.errors import InputError, OracleMismatch, ResourceError
 from circlesys.names import (StabilityReport, crosscheck_tower,
                              distinct_names, frame_labels, label_dtype,
                              name_stability, q_labels, simulate_tower_name,
-                             spacer_columns, transect_word, u_words)
+                             spacer_columns, u_words)
 from circlesys.procsim import (GridPermutation, build_process, compose_stage,
                                h_from_words, initial_process, rotation_perm,
                                rotation_shift)
 from circlesys.ratarith import derive_params, dyn_order
 from circlesys.words import B, E, circ
 
+from oracles import dense, table_marks, transect_word
 from strategies import materialised_z, small_processes
 
 DESK = derive_params([2, 2], [4, 4], [2, 2, 4])
@@ -66,16 +67,16 @@ def naive_labels(params, h_list, stage, cols, rows):
         Z = Z.compose(h_list[m - 1].lift(cols, rows))
         pre = Z.inverse().table
         col_m = (pre % cols) * params.q[m] // cols
-        marks = spacer_columns(params, m)
-        labels[marks.b_cols[col_m]] = B
-        labels[marks.e_cols[col_m]] = E
+        b_cols, e_cols = table_marks(params, m)
+        labels[b_cols[col_m]] = B
+        labels[e_cols[col_m]] = E
     return labels
 
 
 def test_spacer_columns_mass():
-    marks = spacer_columns(DESK, 2)
-    assert int(marks.b_cols.sum()) + int(marks.e_cols.sum()) == 512 // 4
-    assert not np.any(marks.b_cols & marks.e_cols)
+    marks = dense(spacer_columns(DESK, 2))
+    assert marks.size == 512 and set(marks.tolist()) == {0, B, E}
+    assert int(np.count_nonzero(marks)) == 512 // 4
 
 
 def test_simulated_names_equal_construction_words():
@@ -167,7 +168,8 @@ def test_q_labels_override():
     # so label counts match the top-stage word structure exactly
     _, _, p2, h1, h2 = desk_procs()
     part = naive_labels(DESK, [h1.lift(512, 4), h2.lift(512, 4)], 2, 512, 4)
-    assert np.array_equal(part[materialised_z(p2).table], frame_labels(p2))
+    assert np.array_equal(part[materialised_z(p2).table],
+                          dense(frame_labels(p2)))
     name = simulate_tower_name(p2, 0)
     word = cs_words(DESK, [W1, W2_DUP], 2)[0]
     assert sum(1 for x in name if x == B) == sum(1 for x in word if x == B)
@@ -181,8 +183,8 @@ def test_frame_labels_match_atom_order_oracle(procs):
         naive = naive_labels(proc.params, proc.h_list, proc.stage,
                              proc.cols, proc.rows)
         frame = frame_labels(proc)
-        assert frame.dtype == naive.dtype
-        assert np.array_equal(frame, naive[materialised_z(proc).table])
+        assert frame.letters.dtype == naive.dtype
+        assert np.array_equal(dense(frame), naive[materialised_z(proc).table])
 
 
 def test_q_labels_reads_no_full_size_permutation(monkeypatch):
@@ -210,12 +212,11 @@ def test_frame_labels_thin_rung_past_2_22_columns():
     q3 = params.q[3]
     assert q3 == 4194368
     proc = build_process(params, [[(0,)]] * 3, cap_atoms=q3)
-    frame = frame_labels(proc)
+    frame = dense(frame_labels(proc))
     assert frame.shape == (q3,)
-    marks = spacer_columns(params, 3)
-    assert int(marks.b_cols.sum()) + int(marks.e_cols.sum()) == q3 // 65537
-    assert np.all(frame[marks.b_cols] == B)
-    assert np.all(frame[marks.e_cols] == E)
+    marks = dense(spacer_columns(params, 3))
+    assert int(np.count_nonzero(marks)) == q3 // 65537
+    assert np.array_equal(frame[marks != 0], marks[marks != 0])
 
 
 @given(st.lists(st.tuples(st.integers(1, 4), st.integers(2, 5)),
@@ -233,9 +234,8 @@ def test_spacer_columns_match_the_word_route(kl):
         w = circ([(0,) * q] * k, k, l, q, dyn_order(params, m - 1))
         order = dyn_order(params, m)
         j = [order[c] for c in range(params.q[m])]
-        marks = spacer_columns(params, m)
-        assert marks.b_cols.tolist() == [w[t] == B for t in j]
-        assert marks.e_cols.tolist() == [w[t] == E for t in j]
+        marks = dense(spacer_columns(params, m))
+        assert marks.tolist() == [w[t] if w[t] in (B, E) else 0 for t in j]
 
 
 def test_q_labels_refuses_a_grid_off_the_stage():
@@ -413,7 +413,9 @@ def test_labels_computed_lazily_once():
     _, _, p2, _, _ = desk_procs()
     assert p2.labels is None
     labels = frame_labels(p2)
-    assert labels.dtype == np.int8 and not labels.flags.writeable
+    assert labels.letters.dtype == np.int8
+    assert not labels.letters.flags.writeable
+    assert not labels.starts.flags.writeable
     simulate_tower_name(p2, 0)
     distinct_names(p2)
     assert frame_labels(p2) is labels

@@ -15,8 +15,9 @@ from circlesys.procsim import (EpsApproxReport, GridPermutation,
                                check_requirements, compose_stage, eps_approx,
                                h_from_words, initial_process, rotation_perm,
                                rotation_shift)
-from circlesys.ratarith import CHUNK, derive_params, spacer_columns
+from circlesys.ratarith import CHUNK, derive_params
 
+from oracles import table_marks
 from strategies import materialised_z, process_chain, small_processes
 
 DESK = derive_params([2, 2], [4, 4], [2, 2, 4])
@@ -255,9 +256,9 @@ def naive_eps_approx(coarse, fine):
 
     # word position t of a fine tower is a new spacer iff the column it
     # occupies is freshly labelled at the fine stage
-    marks = spacer_columns(params, fine.stage)
+    b_cols, e_cols = table_marks(params, fine.stage)
     col_of_t = np.arange(qf, dtype=np.int64) * params.p[fine.stage] % qf
-    is_spacer = marks.b_cols[col_of_t] | marks.e_cols[col_of_t]
+    is_spacer = b_cols[col_of_t] | e_cols[col_of_t]
 
     deleted = []
     blocks = 0

