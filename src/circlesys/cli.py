@@ -12,7 +12,7 @@ cap is hit.
 """
 
 import argparse
-import concurrent.futures
+import importlib.util
 import os
 import sys
 import threading
@@ -20,11 +20,42 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import consys, factor, names, procsim, smoothreal, words
+from . import words
 from .errors import (CoherenceError, ConstraintError, InputError,
                      OracleMismatch, ResourceError, ToleranceError)
-from .ratarith import (content_lines, dyn_order, load_params,
-                       parse_key_values, read_text)
+from .ratarith import (DEFAULT_ATOM_CAP, content_lines, dyn_order,
+                       load_params, parse_key_values, read_text)
+
+
+def _lazy(name):
+    """Submodule `name`, executed on its first attribute read.
+
+    A module that is already in `sys.modules` is returned as it is;
+    otherwise a `LazyLoader` module is registered in `sys.modules` and on
+    the package, so that `import`, `from . import` and patching by module
+    name all reach the same object.  The load is not thread-safe (Python
+    3.11 swaps the module's class before it executes the module), so
+    every lazy module that threads may read must be loaded before they
+    start, as `run_checks` does for the check modules.
+    """
+    fullname = "%s.%s" % (__package__, name)
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+consys = _lazy("consys")
+factor = _lazy("factor")
+names = _lazy("names")
+procsim = _lazy("procsim")
+smoothreal = _lazy("smoothreal")
 
 
 def frac(x):
@@ -51,7 +82,7 @@ class Context:
     and the word files; the sequence and processes are built lazily."""
 
     def __init__(self, params, prewords=(), hwords=(),
-                 cap_atoms=procsim.DEFAULT_ATOM_CAP, sigma=None):
+                 cap_atoms=DEFAULT_ATOM_CAP, sigma=None):
         self.params = load_params(params)
         self.prewords = [load_tuples(p) for p in prewords]
         self.h_words = [load_tuples(p) for p in hwords]
@@ -319,6 +350,9 @@ def run_checks(ctx, checks, jobs=1):
             name, "PASS" if ok else "FAIL", value, bound), ok
 
     if jobs > 1:
+        import concurrent.futures
+        for module in (consys, factor, names, procsim):
+            module.__name__     # reading any attribute executes it
         with concurrent.futures.ThreadPoolExecutor(jobs) as pool:
             results = list(pool.map(one, checks))
     else:
@@ -359,7 +393,7 @@ class RunManifest:
         self.hword_paths = [rel(p) for p in seen.get("hwords", "").split()]
         self.checks = seen.get("checks", "").split() or None
         integer("seed")
-        self.cap_atoms = integer("cap_atoms", procsim.DEFAULT_ATOM_CAP)
+        self.cap_atoms = integer("cap_atoms", DEFAULT_ATOM_CAP)
         self.out = rel(seen["out"]) if "out" in seen else None
         self.sigma = integer("sigma")
         self.jobs = integer("jobs", 1)
@@ -517,7 +551,7 @@ def cmd_names(args, out):
         name = names.simulate_tower_name(proc, s)
         out.write(words.word_to_text(name.tolist()) + "\n")
         try:
-            names.crosscheck_tower(proc, prev, proc.h_list[-1], s)
+            names.crosscheck_tower(proc, prev, proc.h_list[-1], s, name)
         except OracleMismatch as exc:
             out.write("ORACLE-MATCH: no (tower %d, position %d)\n"
                       % (s, exc.index))
@@ -675,7 +709,7 @@ def build_parser():
                            default=None if optional else [])
         if hwords and not optional:
             p.add_argument("--cap-atoms", dest="cap_atoms", type=int,
-                           default=procsim.DEFAULT_ATOM_CAP)
+                           default=DEFAULT_ATOM_CAP)
 
     p = sub.add_parser("params", help="derive p, q, alpha from a file")
     p.add_argument("params")

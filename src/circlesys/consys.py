@@ -8,6 +8,7 @@ so the exact Fractions stay cheap at any stage.
 """
 
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,13 +22,35 @@ from .words import E, LazyCircularWord, circ, parse
 DEFAULT_WORD_CAP = 1 << 20
 
 
+class Letters(Sequence):
+    """Level 0: the one-letter words of a read-only alphabet array, each
+    a read-only length-1 view made when it is read, so the level holds
+    no object per letter."""
+
+    def __init__(self, alphabet):
+        self._alphabet = alphabet
+
+    def __len__(self):
+        return len(self._alphabet)
+
+    def __getitem__(self, i):
+        at = range(len(self._alphabet))[i]
+        if isinstance(at, range):
+            return [self._alphabet[a:a + 1] for a in at]
+        return self._alphabet[at:at + 1]
+
+    def __iter__(self):
+        return iter(self._alphabet.reshape(-1, 1))
+
+
 @dataclass
 class ConstructionSequence:
     params: object
     sigma_size: int
     prewords: list          # prewords[n] builds level n+1 from level n
-    # levels[n] = list of level-n words: read-only int arrays of one
-    # dtype per sequence when materialized, else LazyCircularWords
+    # levels[n] = the level-n words: read-only int arrays of one dtype
+    # per sequence when materialized, else LazyCircularWords; level 0
+    # is a `Letters`, the others are lists
     levels: list
 
     @property
@@ -35,7 +58,8 @@ class ConstructionSequence:
         return len(self.levels) - 1
 
     def is_materialized(self, n):
-        return not any(isinstance(w, LazyCircularWord) for w in self.levels[n])
+        return n == 0 or not any(isinstance(w, LazyCircularWord)
+                                 for w in self.levels[n])
 
 
 def build_sequence(sigma_size, params, prewords, strict=False):
@@ -49,8 +73,8 @@ def build_sequence(sigma_size, params, prewords, strict=False):
 
     Materialized words are read-only numpy arrays of the narrowest
     signed dtype that holds every letter (B, E and sigma_size - 1):
-    int8 up to 128 letters, int32 at the alphabet cap.  Level 0 holds
-    one length-1 view per letter.
+    int8 up to 128 letters, int32 at the alphabet cap.  Level 0 makes
+    each letter's length-1 view on demand (`Letters`).
     """
     if sigma_size < 1:
         raise InputError("alphabet must be non-empty")
@@ -63,7 +87,7 @@ def build_sequence(sigma_size, params, prewords, strict=False):
     dtype = np.min_scalar_type(min(E, -sigma_size))
     alphabet = np.arange(sigma_size, dtype=dtype)
     alphabet.flags.writeable = False
-    levels = [list(alphabet.reshape(-1, 1))]
+    levels = [Letters(alphabet)]
     kept_prewords = []
     for n, tuples in enumerate(prewords):
         k, l, q = params.k[n], params.l[n], params.q[n]

@@ -130,7 +130,7 @@ def u_words(proc, h, s):
         row * proc.cols + atom % h.cols // k).tolist()]
 
 
-def crosscheck_tower(proc_next, proc, h, s):
+def crosscheck_tower(proc_next, proc, h, s, simulated=None):
     """Two independent names for tower s at the next stage.
 
     The grid route simulates the tower and reads labels; the symbolic
@@ -138,10 +138,13 @@ def crosscheck_tower(proc_next, proc, h, s):
     h_words[s].  They must agree everywhere: on the interior by the
     name computation, on the spacers because both install them from the
     same column arithmetic.  Both names are arrays of the label dtype;
-    the symbolic one is built from the child words alone.  Raises
-    OracleMismatch with the first differing position and both letters.
+    the symbolic one is built from the child words alone.  A caller that
+    has already simulated the tower passes its name as `simulated`.
+    Raises OracleMismatch with the first differing position and both
+    letters; returns the simulated name.
     """
-    simulated = simulate_tower_name(proc_next, s)
+    if simulated is None:
+        simulated = simulate_tower_name(proc_next, s)
     us = u_words(proc, h, s)
     n, params = proc.stage, proc.params
     symbolic = circ(us, params.k[n], params.l[n], params.q[n],

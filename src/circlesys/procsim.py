@@ -17,9 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConstraintError, InputError, ResourceError
-from .ratarith import chunks, spacer_columns
-
-DEFAULT_ATOM_CAP = 1 << 24
+from .ratarith import DEFAULT_ATOM_CAP, chunks, spacer_columns
 
 
 class GridPermutation:

@@ -26,6 +26,10 @@ from .words import B, E
 # temporary has one int64 entry per column or per tower level
 CHUNK = 1 << 14
 
+#: atoms a grid process may hold (`procsim.compose_stage`), unless the
+#: caller gives a cap of its own
+DEFAULT_ATOM_CAP = 1 << 24
+
 
 def chunks(lo, hi):
     """The ranges [a, b) of at most CHUNK entries that tile [lo, hi)."""

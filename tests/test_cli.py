@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from circlesys import cli, procsim, smoothreal
+from circlesys import cli, names, procsim, smoothreal
 from circlesys.cli import RunManifest, main, run_checks
 from circlesys.errors import OracleMismatch, ToleranceError
 
@@ -135,6 +135,32 @@ def test_names_crosscheck_verdict(desk):
                       "--hwords", str(desk / "w2.txt")])
     assert code == 0
     assert "ORACLE-MATCH: yes" in text
+
+
+def test_names_crosscheck_simulates_each_tower_once(desk, monkeypatch):
+    # a word route that disagrees on tower 2 ends the listing there
+    simulate, u_words = names.simulate_tower_name, names.u_words
+    simulated = []
+
+    def counted(proc, s):
+        simulated.append(s)
+        return simulate(proc, s)
+
+    def rotated(proc, h, s):
+        us = u_words(proc, h, s)
+        return us[1:] + us[:1] if s == 2 else us
+
+    monkeypatch.setattr(names, "simulate_tower_name", counted)
+    argv = ["names", "crosscheck", "--params", str(desk / "desk.params"),
+            "--hwords", str(desk / "w1.txt"), "--hwords", str(desk / "w2.txt")]
+    code, text = run(argv)
+    assert (code, simulated) == (0, [0, 1, 2, 3])
+    monkeypatch.setattr(names, "u_words", rotated)
+    simulated.clear()
+    code, bad = run(argv)
+    assert (code, simulated) == (1, [0, 1, 2])
+    assert bad.splitlines()[:3] == text.splitlines()[:3]
+    assert bad.splitlines()[3] == "ORACLE-MATCH: no (tower 2, position 9)"
 
 
 WORDS = ["--prewords", "w1.txt", "--prewords", "w2.txt"]

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -80,6 +81,38 @@ def test_grid3_level_words_take_one_byte_per_letter():
     w3 = list(itertools.permutations(range(4)))[:4]
     cs = build_sequence(2, params, [W1, w2, w3])
     assert sum(w.nbytes for w in cs.levels[3]) == 524288
+
+
+def test_level0_letters_are_read_only_views():
+    # 130 letters need int16; every letter reads as a one-letter word
+    cs = build_sequence(130, DESK, [[(0, 1), (1, 0)]])
+    level = cs.levels[0]
+    assert len(level) == 130
+    assert [w.tolist() for w in level] == [[a] for a in range(130)]
+    assert {w.dtype for w in level} == {np.dtype(np.int16)}
+    assert not any(w.flags.writeable for w in level)
+    with pytest.raises(ValueError):
+        level[5][0] = 7
+    assert level[5].tolist() == [5]
+    assert level[-1].tolist() == [129]
+    assert [w.tolist() for w in level[3:6]] == [[3], [4], [5]]
+    with pytest.raises(IndexError):
+        level[130]
+    assert cs.is_materialized(0)
+
+
+def test_level0_at_the_alphabet_cap_holds_no_word_per_letter():
+    # at 2**20 letters a view per letter costs about 130 MiB; the level
+    # keeps only the 4 MiB int32 alphabet
+    sigma = 1 << 20
+    tracemalloc.start()
+    try:
+        cs = build_sequence(sigma, DESK, [[(0, 1), (1, 0)]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cs.levels[0][sigma - 1].tolist() == [sigma - 1]
+    assert peak < 2 * 4 * sigma, peak
 
 
 def test_rung3_readability():
