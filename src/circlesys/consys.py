@@ -8,39 +8,17 @@ so the exact Fractions stay cheap at any stage.
 """
 
 import warnings
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConstraintError, InputError, ResourceError
+from .errors import InputError, ResourceError
 from .ratarith import dyn_order
-from .words import E, LazyCircularWord, circ, parse
+from .words import LazyCircularWord, circ, label_dtype, parse
 
 #: materialize level words up to this many letters each
 DEFAULT_WORD_CAP = 1 << 20
-
-
-class Letters(Sequence):
-    """Level 0: the one-letter words of a read-only alphabet array, each
-    a read-only length-1 view made when it is read, so the level holds
-    no object per letter."""
-
-    def __init__(self, alphabet):
-        self._alphabet = alphabet
-
-    def __len__(self):
-        return len(self._alphabet)
-
-    def __getitem__(self, i):
-        at = range(len(self._alphabet))[i]
-        if isinstance(at, range):
-            return [self._alphabet[a:a + 1] for a in at]
-        return self._alphabet[at:at + 1]
-
-    def __iter__(self):
-        return iter(self._alphabet.reshape(-1, 1))
 
 
 @dataclass
@@ -48,9 +26,9 @@ class ConstructionSequence:
     params: object
     sigma_size: int
     prewords: list          # prewords[n] builds level n+1 from level n
-    # levels[n] = the level-n words: read-only int arrays of one dtype
-    # per sequence when materialized, else LazyCircularWords; level 0
-    # is a `Letters`, the others are lists
+    # levels[n] = the level-n words: when materialized, one read-only
+    # 2-D int array with a word per row, of one dtype per sequence (level
+    # 0 is the alphabet as a column); else a list of LazyCircularWords
     levels: list
 
     @property
@@ -58,23 +36,21 @@ class ConstructionSequence:
         return len(self.levels) - 1
 
     def is_materialized(self, n):
-        return n == 0 or not any(isinstance(w, LazyCircularWord)
-                                 for w in self.levels[n])
+        return not isinstance(self.levels[n][0], LazyCircularWord)
 
 
-def build_sequence(sigma_size, params, prewords, strict=False):
+def build_sequence(sigma_size, params, prewords):
     """Iterate the circular product over the given preword tuples.
 
     prewords[n] is a list of k[n]-tuples of indices into level n.
     Duplicate tuples are collapsed with a warning (they would name the
-    same word twice).  In strict mode each level-n word must occur
-    exactly k[n]/|level n| times in every tuple, which is what makes
-    the next level strongly uniform.
+    same word twice).
 
-    Materialized words are read-only numpy arrays of the narrowest
-    signed dtype that holds every letter (B, E and sigma_size - 1):
-    int8 up to 128 letters, int32 at the alphabet cap.  Level 0 makes
-    each letter's length-1 view on demand (`Letters`).
+    A materialized level is one read-only numpy array with a word per
+    row, of the narrowest signed dtype that holds every letter (B, E
+    and sigma_size - 1): int8 up to 128 letters, int32 at the alphabet
+    cap.  Level 0 is the alphabet as a column.  A level of words longer
+    than DEFAULT_WORD_CAP is a list of LazyCircularWords.
     """
     if sigma_size < 1:
         raise InputError("alphabet must be non-empty")
@@ -84,16 +60,15 @@ def build_sequence(sigma_size, params, prewords, strict=False):
     if len(prewords) > params.stages:
         raise InputError("got %d preword lists but only %d stages of parameters"
                          % (len(prewords), params.stages))
-    dtype = np.min_scalar_type(min(E, -sigma_size))
-    alphabet = np.arange(sigma_size, dtype=dtype)
-    alphabet.flags.writeable = False
-    levels = [Letters(alphabet)]
+    dtype = label_dtype(sigma_size)
+    letters = np.arange(sigma_size, dtype=dtype).reshape(-1, 1)
+    letters.flags.writeable = False
+    levels = [letters]
     kept_prewords = []
     for n, tuples in enumerate(prewords):
         k, l, q = params.k[n], params.l[n], params.q[n]
         prev = levels[n]
-        seen = set()
-        kept = []
+        kept = {}                       # the distinct tuples, in order
         for t, tup in enumerate(tuples):
             tup = tuple(tup)
             if len(tup) != k:
@@ -102,38 +77,22 @@ def build_sequence(sigma_size, params, prewords, strict=False):
             if any(not 0 <= c < len(prev) for c in tup):
                 raise InputError("stage %d preword %d indexes outside level %d"
                                  % (n + 1, t, n))
-            if strict:
-                if k % len(prev) != 0:
-                    raise ConstraintError(
-                        "stage %d: %d words cannot occur equally in arity %d"
-                        % (n + 1, len(prev), k))
-                want = k // len(prev)
-                for c in range(len(prev)):
-                    if tup.count(c) != want:
-                        raise ConstraintError(
-                            "stage %d preword %d: word %d occurs %d times, "
-                            "expected %d" % (n + 1, t, c, tup.count(c), want))
-            if tup in seen:
+            if tup in kept:
                 warnings.warn("stage %d: duplicate preword %r collapsed"
                               % (n + 1, tup))
-                continue
-            seen.add(tup)
-            kept.append(tup)
+            kept[tup] = None
         if not kept:
             raise InputError("stage %d has no prewords" % (n + 1,))
         order = dyn_order(params, n)
-        next_len = k * l * q * q
-        level = []
-        for tup in kept:
-            children = [prev[c] for c in tup]
-            if next_len <= DEFAULT_WORD_CAP and not any(
-                    isinstance(c, LazyCircularWord) for c in children):
-                word = circ(children, k, l, q, order, dtype=dtype)
-                word.flags.writeable = False
-                level.append(word)
-            else:
-                level.append(LazyCircularWord(children, k, l, q, order))
-        kept_prewords.append(kept)
+        if params.q[n + 1] <= DEFAULT_WORD_CAP:
+            level = np.empty((len(kept), params.q[n + 1]), dtype=dtype)
+            for tup, row in zip(kept, level):
+                circ([prev[c] for c in tup], k, l, q, order, out=row)
+            level.flags.writeable = False
+        else:
+            level = [LazyCircularWord([prev[c] for c in tup], k, l, q, order)
+                     for tup in kept]
+        kept_prewords.append(list(kept))
         levels.append(level)
     return ConstructionSequence(params, sigma_size, kept_prewords, levels)
 

@@ -19,23 +19,13 @@ from fractions import Fraction
 import numpy as np
 
 from . import ratarith
-from .errors import InputError, OracleMismatch, ResourceError
+from .errors import InputError, OracleMismatch
 from .procsim import refine, rotation_perm, rotation_shift
 from .ratarith import FrameRuns, chunks, dyn_order, spacer_columns
-from .words import B, E, circ
+from .words import circ, label_dtype
 
 # serialises the first computation of a process's labels across threads
 _LABELS_LOCK = threading.Lock()
-
-
-def label_dtype(s0):
-    """Narrowest signed integer dtype holding the labels 0..s0-1, B and E:
-    the one holding -s0 (int8 while s0 <= 128).  A fixed-width label table
-    must not wrap, so a strip count no dtype can hold is refused."""
-    dtype = np.min_scalar_type(min(B, E, -s0))
-    if dtype.kind != "i":
-        raise ResourceError("%d base strips do not fit a 64-bit label" % s0)
-    return dtype
 
 
 def q_labels(params, h_list, stage, cols, rows):
@@ -148,7 +138,7 @@ def crosscheck_tower(proc_next, proc, h, s, simulated=None):
     us = u_words(proc, h, s)
     n, params = proc.stage, proc.params
     symbolic = circ(us, params.k[n], params.l[n], params.q[n],
-                    dyn_order(params, n), dtype=simulated.dtype)
+                    dyn_order(params, n), np.empty_like(simulated))
     for lo, hi in chunks(0, simulated.size):
         bad = np.flatnonzero(simulated[lo:hi] != symbolic[lo:hi])
         if bad.size:

@@ -3,9 +3,10 @@
 Inner symbols are non-negative ints.  Two reserved letters mark the
 spacer runs: B (written `b`) and E (written `e`).  A word is any
 sequence of ints: a tuple, or a one-dimensional integer numpy array
-(a construction sequence keeps its materialized words as read-only
-arrays of one narrow dtype).  Big stages use LazyCircularWord, which
-stores the construction DAG and decodes single positions on demand.
+(a construction sequence keeps each materialized level as one read-only
+2-D array of one narrow dtype, a word per row).  Big stages use
+LazyCircularWord, which stores the construction DAG and decodes single
+positions on demand.
 
 The circular product of k words of common length q, with multiplicity
 l and dynamical ordering j, is
@@ -21,10 +22,20 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, ResourceError
 
 B = -1
 E = -2
+
+
+def label_dtype(s0):
+    """Narrowest signed integer dtype holding the letters 0..s0-1, B and
+    E: the one holding -s0 (int8 while s0 <= 128).  A fixed-width letter
+    table must not wrap, so an alphabet no dtype can hold is refused."""
+    dtype = np.min_scalar_type(min(B, E, -s0))
+    if dtype.kind != "i":
+        raise ResourceError("%d base strips do not fit a 64-bit label" % s0)
+    return dtype
 
 
 @dataclass(frozen=True)
@@ -57,30 +68,29 @@ def _check_structure(children, k, l, q):
                              % (j, len(w), q))
 
 
-def circ(children, k, l, q, order, dtype=None):
-    """Materialize the circular product as a numpy array of `dtype`, or
-    as a tuple of Python ints when no dtype is given.
+def circ(children, k, l, q, order, out=None):
+    """Materialize the circular product into the 1-D array `out`, in its
+    dtype, or as a tuple of Python ints when no `out` is given.
 
     `order` is indexable with order[i] = j_i for i < q (a DynOrder or
-    any sequence).  Result length is k*l*q**2.  The array is allocated
-    once and written pass by pass: in pass i every block is b^(q-j_i),
-    its child repeated l-1 times, then e^(j_i), so one slice write per
-    run fills that run in all k blocks.  The tuple is read off an array
-    of the smallest dtype that holds the symbols.
+    any sequence).  The word is written pass by pass: in pass i every
+    block is b^(q-j_i), its child repeated l-1 times, then e^(j_i), so
+    one slice write per run fills that run in all k blocks.  The tuple
+    is read off an array of the smallest dtype that holds the symbols.
     """
     _check_structure(children, k, l, q)
-    as_tuple = dtype is None
-    body = np.asarray(children, dtype=dtype)
+    as_tuple = out is None
+    body = np.asarray(children, dtype=None if as_tuple else out.dtype)
     if as_tuple:
-        dtype = np.promote_types(np.int8, np.min_scalar_type(body.max()))
-    body = np.tile(body.astype(dtype), l - 1)
-    out = np.empty((q, k, l * q), dtype=dtype)
+        out = np.empty(k * l * q * q, dtype=np.promote_types(
+            np.int8, np.min_scalar_type(body.max())))
+    body = np.tile(body.astype(out.dtype, copy=False), l - 1)
+    passes = out.reshape(q, k, l * q)
     for i in range(q):
         head = q - order[i]
-        out[i, :, :head] = B
-        out[i, :, head:head + body.shape[1]] = body
-        out[i, :, head + body.shape[1]:] = E
-    out = out.reshape(-1)
+        passes[i, :, :head] = B
+        passes[i, :, head:head + body.shape[1]] = body
+        passes[i, :, head + body.shape[1]:] = E
     return tuple(out.tolist()) if as_tuple else out
 
 
@@ -139,12 +149,12 @@ def decode_position(word, m):
 
 
 def _letters_array(letters):
-    """A signed integer array as it is; any other sequence as an int64
-    copy of its letters."""
-    if isinstance(letters, np.ndarray) and letters.dtype.kind == "i":
+    """A signed integer array as it is; anything else as an int64 copy."""
+    letters = np.asarray(letters)
+    if letters.dtype.kind == "i":
         return letters
     try:
-        return np.array(tuple(letters), dtype=np.int64)
+        return np.array(letters.tolist(), dtype=np.int64)
     except OverflowError:
         raise InputError("letters must be integers that fit in int64")
 
@@ -152,37 +162,43 @@ def _letters_array(letters):
 def parse(x, words):
     """All occurrences of dictionary words in x, as (offset, index) pairs.
 
-    Every dictionary word must have the same length L.  Overlapping
-    occurrences are reported, in offset order; a word listed twice is
-    reported under its first index.  Letters must be integers that fit
-    in int64.
+    `words` is a 2-D integer array with one word per row (a materialized
+    construction level), or a list of words, which is stacked into one;
+    every word must have the same length L.  Overlapping occurrences are
+    reported, in offset order; a word listed twice is reported under its
+    first index.  Letters must be integers that fit in int64.
 
-    The text and the words are packed as bytes of the narrowest signed
-    dtype holding every letter; signed integer arrays are packed as
-    they are, any other sequence goes through an int64 copy.  Each
-    distinct word is found by exact byte search, restarted one byte
+    The text and the dictionary are each packed once, as bytes of the
+    narrowest signed dtype holding every letter; signed integer arrays
+    are packed as they are, anything else goes through an int64 copy.
+    Each distinct word is found by exact byte search, restarted one byte
     past each match; a match at a byte offset off the letter width does
     not start on a letter and is skipped.  `bytes.find` is linear in
     the text (CPython >= 3.10 uses the Crochemore-Perrin two-way
     algorithm): O(|x|) plus L per match.
     """
-    words = list(words)
-    if not words:
+    if len(words) == 0:
         raise InputError("empty dictionary")
-    length = len(words[0])
-    if length == 0 or any(len(w) != length for w in words):
+    try:
+        dictionary = np.asarray(words)
+    except ValueError:                  # words of different lengths
+        dictionary = None
+    if dictionary is None or dictionary.ndim != 2 or not dictionary.shape[1]:
         raise InputError("dictionary words must share a positive length")
     text = _letters_array(x)
-    dictionary = [_letters_array(w) for w in words]
+    dictionary = _letters_array(dictionary)
+    length = dictionary.shape[1]
     if len(text) < length:
         return []
-    lo = min(int(a.min()) for a in [text] + dictionary)
-    hi = max(int(a.max()) for a in [text] + dictionary)
+    lo = min(int(text.min()), int(dictionary.min()))
+    hi = max(int(text.max()), int(dictionary.max()))
     dtype = np.min_scalar_type(min(lo, -1 - hi))
     packed = text.astype(dtype, copy=False).tobytes()
+    rows = dictionary.astype(dtype, copy=False).tobytes()
+    width = length * dtype.itemsize
     first = {}
-    for i, w in enumerate(dictionary):
-        first.setdefault(w.astype(dtype, copy=False).tobytes(), i)
+    for i in range(len(dictionary)):
+        first.setdefault(rows[i * width:(i + 1) * width], i)
     hits = []
     for needle, i in first.items():
         at = packed.find(needle)

@@ -7,7 +7,8 @@ stability count by rolling every row through every shift, distinct
 names by hashing every tower's name, and the process check by
 scattering every tower level into one bool per atom.  `transect_word`
 builds a stage word without the circular product, by stepping an
-interval through its passes.
+interval through its passes.  `naive_parse` scans a text by looking
+up its window at every offset.
 """
 
 from fractions import Fraction
@@ -161,3 +162,16 @@ def transect_word(params, n, children):
             out.append(children[a % k][dynpos[a // k]])
         x = (x + p2) % q2
     return tuple(out)
+
+
+def naive_parse(x, dictionary):
+    """`parse` by looking up the window at every offset of x among the
+    dictionary words, as tuples of ints, each under its first index."""
+    index = {}
+    for i, w in enumerate(dictionary):
+        index.setdefault(tuple(int(a) for a in w), i)
+    length = len(dictionary[0])
+    x = tuple(int(a) for a in x)
+    return [(off, index[x[off:off + length]])
+            for off in range(len(x) - length + 1)
+            if x[off:off + length] in index]

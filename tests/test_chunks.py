@@ -134,8 +134,9 @@ def test_array_circ_matches_extended_circ(case, dtype):
     want = extended_circ(children, k, l, q, order)
     assert circ(children, k, l, q, order) == want
     if max(map(max, children)) <= np.iinfo(dtype).max:
-        word = circ(children, k, l, q, order, dtype=dtype)
-        assert word.dtype == dtype
+        out = np.empty(len(want), dtype=dtype)
+        word = circ(children, k, l, q, order, out)
+        assert word is out
         assert tuple(word.tolist()) == want
 
 

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from circlesys.consys import (ConstructionSequence, build_sequence,
                               check_unique_readability, estimate_cylinder,
                               in_S_window, verify_uniformity)
-from circlesys.errors import ConstraintError, InputError
+from circlesys.errors import InputError
 from circlesys.ratarith import derive_params, dyn_order
-from circlesys.words import circ
+from circlesys.words import circ, parse
 
 from strategies import small_sequences
 
@@ -115,6 +115,20 @@ def test_level0_at_the_alphabet_cap_holds_no_word_per_letter():
     assert peak < 2 * 4 * sigma, peak
 
 
+def test_parse_packs_a_level0_dictionary_once():
+    # reducing and packing each one-letter word on its own peaked at
+    # 58 MiB here; the level is one int32 column, packed in one piece
+    cs = build_sequence(1 << 18, DESK, [W1])
+    tracemalloc.start()
+    try:
+        hits = parse((5, 6, 7), cs.levels[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hits == [(0, 5), (1, 6), (2, 7)]
+    assert peak < 40 * 2 ** 20, peak
+
+
 def test_rung3_readability():
     # the 3-stage rung: q = 1, 4, 128, 131072; stage-3 words are built
     # from the four cyclic shifts of 0 1 2 3
@@ -134,9 +148,12 @@ def test_duplicate_prewords_collapse_with_warning():
     assert len(cs.levels[2]) == 2
 
 
-def test_strict_mode_rejects_skew():
-    with pytest.raises(ConstraintError):
-        build_sequence(2, DESK, [[(0, 0), (1, 0)], W2], strict=True)
+def test_strong_uniformity_rejects_skew():
+    # strong uniformity asks each word to occur k/|level| times in every
+    # tuple: (0, 0) holds word 0 twice and word 1 never
+    for tuples, strong in [([(0, 0), (1, 0)], False), (W1, True)]:
+        cs = build_sequence(2, DESK, [tuples, W2])
+        assert verify_uniformity(cs, 0).strong is strong
 
 
 def test_uniformity_desk():

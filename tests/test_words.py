@@ -13,6 +13,8 @@ from circlesys.words import (B, E, Boundary, Interior, LazyCircularWord,
                              boundary_stats, circ, decode_position, parse,
                              text_to_word, word_to_text)
 
+from oracles import naive_parse
+
 DESK = derive_params([2, 2], [4, 4], [2, 2, 4])
 
 
@@ -69,19 +71,6 @@ def test_decode_oracles():
         decode_position(lazy, 512)
 
 
-def naive_parse(x, dictionary):
-    """Reference scan: look up the window at every offset."""
-    dictionary = [tuple(w) for w in dictionary]
-    length = len(dictionary[0])
-    index = {}
-    for i, w in enumerate(dictionary):
-        index.setdefault(w, i)
-    x = tuple(x)
-    return [(off, index[x[off:off + length]])
-            for off in range(len(x) - length + 1)
-            if x[off:off + length] in index]
-
-
 def test_parse_examples():
     w0, w1 = stage1_words()
     assert parse(w0 + w1, [w0, w1]) == [(0, 0), (8, 1)]
@@ -90,21 +79,29 @@ def test_parse_examples():
 
 # 0 and P*Q are congruent modulo both primes, and P*Q needs int64
 # packing; 256, 257 and 65537 need int16 and int32 packing, whose bytes
-# can match off a letter boundary
+# can match off a letter boundary.  An int8 dictionary holds B, E and
+# other negatives down to -128.
 P, Q = 2147483647, 2147483629
-LETTERS = st.sampled_from([E, B, 0, 1, 2, 256, 257, 65537, P, P * Q])
+LETTERS = st.sampled_from([E, B, -3, -129, 0, 1, 2, 256, 257, 65537, P,
+                           P * Q])
+INT8_LETTERS = st.sampled_from([E, B, -3, -128, 0, 1, 2, 127])
 
 
 @st.composite
 def scan_cases(draw):
+    """(text, dictionary), the dictionary a list of tuples, a list of
+    int64 arrays or a 2-D int8 array.  Words may be longer than the
+    text, and a word may be listed again after its first index."""
+    form = draw(st.sampled_from(["tuples", "int64 arrays", "int8 array"]))
+    letters = INT8_LETTERS if form == "int8 array" else LETTERS
     length = draw(st.integers(1, 5))
     if draw(st.booleans()):
         # periodic text: overlapping and repeated occurrences
-        period = draw(st.lists(LETTERS, min_size=1, max_size=4))
+        period = draw(st.lists(letters, min_size=1, max_size=4))
         n = draw(st.integers(0, 30))
         x = tuple((period * n)[:n])
     else:
-        x = tuple(draw(st.lists(LETTERS, max_size=30)))
+        x = tuple(draw(st.lists(letters, max_size=30)))
     dictionary = []
     for _ in range(draw(st.integers(1, 4))):
         if len(x) >= length and draw(st.booleans()):
@@ -112,9 +109,15 @@ def scan_cases(draw):
             dictionary.append(x[off:off + length])
         else:
             dictionary.append(tuple(draw(st.lists(
-                LETTERS, min_size=length, max_size=length))))
+                letters, min_size=length, max_size=length))))
     if draw(st.booleans()):
-        dictionary.append(dictionary[-1])
+        i = draw(st.integers(0, len(dictionary) - 1))
+        dictionary.insert(draw(st.integers(i + 1, len(dictionary))),
+                          dictionary[i])
+    if form == "int8 array":
+        return x, np.array(dictionary, dtype=np.int8)
+    if form == "int64 arrays":
+        return x, [np.array(w, dtype=np.int64) for w in dictionary]
     return x, dictionary
 
 
@@ -139,12 +142,18 @@ def test_parse_matches_only_on_letter_boundaries():
 
 
 def test_parse_input_errors():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^empty dictionary$"):
         parse((0, 1), [])
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="share a positive length"):
         parse((0, 1), [(0,), (0, 1)])
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="share a positive length"):
+        parse((0, 1), [np.zeros(1, np.int8), np.zeros(2, np.int8)])
+    with pytest.raises(InputError, match="share a positive length"):
+        parse((0, 1), np.zeros((2, 0), np.int8))
+    with pytest.raises(InputError, match="fit in int64"):
         parse((2 ** 63, 1), [(1,)])
+    with pytest.raises(InputError, match="fit in int64"):
+        parse((0, 1), [(1,), (-2 ** 63 - 1,)])
 
 
 def test_boundary_stats_desk():
@@ -235,7 +244,7 @@ def test_circ_boundary_fraction(sys_):
 def test_boundary_stats_names_the_corrupted_run_of_an_array(sys_, data):
     children, k, l, q, p = sys_
     order = DynOrder(p, q)
-    word = circ(children, k, l, q, order, dtype=np.int8)
+    word = circ(children, k, l, q, order, np.empty(k * l * q * q, np.int8))
     runs = words._boundary_intervals(k, l, q, order)
     lo, hi = data.draw(st.sampled_from(runs))
     word[data.draw(st.integers(lo, hi - 1))] = 0
