@@ -208,8 +208,9 @@ def check_cylinder(ctx):
     worst = Fraction(0)
     bound = Fraction(0)
     for n in range(ctx.cs.depth):
+        eps = consys.verify_uniformity(ctx.cs, n).eps
         for u in range(len(ctx.cs.levels[n])):
-            est = consys.estimate_cylinder(ctx.cs, u, n, n)
+            est = consys.estimate_cylinder(ctx.cs, u, n, n, eps)
             worst = max(worst, est.gap)
             bound = max(bound, est.bound)
             if not est.within_bound:

@@ -7,6 +7,7 @@ the preword multiplicities, never through text scans of the big words,
 so the exact Fractions stay cheap at any stage.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -123,7 +124,6 @@ def check_unique_readability(cs, n):
 @dataclass
 class UniformityReport:
     stage: int              # transition n -> n+1
-    counts: dict            # (w, w') index pair -> occurrences of w in w'
     densities: list         # observed d(w) = mean of f/(q'/q), exact
     strong: bool            # f constant over all pairs
     f_value: object         # the common f when strong, else None
@@ -135,38 +135,31 @@ def verify_uniformity(cs, n):
 
     Each entry of a preword contributes q[n]*(l[n]-1) occurrences (the
     retained copies across all passes), so f(w, w') is the tuple
-    multiplicity scaled by that factor.
+    multiplicity M[w', w] scaled by that factor.  Each measure is an
+    exact integer numerator over one denominator.
     """
-    if n >= cs.depth:
-        raise InputError("stage %d not built (depth %d)" % (n + 1, cs.depth))
+    if not 0 <= n < cs.depth:
+        raise InputError("stage %d not built: need 0 <= n < depth %d"
+                         % (n, cs.depth))
     k, l, q = cs.params.k[n], cs.params.l[n], cs.params.q[n]
     per_copy = q * (l - 1)
-    tuples = cs.prewords[n]
-    nwords = len(cs.levels[n])
-    qratio = Fraction(cs.params.q[n + 1], q)
-    counts = {}
-    for wi, tup in enumerate(tuples):
-        for c in range(nwords):
-            counts[(c, wi)] = tup.count(c) * per_copy
-    densities = [
-        Fraction(sum(counts[(c, wi)] for wi in range(len(tuples))), 1) / qratio
-        / len(tuples)
-        for c in range(nwords)
-    ]
-    eps = max(
-        sum(abs(Fraction(counts[(c, wi)], 1) / qratio - densities[c])
-            for c in range(nwords))
-        for wi in range(len(tuples))
-    )
-    values = {counts[(c, wi)] for c in range(nwords) for wi in range(len(tuples))}
-    strong = len(values) == 1
-    f_value = values.pop() if strong else None
+    tuples = np.asarray(cs.prewords[n])
+    ntup, nwords = len(tuples), len(cs.levels[n])
+    M = np.zeros((ntup, nwords), dtype=np.int64)
+    np.add.at(M, (np.arange(ntup)[:, None], tuples), 1)
+    colsum = M.sum(0)
+    # f/(q'/q) = per_copy*M*q/q', and d(w) its mean over the tuples
+    scale = Fraction(per_copy * q, cs.params.q[n + 1] * ntup)
+    densities = [scale * int(c) for c in colsum]
+    eps = scale * int(np.abs(ntup * M - colsum).sum(1).max())
+    strong = bool(M.min() == M.max())
+    f_value = int(M[0, 0]) * per_copy if strong else None
     if strong:
         # cross-check the closed forms: f = f0*q*(l-1), d = (f0/k)(1-1/l)
         f0 = k // nwords
         assert f_value == f0 * per_copy
         assert all(d == Fraction(f0, k) * (1 - Fraction(1, l)) for d in densities)
-    return UniformityReport(n, counts, densities, strong, f_value, eps)
+    return UniformityReport(n, densities, strong, f_value, eps)
 
 
 @dataclass
@@ -180,45 +173,44 @@ class CylinderEstimate:
     within_bound: bool
 
 
-def _occurrence_table(cs, base_level, upto):
-    """occ[m][j][i]: occurrences of level-base word i in level-m word j."""
-    base = cs.levels[base_level]
-    occ = {base_level: [[1 if i == j else 0 for i in range(len(base))]
-                        for j in range(len(base))]}
-    total = {base_level: 1}
-    for m in range(base_level, upto):
-        per_copy = cs.params.q[m] * (cs.params.l[m] - 1)
-        occ[m + 1] = [
-            [sum(occ[m][c][i] for c in tup) * per_copy for i in range(len(base))]
-            for tup in cs.prewords[m]
-        ]
-        total[m + 1] = cs.params.k[m] * per_copy * total[m]
-    return occ, total
-
-
 def estimate_cylinder(cs, u, base_level, n, eps=None):
     """Proportion of the word u among level-base subwords of each
     level-(n+1) word, with the pairwise gap checked against 2*eps.
 
-    eps defaults to the observed deviation from verify_uniformity(cs, n);
-    passing a smaller claimed eps turns the check into a real test of
-    that claim (within_bound goes False when the claim is violated).
+    u is a level-base word or its index.  Its count in each word is
+    carried up the levels through the preword multiplicities, out of
+    k[base]*...*k[n] level-base subwords (the retained-copy factors
+    cancel).  eps defaults to the observed deviation from
+    verify_uniformity(cs, n); passing a smaller claimed eps turns the
+    check into a real test of that claim (within_bound goes False when
+    the claim is violated).
     """
+    if not 0 <= base_level <= n < cs.depth:
+        raise InputError("need 0 <= base_level <= n < depth, got %d, %d, %d"
+                         % (base_level, n, cs.depth))
     base = cs.levels[base_level]
     if isinstance(u, int):
+        if not 0 <= u < len(base):
+            raise InputError("need 0 <= u < %d level-%d words, got %d"
+                             % (len(base), base_level, u))
         ui = u
     else:
-        u = tuple(u)
-        matches = [i for i, w in enumerate(base)
-                   if not isinstance(w, LazyCircularWord)
-                   and len(w) == len(u) and tuple(w) == u]
-        if not matches:
+        u, hits = np.asarray(u), []
+        if cs.is_materialized(base_level) and u.shape == base.shape[1:]:
+            hits = np.flatnonzero((base == u).all(1))
+        if not len(hits):
             raise InputError("u is not a level-%d word" % base_level)
-        ui = matches[0]
+        ui = int(hits[0])
+    total = math.prod(cs.params.k[base_level:n + 1])
+    if total >= 1 << 63:
+        raise ResourceError("level-%d counts in level %d reach %d subwords, "
+                            "past int64" % (base_level, n + 1, total))
     if eps is None:
         eps = verify_uniformity(cs, n).eps
-    occ, total = _occurrence_table(cs, base_level, n + 1)
-    props = [Fraction(row[ui], total[n + 1]) for row in occ[n + 1]]
+    count = (np.asarray(cs.prewords[base_level]) == ui).sum(1)
+    for m in range(base_level + 1, n + 1):
+        count = count[np.asarray(cs.prewords[m])].sum(1)
+    props = [Fraction(int(c), total) for c in count]
     gap = max(props) - min(props)
     bound = 2 * Fraction(eps)
     return CylinderEstimate(n, base_level, ui, props, gap, bound, gap <= bound)

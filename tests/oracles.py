@@ -8,13 +8,18 @@ names by hashing every tower's name, and the process check by
 scattering every tower level into one bool per atom.  `transect_word`
 builds a stage word without the circular product, by stepping an
 interval through its passes.  `naive_parse` scans a text by looking
-up its window at every offset.
+up its window at every offset.  `dict_uniformity` and
+`table_cylinders` count the construction sequence's words as the
+package did before one multiplicity array: a dict entry per (word,
+tuple) pair, and per level a table of lists of the occurrences of every
+base word, grown from the identity.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
+from circlesys.consys import CylinderEstimate, UniformityReport
 from circlesys.errors import InputError
 from circlesys.names import StabilityReport, label_dtype
 from circlesys.procsim import refine, rotation_perm, rotation_shift
@@ -175,3 +180,61 @@ def naive_parse(x, dictionary):
     return [(off, index[x[off:off + length]])
             for off in range(len(x) - length + 1)
             if x[off:off + length] in index]
+
+
+def dict_uniformity(cs, n):
+    """`verify_uniformity` by a dict of the scaled multiplicity of every
+    (word, tuple) pair, each measure summed one Fraction at a time."""
+    k, l, q = cs.params.k[n], cs.params.l[n], cs.params.q[n]
+    per_copy = q * (l - 1)
+    tuples = cs.prewords[n]
+    nwords = len(cs.levels[n])
+    qratio = Fraction(cs.params.q[n + 1], q)
+    counts = {}
+    for wi, tup in enumerate(tuples):
+        for c in range(nwords):
+            counts[(c, wi)] = tup.count(c) * per_copy
+    densities = [
+        Fraction(sum(counts[(c, wi)] for wi in range(len(tuples))), 1) / qratio
+        / len(tuples)
+        for c in range(nwords)
+    ]
+    eps = max(
+        sum(abs(Fraction(counts[(c, wi)], 1) / qratio - densities[c])
+            for c in range(nwords))
+        for wi in range(len(tuples))
+    )
+    values = {counts[(c, wi)] for c in range(nwords) for wi in range(len(tuples))}
+    strong = len(values) == 1
+    f_value = values.pop() if strong else None
+    return UniformityReport(n, densities, strong, f_value, eps)
+
+
+def occurrence_table(cs, base_level, upto):
+    """occ[m][j][i]: occurrences of level-base word i in level-m word j."""
+    base = cs.levels[base_level]
+    occ = {base_level: [[1 if i == j else 0 for i in range(len(base))]
+                        for j in range(len(base))]}
+    total = {base_level: 1}
+    for m in range(base_level, upto):
+        per_copy = cs.params.q[m] * (cs.params.l[m] - 1)
+        occ[m + 1] = [
+            [sum(occ[m][c][i] for c in tup) * per_copy for i in range(len(base))]
+            for tup in cs.prewords[m]
+        ]
+        total[m + 1] = cs.params.k[m] * per_copy * total[m]
+    return occ, total
+
+
+def table_cylinders(cs, base_level, n, eps):
+    """`estimate_cylinder` of every level-base word index in turn, read
+    from one `occurrence_table`."""
+    occ, total = occurrence_table(cs, base_level, n + 1)
+    bound = 2 * Fraction(eps)
+    out = []
+    for ui in range(len(cs.levels[base_level])):
+        props = [Fraction(row[ui], total[n + 1]) for row in occ[n + 1]]
+        gap = max(props) - min(props)
+        out.append(CylinderEstimate(n, base_level, ui, props, gap, bound,
+                                    gap <= bound))
+    return out

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from circlesys import cli, names, procsim, smoothreal
+from circlesys import cli, consys, names, procsim, smoothreal
 from circlesys.cli import RunManifest, main, run_checks
 from circlesys.errors import OracleMismatch, ToleranceError
 
@@ -421,6 +421,20 @@ def test_run_checks_threads_match_serial():
         sys.setswitchinterval(interval)
     assert threaded == serial
     assert serial[1] and len(serial[0]) == len(checks)
+
+
+def test_cylinder_reads_one_uniformity_report_per_level(desk, monkeypatch):
+    # every word of a level is measured against the same eps
+    calls = []
+    verify = consys.verify_uniformity
+
+    def counted(cs, n):
+        calls.append(n)
+        return verify(cs, n)
+    monkeypatch.setattr(consys, "verify_uniformity", counted)
+    ctx = cli.Context(str(desk / "desk.params"), [str(desk / "w1.txt")] * 2)
+    assert cli.check_cylinder(ctx) == (True, "0", "<= 0")
+    assert calls == [0, 1]
 
 
 def test_run_builds_each_h_grid_once(monkeypatch):

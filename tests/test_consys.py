@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from circlesys.consys import (ConstructionSequence, build_sequence,
                               check_unique_readability, estimate_cylinder,
                               in_S_window, verify_uniformity)
-from circlesys.errors import InputError
+from circlesys.errors import InputError, ResourceError
 from circlesys.ratarith import derive_params, dyn_order
-from circlesys.words import circ, parse
+from circlesys.words import LazyCircularWord, circ, parse
 
+from oracles import dict_uniformity, table_cylinders
 from strategies import small_sequences
 
 DESK = derive_params([2, 2], [4, 4], [2, 2, 4])
@@ -203,8 +204,64 @@ def test_cylinder_word_lookup():
     cs = desk_cs()
     est = estimate_cylinder(cs, cs.levels[1][0], 1, 1)
     assert est.u_index == 0
+    assert estimate_cylinder(cs, [1], 0, 1).u_index == 1
+    for word in [(9, 9), cs.levels[1][0][:4], "ab"]:
+        with pytest.raises(InputError):
+            estimate_cylinder(cs, word, 1, 1)
+    # a lazy level is counted by index, and holds no word to look up
+    lazy1 = [LazyCircularWord([cs.levels[0][c] for c in tup], 2, 4, 1,
+                              dyn_order(DESK, 0)) for tup in W1]
+    lazy = ConstructionSequence(DESK, 2, cs.prewords,
+                                [cs.levels[0], lazy1, cs.levels[2]])
+    assert estimate_cylinder(lazy, 1, 1, 1) == estimate_cylinder(cs, 1, 1, 1)
     with pytest.raises(InputError):
-        estimate_cylinder(cs, (9, 9), 1, 1)
+        estimate_cylinder(lazy, cs.levels[1][0], 1, 1)
+
+
+# stages of arity 2**32 and 2**31, with stand-ins for their words: a
+# count carried from level 0 to level 2 reaches 2**63, one from level 1
+# does not
+HUGE = ConstructionSequence(derive_params([1 << 32, 1 << 31], [2, 2],
+                                          [1, 1, 1]),
+                            1, [[(0,)], [(0,)]],
+                            [np.zeros((1, 1), np.int8)] * 3)
+
+
+@pytest.mark.parametrize("cs, call, args, error, match", [
+    (None, estimate_cylinder, (0, 2, 1), InputError, "base_level <= n"),
+    (None, estimate_cylinder, (0, -1, 0), InputError, "0 <= base_level"),
+    (None, estimate_cylinder, (0, 3, 3), InputError, "n < depth"),
+    (None, estimate_cylinder, (0, 0, 2), InputError, "n < depth"),
+    (None, estimate_cylinder, (-1, 0, 0), InputError, "0 <= u < 2"),
+    (None, estimate_cylinder, (2, 1, 1), InputError, "0 <= u < 2"),
+    (None, verify_uniformity, (-1,), InputError, "0 <= n < depth 2"),
+    (None, verify_uniformity, (2,), InputError, "0 <= n < depth 2"),
+    (HUGE, estimate_cylinder, (0, 0, 1), ResourceError, "past int64"),
+], ids=["base above n", "negative base", "base past depth", "n past depth",
+        "negative u", "u past level", "negative stage", "stage past depth",
+        "count past int64"])
+def test_out_of_range_is_refused(cs, call, args, error, match):
+    with pytest.raises(error, match=match):
+        call(cs or desk_cs(), *args)
+    if cs is HUGE:
+        assert estimate_cylinder(cs, 0, 1, 1, eps=0).gap == 0
+
+
+@given(small_sequences())
+@settings(max_examples=60, deadline=None)
+def test_counts_equal_the_dict_and_table_routes(case):
+    # skewed tuples give eps > 0; every base level below n is counted
+    # through the levels between
+    cs = build_sequence(*case)
+    for n in range(cs.depth):
+        rep = verify_uniformity(cs, n)
+        want = dict_uniformity(cs, n)
+        assert rep == want and repr(rep) == repr(want)
+        for base in range(n + 1):
+            want = table_cylinders(cs, base, n, rep.eps)
+            got = [estimate_cylinder(cs, u, base, n)
+                   for u in range(len(cs.levels[base]))]
+            assert got == want and repr(got) == repr(want)
 
 
 def test_s_window_certificate():
