@@ -594,9 +594,10 @@ def cmd_factor(args, out):
 
 def _obedience_table(grid, plane, sigma, rng, samples, out):
     m, n = grid
-    pts = rng.random((samples, 2))
-    src = smoothreal.cell_of_points(grid, pts)
-    dst = smoothreal.cell_of_points(grid, plane.forward(pts))
+    pts = smoothreal.TrackedPoints(smoothreal.zigzag_table(grid),
+                                   rng.random((samples, 2)))
+    src = pts.cell.copy()
+    dst = plane.forward(pts).cell
     drawn = np.bincount(src, minlength=m * n).tolist()
     obeyed = np.bincount(src[dst == np.asarray(sigma)[src]],
                          minlength=m * n).tolist()
@@ -610,6 +611,7 @@ def _obedience_table(grid, plane, sigma, rng, samples, out):
 def cmd_smooth(args, out):
     if args.samples < 1:
         raise InputError("--samples must be at least 1, got %d" % args.samples)
+    smoothreal.check_smooth_samples("smooth " + args.action, args.samples)
     if args.seed < 0:
         raise InputError("--seed must be non-negative, got %d" % args.seed)
     # swap's eps is its StandardSwap delta, which must stay below 1/2

@@ -24,7 +24,13 @@ permutation.  Swaps on disjoint pairs commute, so the swap list is
 scheduled into layers of disjoint swaps, each one map (CellSwap).  A
 schedule (CellSchedule) finds each point's cell once per pass and
 carries it from layer to layer: a layer finds its points by their
-cells, moves only those, and finds only their cells again.
+cells, moves only those, and finds only their cells again.  A layer
+moves its points SWAP_CHUNK at a time, so a pass holds the tracked
+points (x, y and cell: 24 bytes each) and working arrays of one chunk.
+The layers of a schedule share one set of tables (SwapTables): the
+boustrophedon index, one StandardSwap, every pair's orientation and
+origin, and one array with a row of per-cell pair positions for each
+layer, built in one vectorized pass.
 """
 
 import math
@@ -41,6 +47,16 @@ MAX_SMOOTH_CELLS = 1024
 MAX_DELTA = 0.25
 # how many times realize_perm halves delta before giving up
 MAX_RETRIES = 3
+# Points a CellSwap moves per StandardSwap call, so a pass holds its
+# tracked points and working arrays of at most this many points.
+# 4096 gave the lowest peak RSS of 1024 to 16384 on an 8x8 realize of
+# 20,000 samples, where the largest layer holds about 13,000 points.
+SWAP_CHUNK = 4096
+# Sample points of one smooth realize, swap or stage: `smooth realize`
+# on 8x8 peaks at 128 MB of RSS with 2,000,000 samples, 37 MB of it the
+# interpreter and numpy, so about 48 bytes per sample and under 1 GB
+# at the cap.
+MAX_SMOOTH_SAMPLES = 1 << 24
 
 
 class PlaneMap:
@@ -71,7 +87,11 @@ class Composite(PlaneMap):
 
 
 class Identity(PlaneMap):
+    """The identity; TrackedPoints are returned as they are."""
+
     def forward(self, pts):
+        if isinstance(pts, TrackedPoints):
+            return pts
         return np.array(pts, dtype=float, copy=True)
 
     inverse = forward
@@ -80,9 +100,9 @@ class Identity(PlaneMap):
 def smoothstep(x):
     """C-infinity step: 0 for x <= 0, 1 for x >= 1."""
     x = np.clip(x, 0.0, 1.0)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        g = np.where(x > 0, np.exp(-1.0 / np.maximum(x, 1e-300)), 0.0)
-        h = np.where(x < 1, np.exp(-1.0 / np.maximum(1.0 - x, 1e-300)), 0.0)
+    # exp(-1/1e-300) underflows to the 0 that the step is at x = 0 and 1
+    g = np.exp(-1.0 / np.maximum(x, 1e-300))
+    h = np.exp(-1.0 / np.maximum(1.0 - x, 1e-300))
     return g / (g + h)
 
 
@@ -93,37 +113,29 @@ def _square_to_disk(x, y):
     2t/sqrt(pi); within a ring, angles vary linearly on each of the
     four wedges cut by the diagonals.
     """
-    scale = 2.0 / math.sqrt(math.pi)
     ax, ay = np.abs(x), np.abs(y)
     horizontal = ax >= ay
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phi = np.where(horizontal,
-                       (math.pi / 4) * np.where(ax > 0, y / np.where(ax > 0, x, 1), 0.0),
-                       math.pi / 2 - (math.pi / 4) * x / np.where(ay > 0, y, 1))
-    r0 = np.where(horizontal, x, y) * scale     # signed radius
+    off = ax > 0
+    phi = np.where(horizontal,
+                   (math.pi / 4) * np.where(off, y / np.where(off, x, 1), 0.0),
+                   math.pi / 2 - (math.pi / 4) * x / np.where(ay > 0, y, 1))
+    r0 = np.where(horizontal, x, y) * (2.0 / math.sqrt(math.pi))  # signed
     return r0 * np.cos(phi), r0 * np.sin(phi)
 
 
 def _disk_to_square(X, Y):
-    scale = math.sqrt(math.pi) / 2.0
-    t = np.hypot(X, Y) * scale                  # sup-radius of the target ring
+    t = np.hypot(X, Y) * (math.sqrt(math.pi) / 2.0)  # sup-radius of the ring
     theta = np.arctan2(Y, X)
-    x = np.empty_like(t)
-    y = np.empty_like(t)
-    right = np.abs(theta) <= math.pi / 4
-    top = (theta > math.pi / 4) & (theta < 3 * math.pi / 4)
-    left = np.abs(theta) >= 3 * math.pi / 4
-    bottom = (theta < -math.pi / 4) & (theta > -3 * math.pi / 4)
-    x[right] = t[right]
-    y[right] = t[right] * (4 / math.pi) * theta[right]
-    y[top] = t[top]
-    x[top] = t[top] * (4 / math.pi) * (math.pi / 2 - theta[top])
-    phi = theta[left] - np.sign(theta[left] + 1e-300) * math.pi
-    x[left] = -t[left]
-    y[left] = -t[left] * (4 / math.pi) * phi
-    phi = theta[bottom] + math.pi
-    y[bottom] = -t[bottom]
-    x[bottom] = -t[bottom] * (4 / math.pi) * (math.pi / 2 - phi)
+    slope = t * (4 / math.pi)
+    # the four wedges: right, left, and top or bottom by the sign of theta
+    spread = np.abs(theta)
+    right, left = spread <= math.pi / 4, spread >= 3 * math.pi / 4
+    top = theta > 0
+    x = np.where(right, t, np.where(left, -t, np.where(
+        top, slope * (math.pi / 2 - theta),
+        -slope * (math.pi / 2 - (theta + math.pi)))))
+    y = np.where(right, slope * theta, np.where(left, -slope * (
+        theta - np.sign(theta + 1e-300) * math.pi), np.where(top, t, -t)))
     return x, y
 
 
@@ -153,18 +165,19 @@ class StandardSwap(PlaneMap):
         # disk radius of each point: that of its square ring
         r = np.maximum(np.abs(x), np.abs(y)) * (2.0 / math.sqrt(math.pi))
         core = r < self.r_in
-        out = np.empty_like(pts)
         # the twist angle is +-pi on the core, where the odd concentric
         # map makes the half-turn a point reflection of the rectangle
-        out[:, 0] = np.where(core, 2.0 - u, u)
-        out[:, 1] = np.where(core, 1.0 - v, v)
+        out = pts.copy(order="K")
+        np.subtract(2.0, u, out=out[:, 0], where=core)
+        np.subtract(1.0, v, out=out[:, 1], where=core)
         ring = np.flatnonzero(~core & (r < self.R))     # r_in <= r < R
         if len(ring):
-            X, Y = _square_to_disk(x[ring], y[ring])
-            f = sign * (math.pi
-                        * smoothstep((self.R - np.hypot(X, Y)) / self.gamma))
-            c, s = np.cos(f), np.sin(f)
-            x, y = _disk_to_square(X * c - Y * s, X * s + Y * c)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                X, Y = _square_to_disk(x[ring], y[ring])
+                f = sign * (math.pi
+                            * smoothstep((self.R - np.hypot(X, Y)) / self.gamma))
+                c, s = np.cos(f), np.sin(f)
+                x, y = _disk_to_square(X * c - Y * s, X * s + Y * c)
             out[ring, 0] = x * math.sqrt(2) + 1.0
             out[ring, 1] = y / math.sqrt(2) + 0.5
         return out
@@ -194,68 +207,104 @@ class StandardSwap(PlaneMap):
         return pts[:count]
 
 
+class SwapTables:
+    """What every layer of swaps on one grid shares: the boustrophedon
+    index, the cell size, one StandardSwap, and the orientation and
+    origin of each adjacent pair (cells k and k+1)."""
+
+    def __init__(self, grid, delta):
+        m, n = grid
+        self.inner = StandardSwap(delta)
+        self.index = zigzag_table(grid)
+        self.scale = (1.0 / m, 1.0 / n)         # (x, y) sizes of one cell
+        # row and column of each boustrophedon index, from the table's
+        # inverse permutation
+        row, col = np.divmod(np.argsort(self.index, axis=None), m)
+        c0, c1, r0, r1 = col[:-1], col[1:], row[:-1], row[1:]
+        if (np.abs(c0 - c1) + np.abs(r0 - r1) != 1).any():
+            raise AssertionError("boustrophedon neighbours are not adjacent")
+        self.transpose = c0 == c1               # vertical pair
+        self.origin = np.stack([np.minimum(c0, c1) / m,
+                                np.minimum(r0, r1) / n], axis=1)
+
+    def pair_of_cell(self, layers):
+        """(len(layers), cells) table: per layer, the position in it of
+        the pair holding each cell, or -1; InputError unless each layer
+        is pairs k in range with no cell in common."""
+        cells = self.index.size
+        sizes = [len(layer) for layer in layers]
+        k = np.fromiter((kk for layer in layers for kk in layer),
+                        dtype=np.intp, count=sum(sizes))
+        bad = (k < 0) | (k >= cells - 1)
+        if bad.any():
+            raise InputError("pair index %d out of range" % k[bad][0])
+        # cell k of layer i is entry i * cells + k of the flattened table
+        at = np.repeat(np.arange(len(layers)) * cells, sizes) + k
+        pos = np.arange(len(k)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        table = np.full(len(layers) * cells, -1, dtype=np.intp)
+        table[at] = table[at + 1] = pos
+        # of two pairs writing one cell, one finds the other's position
+        clash = (table[at] != pos) | (table[at + 1] != pos)
+        if clash.any():
+            raise InputError("pair %d shares a cell with another pair"
+                             % k[clash][0])
+        return table.reshape(len(layers), cells)
+
+
 class CellSwap(PlaneMap):
     """StandardSwap conjugated into disjoint adjacent cell pairs of a grid.
 
     k is one boustrophedon pair index (cells k and k+1) or a sequence
     of them with no cell in common.  Disjoint swaps commute, so all of
     them are one map.  It works on TrackedPoints, which carry each
-    point's cell: one gather of per-cell tables finds the points inside
-    a pair with their pair's origin and orientation, one StandardSwap
-    call moves them, and only their cells are found again.  A plain
-    (N, 2) array is tracked on the way in and returned as an array.
-    Each point goes through its own pair's conjugation alone, so a
-    layer equals its swaps applied one by one, bit for bit (short of a
-    point within an ulp of a cell edge, whose cell and rectangle test
-    can disagree).
+    point's cell: a gather of the per-cell pair table finds the points
+    inside a pair, and SWAP_CHUNK of them at a time are mapped to their
+    pair's rectangle, moved by one StandardSwap call, mapped back and
+    have their cells found again.  A plain (N, 2) array is tracked on
+    the way in and returned as an array.  `tables` and `pair_of_cell`
+    (its row of `SwapTables.pair_of_cell`) are a schedule's, shared by
+    its layers; a swap built alone makes its own.  Each point goes
+    through its own pair's conjugation alone, so a layer equals its
+    swaps applied one by one, bit for bit (short of a point within an
+    ulp of a cell edge, whose cell and rectangle test can disagree).
     """
 
-    def __init__(self, grid, k, delta):
-        m, n = grid
+    def __init__(self, grid, k, delta, tables=None, pair_of_cell=None):
         self.grid = grid
         self.k = [k] if isinstance(k, (int, np.integer)) else list(k)
-        self.pair_of_cell = np.full(m * n, -1, dtype=np.intp)
-        origin, transpose = [], []
-        for i, kk in enumerate(self.k):
-            if not 0 <= kk < m * n - 1:
-                raise InputError("pair index %d out of range" % kk)
-            if (self.pair_of_cell[kk:kk + 2] >= 0).any():
-                raise InputError("pair %d shares a cell with another pair"
-                                 % kk)
-            self.pair_of_cell[kk:kk + 2] = i
-            (c0, r0), (c1, r1) = (zigzag_cell(grid, kk),
-                                  zigzag_cell(grid, kk + 1))
-            if abs(c0 - c1) + abs(r0 - r1) != 1:
-                raise AssertionError(
-                    "boustrophedon neighbours are not adjacent")
-            transpose.append(c0 == c1)          # vertical pair
-            origin.append((min(c0, c1) / m, min(r0, r1) / n))
-        self.inner = StandardSwap(delta)
-        self.transpose = np.array(transpose, dtype=bool)
-        self.origin = np.array(origin, dtype=float).reshape(-1, 2)
-        self.scale = (1.0 / m, 1.0 / n)         # (x, y) sizes of one cell
-        self.index = zigzag_table(grid)
-        # per cell: in a pair, and that pair's orientation and origin
-        self.paired = self.pair_of_cell >= 0
-        pair = self.pair_of_cell[self.paired]
-        self.flip_of_cell = np.zeros(m * n, dtype=bool)
-        self.flip_of_cell[self.paired] = self.transpose[pair]
-        self.x0_of_cell = np.zeros(m * n)
-        self.x0_of_cell[self.paired] = self.origin[pair, 0]
-        self.y0_of_cell = np.zeros(m * n)
-        self.y0_of_cell[self.paired] = self.origin[pair, 1]
+        if tables is None:
+            tables = SwapTables(grid, delta)
+            pair_of_cell = tables.pair_of_cell([self.k])[0]
+        self.inner, self.index, self.scale = \
+            tables.inner, tables.index, tables.scale
+        self.pair_of_cell = pair_of_cell
+        self.paired = pair_of_cell >= 0
+        self.transpose = tables.transpose[self.k]
+        self.origin = tables.origin[self.k]
 
     def _apply(self, pts, fn):
         if not isinstance(pts, TrackedPoints):
             return self._apply(TrackedPoints(self.index, pts), fn).array()
         hit = np.flatnonzero(self.paired[pts.cell])
-        cell = pts.cell[hit]
-        flip = self.flip_of_cell[cell]
-        x0, y0 = self.x0_of_cell[cell], self.y0_of_cell[cell]
-        # column-major, so StandardSwap works on contiguous columns
+        for start in range(0, len(hit), SWAP_CHUNK):
+            self._move(pts, hit[start:start + SWAP_CHUNK], fn)
+        return pts
+
+    def _move(self, pts, hit, fn):
+        """Apply fn, in pair coordinates, to the points `hit` of pts
+        that lie in their pair's rectangle."""
+        pair = self.pair_of_cell[pts.cell[hit]]
+        flip = self.transpose[pair]
+        x0, y0 = self.origin[:, 0][pair], self.origin[:, 1][pair]
+        u = pts.x[hit]
+        u -= x0
+        u /= self.scale[0]
+        v = pts.y[hit]
+        v -= y0
+        v /= self.scale[1]
+        # column-major, so StandardSwap works on contiguous columns;
+        # a vertical pair lies along y
         std = np.empty((len(hit), 2), order="F")
-        u = (pts.x[hit] - x0) / self.scale[0]
-        v = (pts.y[hit] - y0) / self.scale[1]
         std[:, 0] = np.where(flip, v, u)
         std[:, 1] = np.where(flip, u, v)
         del u, v
@@ -267,12 +316,16 @@ class CellSwap(PlaneMap):
                                       for a in (hit, flip, x0, y0, std))
         if len(hit):
             std = fn(std)
-            x = np.where(flip, std[:, 1], std[:, 0]) * self.scale[0] + x0
-            y = np.where(flip, std[:, 0], std[:, 1]) * self.scale[1] + y0
+            x = np.where(flip, std[:, 1], std[:, 0])
+            x *= self.scale[0]
+            x += x0
+            y = np.where(flip, std[:, 0], std[:, 1])
+            y *= self.scale[1]
+            y += y0
+            del std
             pts.x[hit] = x
             pts.y[hit] = y
             pts.cell[hit] = _cells(self.index, x, y)
-        return pts
 
     def forward(self, pts):
         return self._apply(pts, self.inner.forward)
@@ -285,13 +338,14 @@ class TrackedPoints:
     """Points as contiguous x and y columns plus each point's
     boustrophedon cell under `index` (a `zigzag_table`), found once.
     A CellSwap updates all three in place, so a schedule of layers on
-    one grid tracks the cells from layer to layer."""
+    one grid tracks the cells from layer to layer, and whoever passed
+    them in reads the moved points' cells without finding them again."""
 
     def __init__(self, index, pts):
         pts = np.asarray(pts, dtype=float)
+        self.cell = _cells(index, pts[:, 0], pts[:, 1])
         self.x = np.array(pts[:, 0])
         self.y = np.array(pts[:, 1])
-        self.cell = _cells(index, self.x, self.y)
 
     def __len__(self):
         return len(self.x)
@@ -302,16 +356,27 @@ class TrackedPoints:
 
 class CellSchedule(Composite):
     """The CellSwap layers of one grid, applied in order to one tracked
-    copy of the points, so each point's cell is found once per pass."""
+    copy of the points, so each point's cell is found once per pass.
+    The layers share one SwapTables, and their per-cell pair tables are
+    rows of one array built for all of them at once.  TrackedPoints
+    are moved in place and returned, an array is tracked on the way in
+    and returned as an array."""
 
     def __init__(self, grid, layers, delta):
-        super().__init__(CellSwap(grid, layer, delta) for layer in layers)
-        self.index = zigzag_table(grid)
+        tables = SwapTables(grid, delta)
+        super().__init__(
+            CellSwap(grid, layer, delta, tables, row)
+            for layer, row in zip(layers, tables.pair_of_cell(layers)))
+        self.index = tables.index
 
     def forward(self, pts):
+        if isinstance(pts, TrackedPoints):
+            return super().forward(pts)
         return super().forward(TrackedPoints(self.index, pts)).array()
 
     def inverse(self, pts):
+        if isinstance(pts, TrackedPoints):
+            return super().inverse(pts)
         return super().inverse(TrackedPoints(self.index, pts)).array()
 
 
@@ -339,9 +404,15 @@ def zigzag_table(grid):
 
 def _cells(index, x, y):
     n, m = index.shape
-    col = np.minimum(np.maximum((x * m).astype(int), 0), m - 1)
-    row = np.minimum(np.maximum((y * n).astype(int), 0), n - 1)
-    return index.ravel()[row * m + col]
+    col = (x * m).astype(int)
+    np.minimum(np.maximum(col, 0, out=col), m - 1, out=col)
+    row = (y * n).astype(int)
+    np.minimum(np.maximum(row, 0, out=row), n - 1, out=row)
+    row *= m
+    row += col
+    # into row itself: every entry is in range, and mode="raise" would
+    # gather into a buffer first
+    return np.take(index.ravel(), row, out=row, mode="clip")
 
 
 def cell_of_points(grid, pts):
@@ -401,6 +472,14 @@ def swap_layers(swaps):
     return layers
 
 
+def check_smooth_samples(what, samples):
+    """ResourceError if `samples` sample points exceed
+    MAX_SMOOTH_SAMPLES; `what` names the action or stage."""
+    if samples > MAX_SMOOTH_SAMPLES:
+        raise ResourceError("%s needs %d samples, cap is %d"
+                            % (what, samples, MAX_SMOOTH_SAMPLES))
+
+
 def check_smooth_cells(what, grid):
     """ResourceError if an m x n smooth grid has more than
     MAX_SMOOTH_CELLS cells; `what` names the action or stage."""
@@ -433,6 +512,7 @@ def realize_perm(sigma, grid, eps, seed=0, samples=20000):
         raise InputError("eps must be in (0, 1), got %r" % (eps,))
     if samples < 1:
         raise InputError("samples must be at least 1, got %r" % (samples,))
+    check_smooth_samples("smooth %dx%d grid" % (m, n), samples)
     if len(sigma) != m * n:
         raise InputError("permutation has %d entries, the %dx%d grid %d cells"
                          % (len(sigma), m, n, m * n))
@@ -440,13 +520,14 @@ def realize_perm(sigma, grid, eps, seed=0, samples=20000):
     if not swaps:
         return RealizeReport(Identity(), [], 0.0, 1.0)
     layers = swap_layers(swaps)
-    rng = np.random.default_rng(seed)
-    pts = rng.random((samples, 2))
-    target = np.asarray(sigma)[cell_of_points(grid, pts)]
     delta = min(eps / len(swaps), MAX_DELTA)
     for _ in range(MAX_RETRIES):
         plane = CellSchedule(grid, layers, delta)
-        landed = cell_of_points(grid, plane.forward(pts))
+        # the same points on every try, drawn again rather than kept
+        pts = TrackedPoints(plane.index,
+                            np.random.default_rng(seed).random((samples, 2)))
+        target = np.asarray(sigma)[pts.cell]
+        landed = plane.forward(pts).cell
         obedient = float(np.mean(landed == target))
         if obedient >= 1 - eps:
             return RealizeReport(plane, swaps, delta, obedient)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -514,6 +515,29 @@ def test_smooth_stage_past_cap_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "resource cap: stage-1 smooth grid needs %d cells, cap is %d\n"
         % (N, smoothreal.MAX_SMOOTH_CELLS))
+
+
+@pytest.mark.parametrize("argv", [
+    ["smooth", "swap", "--grid", "2x2"],
+    ["smooth", "realize", "--grid", "2x2", "--eps", "0.1"],
+    ["smooth", "stage", "--params", "desk.params", "--hwords", "w1.txt",
+     "--hwords", "w2.txt"],
+], ids=lambda argv: argv[1])
+def test_smooth_samples_past_cap_exits_3(desk, capsys, monkeypatch, argv):
+    monkeypatch.chdir(desk)
+    samples = 100000000000
+    tracemalloc.start()
+    try:
+        code, text = run(argv + ["--samples", str(samples)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, text) == (3, "")
+    assert capsys.readouterr().err == (
+        "resource cap: smooth %s needs %d samples, cap is %d\n"
+        % (argv[1], samples, smoothreal.MAX_SMOOTH_SAMPLES))
+    # refused before anything sized by the sample count is made
+    assert peak < 1 << 20
 
 
 def test_smooth_swap_cli(desk):

@@ -71,7 +71,7 @@ FLAGS = {
     "--eps": (["0.05", "0.2"], ["-1", "0", "0.5", "1", "2", "nan", "inf",
                                 "x"]),
     "--seed": (["0", "1", "5"], BAD_INTS),
-    "--samples": (["1", "50", "200"], ["-1", "0", "x"]),
+    "--samples": (["1", "50", "200"], ["-1", "0", "x", "100000000000"]),
     "--perm": (["0,1,2,3", "3,2,1,0", "1,0,3,2", "5,4,3,2,1,0"],
                ["0,1", "a,b", "0,0,1,1", "", "0,1,2,9"]),
 }

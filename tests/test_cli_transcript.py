@@ -2,8 +2,9 @@
 
 `data/cli_transcript.json` holds the argv, exit code and stdout of every
 subcommand action on `demos/data` and of `run demos/data/manifest.txt`,
-and of `seq measure` on an alphabet with unused letters and on the
-skewed stage-1 prewords `data/words1_skew.txt`, with paths relative to
+of `seq measure` on an alphabet with unused letters and on the
+skewed stage-1 prewords `data/words1_skew.txt`, and of each `smooth`
+action refusing a sample count past its cap, with paths relative to
 the repository root.  An entry is named by its
 first two arguments unless it carries an "id".  A report that changes on
 purpose is re-recorded with

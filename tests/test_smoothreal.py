@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -10,12 +11,12 @@ from circlesys import smoothreal
 from circlesys.errors import InputError, ResourceError, ToleranceError
 from circlesys.procsim import h_from_words
 from circlesys.ratarith import derive_params
-from circlesys.smoothreal import (MAX_SMOOTH_CELLS, CellSchedule, CellSwap,
-                                  Composite, PlaneMap, StandardSwap,
-                                  cell_of_points, map_distance, perm_to_swaps,
-                                  realize_perm, sample_jacobian, stage_map,
-                                  swap_layers,
-                                  zigzag_cell, zigzag_index)
+from circlesys.smoothreal import (MAX_SMOOTH_CELLS, MAX_SMOOTH_SAMPLES,
+                                  CellSchedule, CellSwap, Composite, PlaneMap,
+                                  StandardSwap, TrackedPoints, cell_of_points,
+                                  map_distance, perm_to_swaps, realize_perm,
+                                  sample_jacobian, stage_map, swap_layers,
+                                  zigzag_cell, zigzag_index, zigzag_table)
 from circlesys.smoothreal import _disk_to_square, _square_to_disk, smoothstep
 
 RNG = np.random.default_rng(20240817)
@@ -501,6 +502,93 @@ def test_tracked_schedule_contract(grid_perm, delta, seed):
         assert np.max(np.abs(layer.inverse(moved) - trail), initial=0.0) < 1e-9
         trail = moved
     assert np.array_equal(trail, schedule.forward(pts[:300]))
+
+
+def schedule_in_chunks(grid, layers, delta, pts, chunk):
+    """Forward and inverse of a CellSchedule with SWAP_CHUNK = chunk,
+    and the sizes of the StandardSwap.forward calls of each layer of
+    the forward pass."""
+    handed = []
+    layer_forward, swap_forward = CellSwap.forward, StandardSwap.forward
+
+    def layer(self, pts):
+        handed.append([])
+        return layer_forward(self, pts)
+
+    def swap(self, pts):
+        handed[-1].append(len(pts))
+        return swap_forward(self, pts)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(smoothreal, "SWAP_CHUNK", chunk)
+        mp.setattr(CellSwap, "forward", layer)
+        mp.setattr(StandardSwap, "forward", swap)
+        schedule = CellSchedule(grid, layers, delta)
+        fwd = schedule.forward(pts)
+        layers_seen = len(handed)
+        inv = schedule.inverse(pts)
+    assert len(handed) == layers_seen == len(layers)
+    return fwd, inv, handed
+
+
+@given(grid_perms(), st.floats(1e-3, 0.49), st.integers(0, 2**32 - 1),
+       st.integers(1, 7))
+@settings(max_examples=60, deadline=None)
+def test_chunked_schedule_equals_oracles(grid_perm, delta, seed, chunk):
+    grid, sigma = grid_perm
+    swaps = perm_to_swaps(sigma)
+    layers = swap_layers(swaps)
+    pts = edge_points(grid, np.random.default_rng(seed), 60)
+    fwd, inv, handed = schedule_in_chunks(grid, layers, delta, pts, chunk)
+    untracked = Composite([UntrackedCellSwap(grid, layer, delta)
+                           for layer in layers])
+    assert np.array_equal(fwd, untracked.forward(pts))
+    assert np.array_equal(inv, untracked.inverse(pts))
+    per_swap = Composite([OnePairSwap(grid, k, delta) for k in swaps])
+    assert np.array_equal(fwd[:60], per_swap.forward(pts[:60]))
+    assert np.array_equal(inv[:60], per_swap.inverse(pts[:60]))
+    # every call gets at most one chunk, and each layer hands on as many
+    # points as it does unchunked, so useful_frac does not change
+    assert all(0 < size <= chunk for sizes in handed for size in sizes)
+    _, _, whole = schedule_in_chunks(grid, layers, delta, pts, len(pts))
+    assert all(len(sizes) <= 1 for sizes in whole)
+    assert [sum(sizes) for sizes in handed] == [sum(sizes) for sizes in whole]
+
+
+def test_schedule_moves_tracked_points_in_place():
+    sigma = [int(v) for v in np.random.default_rng(6).permutation(12)]
+    schedule = CellSchedule((4, 3), swap_layers(perm_to_swaps(sigma)), 0.05)
+    pts = edge_points((4, 3), np.random.default_rng(7), 500)
+    for fn in (schedule.forward, schedule.inverse):
+        tracked = TrackedPoints(zigzag_table((4, 3)), pts)
+        moved = fn(tracked)
+        assert moved is tracked
+        assert np.array_equal(moved.array(), fn(pts))
+        assert np.array_equal(moved.cell,
+                              cell_of_points((4, 3), moved.array()))
+
+
+def test_realize_perm_memory_per_sample():
+    # a pass holds its tracked points (24 bytes each) and working
+    # arrays of SWAP_CHUNK points, about 41 bytes per sample at its
+    # peak; moving each layer's points at once took about 117
+    sigma = [int(v) for v in np.random.default_rng(1).permutation(64)]
+    samples = 200000
+    tracemalloc.start()
+    try:
+        realize_perm(sigma, (8, 8), 0.1, seed=1, samples=samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 96 * samples
+
+
+def test_realize_perm_samples_past_cap_refused():
+    samples = MAX_SMOOTH_SAMPLES + 1
+    with pytest.raises(ResourceError,
+                       match="smooth 2x1 grid needs %d samples, cap is %d"
+                       % (samples, MAX_SMOOTH_SAMPLES)):
+        realize_perm([1, 0], (2, 1), 0.1, samples=samples)
 
 
 @given(grid_perms())
