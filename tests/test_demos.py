@@ -42,3 +42,16 @@ def test_rung_measure_script(tmp_path):
         assert all(" PASS " in line for line in report)
         assert re.fullmatch(r"wall_s=\d+\.\d{3} peak_rss_mb=\d+\.\d exit=0",
                             last)
+
+
+def test_deep3_rung_report_is_recorded():
+    # every default check on 33,554,432 stage-3 atoms, byte for byte
+    rungs = os.path.join(ROOT, "demos", "rungs")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-m", "circlesys", "run",
+                           os.path.join(rungs, "deep3.manifest")],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    with open(os.path.join(rungs, "deep3.report")) as fh:
+        assert proc.stdout == fh.read()
