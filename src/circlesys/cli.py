@@ -13,6 +13,7 @@ cap is hit.
 
 import argparse
 import importlib.util
+import math
 import os
 import sys
 import threading
@@ -140,16 +141,13 @@ def _skipped(skipped):
 
 
 def check_numerology(ctx):
-    total, skipped = 0, []
+    # the q[n] - 1 mirror identities of a stage hold exactly when p[n] is
+    # a unit mod q[n] (the `DynOrder` premise), so no table is read
+    p, q = ctx.params.p, ctx.params.q
     for n in range(1, ctx.params.stages + 1):
-        q = ctx.params.q[n]
-        if q > ctx.cap_atoms:
-            skipped.append("%d(q>cap)" % n)
-            continue
-        if not dyn_order(ctx.params, n).mirrored():
+        if math.gcd(p[n], q[n]) != 1:
             return False, "stage %d" % n, "q-j_i = j_{q-i}"
-        total += q - 1
-    return True, str(total) + _skipped(skipped), "q-j_i = j_{q-i}"
+    return True, str(sum(qn - 1 for qn in q[1:])), "q-j_i = j_{q-i}"
 
 
 def check_readability(ctx):
@@ -205,16 +203,20 @@ def check_uniformity(ctx):
 
 
 def check_cylinder(ctx):
+    # word u's gap at base level n is (max - min of column u of M) / k[n];
+    # only the first word over the bound, or else the widest, is measured
     worst = Fraction(0)
     bound = Fraction(0)
     for n in range(ctx.cs.depth):
-        eps = consys.verify_uniformity(ctx.cs, n).eps
-        for u in range(len(ctx.cs.levels[n])):
-            est = consys.estimate_cylinder(ctx.cs, u, n, n, eps)
-            worst = max(worst, est.gap)
-            bound = max(bound, est.bound)
-            if not est.within_bound:
-                return False, frac(est.gap), "<= " + frac(est.bound)
+        rep = consys.verify_uniformity(ctx.cs, n)
+        gaps = rep.M.max(0) - rep.M.min(0)
+        over = gaps > math.floor(2 * rep.eps * ctx.params.k[n])
+        u = int(np.argmax(over if over.any() else gaps))
+        est = consys.estimate_cylinder(ctx.cs, u, n, n, rep.eps)
+        if not est.within_bound:
+            return False, frac(est.gap), "<= " + frac(est.bound)
+        worst = max(worst, est.gap)
+        bound = max(bound, est.bound)
     return True, frac(worst), "<= " + frac(bound)
 
 
@@ -275,7 +277,10 @@ def check_factor(ctx):
             return False, "offsets %s: %s" % (pt.offsets, exc), \
                 "rho monotone, gaps < 1/q_n, d_index round-trip"
         count += 1
-    return True, "%d points" % count, "rho monotone, gaps < 1/q_n"
+    skipped = ["%d(depth>2)" % n
+               for n in range(depth + 1, ctx.params.stages + 1)]
+    return True, "%d points" % count + _skipped(skipped), \
+        "rho monotone, gaps < 1/q_n"
 
 
 CHECK_FUNCS = {

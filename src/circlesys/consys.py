@@ -9,7 +9,7 @@ so the exact Fractions stay cheap at any stage.
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -128,6 +128,8 @@ class UniformityReport:
     strong: bool            # f constant over all pairs
     f_value: object         # the common f when strong, else None
     eps: Fraction           # max over w' of sum_w |f/(q'/q) - d(w)|
+    # M[t, w]: copies of word w in tuple t, read-only
+    M: np.ndarray = field(repr=False, compare=False)
 
 
 def verify_uniformity(cs, n):
@@ -147,6 +149,7 @@ def verify_uniformity(cs, n):
     ntup, nwords = len(tuples), len(cs.levels[n])
     M = np.zeros((ntup, nwords), dtype=np.int64)
     np.add.at(M, (np.arange(ntup)[:, None], tuples), 1)
+    M.flags.writeable = False
     colsum = M.sum(0)
     # f/(q'/q) = per_copy*M*q/q', and d(w) its mean over the tuples
     scale = Fraction(per_copy * q, cs.params.q[n + 1] * ntup)
@@ -159,7 +162,7 @@ def verify_uniformity(cs, n):
         f0 = k // nwords
         assert f_value == f0 * per_copy
         assert all(d == Fraction(f0, k) * (1 - Fraction(1, l)) for d in densities)
-    return UniformityReport(n, densities, strong, f_value, eps)
+    return UniformityReport(n, densities, strong, f_value, eps, M)
 
 
 @dataclass

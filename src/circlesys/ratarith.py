@@ -112,6 +112,11 @@ class DynOrder:
     `of` evaluates an int64 array of indices at once, and `table` holds
     all q entries, built on first read.  The array forms compute
     pinv * i in int64, so a stage of 2**31 entries or more is refused.
+
+    Premise: gcd(p, q) = 1, so p^{-1} exists and the order is mirrored,
+    q - j_i = j_{q-i} for 0 < i < q.  Proof: j_{q-i} = -j_i mod q, which
+    is q - j_i unless j_i = 0, and j_i != 0 for every 0 < i < q exactly
+    when p^{-1} is a unit mod q.
     """
 
     def __init__(self, p, q):
@@ -143,14 +148,6 @@ class DynOrder:
     def table(self):
         self.require_int64()        # before the q-entry arange
         return self.of(np.arange(self.q, dtype=np.int64))
-
-    def mirrored(self):
-        """Whether q - j_i = j_{q-i} for 0 < i < q, read chunk by chunk."""
-        for lo, hi in chunks(1, self.q):
-            i = np.arange(lo, hi, dtype=np.int64)
-            if not np.array_equal(self.q - self.of(i), self.of(self.q - i)):
-                return False
-        return True
 
 
 def dyn_order(params, n):

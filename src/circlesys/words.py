@@ -215,42 +215,6 @@ class BoundaryStats:
     near_fraction: Fraction        # positions within q of a spacer
 
 
-def _boundary_intervals(k, l, q, order):
-    """Spacer runs of a circular product, as half-open position intervals."""
-    block_len = l * q
-    out = []
-    for i in range(q):
-        ji = order[i]
-        for j in range(k):
-            base = (i * k + j) * block_len
-            if ji < q:
-                out.append((base, base + q - ji))
-            if ji > 0:
-                out.append((base + block_len - ji, base + block_len))
-    return out
-
-
-@lru_cache(maxsize=8)
-def _spacer_mass(k, l, q, js):
-    """(spacer positions, positions within q of a spacer) of a circular
-    product whose dynamical ordering is the tuple js."""
-    n = k * l * q * q
-    intervals = _boundary_intervals(k, l, q, js)
-    boundary = sum(hi - lo for lo, hi in intervals)
-    assert Fraction(boundary, n) == Fraction(1, l)
-
-    # dilate each spacer run by q on both sides, then measure the union
-    near = 0
-    cursor = 0
-    for lo, hi in intervals:  # already sorted and disjoint
-        lo = max(lo - q, cursor, 0)
-        hi = min(hi + q, n)
-        if hi > lo:
-            near += hi - lo
-            cursor = hi
-    return boundary, near
-
-
 @lru_cache(maxsize=8)
 def _spacer_layout(k, l, q, js):
     """Predicted spacer letters of a circular product, shaped (q, 1, l*q)
@@ -268,25 +232,27 @@ def _spacer_layout(k, l, q, js):
 
 
 def boundary_stats(word, k=None, l=None, q=None, order=None):
-    """Spacer mass of a circular product, exactly.
+    """Spacer mass of a circular product, exactly, from k, l and q.
 
     For a LazyCircularWord the structure is taken from the word itself.
     A materialized word (a tuple or an array) needs k, l, q, order
     passed in; its letters are compared with the predicted spacer
     layout in one array compare, and InputError names the first spacer
     run they disagree with (the word is not a circular product with
-    this structure).  The layout and the masses are computed once per
-    structure and shared by every word of a stage.
+    this structure).  The layout is computed once per structure and
+    shared by every word of a stage.  The masses need no layout: each
+    of the k q blocks holds q spacer letters, so the spacer mass is 1/l,
+    and the positions within q of a spacer are counted in closed form.
     """
     if isinstance(word, LazyCircularWord):
-        k, l, q, order = word.k, word.l, word.q, word.order
+        k, l, q = word.k, word.l, word.q
     elif None in (k, l, q, order):
         raise InputError("materialized word needs k, l, q, order")
     n = k * l * q * q
-    js = tuple(int(order[i]) for i in range(q))
     if not isinstance(word, LazyCircularWord):
         if len(word) != n:
             raise InputError("length %d is not k*l*q**2 = %d" % (len(word), n))
+        js = tuple(int(order[i]) for i in range(q))
         letters, spacer = _spacer_layout(k, l, q, js)
         bad = np.asarray(word).reshape(q, k, l * q) != letters
         bad &= spacer
@@ -297,8 +263,13 @@ def boundary_stats(word, k=None, l=None, q=None, order=None):
                       else (base + l * q - ji, base + l * q))
             raise InputError("letters in [%d, %d) do not match a spacer run"
                              % (lo, hi))
-    boundary, near = _spacer_mass(k, l, q, js)
-    return BoundaryStats(Fraction(boundary, n), Fraction(near, n))
+    # Each block's body of (l - 1) q letters lies between its b run and
+    # the next spacer run, so only its middle (l - 3) q letters are more
+    # than q from a spacer.  Only a word with q = 1 ends on a body with
+    # no spacer after it (its e run has j_{q-1} = -p^{-1} mod q letters),
+    # and then its last letter is far too when l >= 3.
+    near = n - k * q * q * max(0, l - 3) - (q == 1 and l >= 3)
+    return BoundaryStats(Fraction(k * q * q, n), Fraction(near, n))
 
 
 def word_to_text(word):

@@ -12,13 +12,17 @@ up its window at every offset.  `dict_uniformity` and
 `table_cylinders` count the construction sequence's words as the
 package did before one multiplicity array: a dict entry per (word,
 tuple) pair, and per level a table of lists of the occurrences of every
-base word, grown from the identity.
+base word, grown from the identity; `per_word_check_cylinder` measures
+every base word in turn.  The spacer masses come from a sweep over the
+spacer runs of a word, and the mirror of a dynamical order from its
+whole table.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
+from circlesys import consys
 from circlesys.consys import CylinderEstimate, UniformityReport
 from circlesys.errors import InputError
 from circlesys.names import StabilityReport, label_dtype
@@ -207,7 +211,8 @@ def dict_uniformity(cs, n):
     values = {counts[(c, wi)] for c in range(nwords) for wi in range(len(tuples))}
     strong = len(values) == 1
     f_value = values.pop() if strong else None
-    return UniformityReport(n, densities, strong, f_value, eps)
+    M = np.array([[tup.count(c) for c in range(nwords)] for tup in tuples])
+    return UniformityReport(n, densities, strong, f_value, eps, M)
 
 
 def occurrence_table(cs, base_level, upto):
@@ -238,3 +243,58 @@ def table_cylinders(cs, base_level, n, eps):
         out.append(CylinderEstimate(n, base_level, ui, props, gap, bound,
                                     gap <= bound))
     return out
+
+
+def per_word_check_cylinder(ctx):
+    """`check_cylinder` by measuring every level-n word of every stage
+    against that stage's uniformity report."""
+    worst = Fraction(0)
+    bound = Fraction(0)
+    for n in range(ctx.cs.depth):
+        eps = consys.verify_uniformity(ctx.cs, n).eps
+        for u in range(len(ctx.cs.levels[n])):
+            est = consys.estimate_cylinder(ctx.cs, u, n, n, eps)
+            worst = max(worst, est.gap)
+            bound = max(bound, est.bound)
+            if not est.within_bound:
+                return False, str(est.gap), "<= " + str(est.bound)
+    return True, str(worst), "<= " + str(bound)
+
+
+def boundary_intervals(k, l, q, order):
+    """Spacer runs of a circular product, as half-open position intervals."""
+    block_len = l * q
+    out = []
+    for i in range(q):
+        ji = order[i]
+        for j in range(k):
+            base = (i * k + j) * block_len
+            if ji < q:
+                out.append((base, base + q - ji))
+            if ji > 0:
+                out.append((base + block_len - ji, base + block_len))
+    return out
+
+
+def swept_spacer_mass(k, l, q, order):
+    """(spacer positions, positions within q of a spacer) of a circular
+    product, by dilating each spacer run by q on both sides and
+    measuring the union."""
+    n = k * l * q * q
+    intervals = boundary_intervals(k, l, q, order)
+    boundary = sum(hi - lo for lo, hi in intervals)
+    near = 0
+    cursor = 0
+    for lo, hi in intervals:  # already sorted and disjoint
+        lo = max(lo - q, cursor, 0)
+        hi = min(hi + q, n)
+        if hi > lo:
+            near += hi - lo
+            cursor = hi
+    return boundary, near
+
+
+def reversed_view_mirror(order):
+    """Whether q - j_i = j_{q-i} for 0 < i < q, on the whole table."""
+    t = order.table
+    return np.array_equal(order.q - t[1:], t[:0:-1])

@@ -10,6 +10,7 @@ stage-3 tower is 2^17 levels high.
 
 import tracemalloc
 from contextlib import contextmanager
+from math import gcd
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,11 +24,12 @@ from circlesys.cli import (check_distinct, check_names, check_numerology,
 from circlesys.errors import InputError, ResourceError
 from circlesys.names import distinct_names, frame_labels, simulate_tower_name
 from circlesys.procsim import build_process, refine
-from circlesys.ratarith import (DynOrder, chunks, derive_params, dyn_order,
+from circlesys.ratarith import (DynOrder, chunks, derive_params,
                                 spacer_columns)
 from circlesys.words import B, E, circ
 
-from oracles import dense, scatter_check_process, table_marks
+from oracles import (dense, reversed_view_mirror, scatter_check_process,
+                     table_marks)
 from strategies import materialised_z, small_processes
 
 CHUNKS = st.sampled_from([1, 3, 7])
@@ -164,18 +166,28 @@ def test_spacer_columns_match_the_table_formula(params):
                               + np.where(e_cols, E, 0))
 
 
-def test_marks_and_numerology_refuse_past_int64_before_allocating():
-    params = derive_params([2] * 4, [4] * 4, [1] * 5)
-    assert 2 ** 31 <= params.q[4] < 2 ** 63
+# q[4] = 2^45 columns, past the int64 limit of the dynamical-order arrays
+PAST_INT64 = derive_params([2] * 4, [4] * 4, [1] * 5)
+
+
+def test_marks_refuse_past_int64_before_allocating():
+    assert 2 ** 31 <= PAST_INT64.q[4] < 2 ** 63
     tracemalloc.start()
     try:
         with pytest.raises(ResourceError, match="int64 limit"):
-            spacer_columns(params, 4)
-        with pytest.raises(ResourceError, match="int64 limit"):
-            dyn_order(params, 4).mirrored()
+            spacer_columns(PAST_INT64, 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_numerology_passes_past_int64_without_a_table():
+    # the mirror is the DynOrder premise, so no stage is too wide for it
+    q = PAST_INT64.q
+    ctx = SimpleNamespace(params=PAST_INT64, cap_atoms=q[4])
+    (ok, value, _), peak = traced_peak(check_numerology, ctx)
+    assert ok and value == str(sum(q) - len(q))
     assert peak < 1 << 20
 
 
@@ -192,19 +204,14 @@ def test_refine_matches_double_repeat(cols, seed, fc, fr, dtype):
     assert got.dtype == dtype and np.array_equal(got, want)
 
 
-def reversed_view_mirror(order):
-    t = order.table
-    return np.array_equal(order.q - t[1:], t[:0:-1])
-
-
 @settings(max_examples=100, deadline=None)
-@given(st.integers(1, 200), st.integers(0, 199), CHUNKS)
-def test_mirrored_matches_reversed_view(q, pinv, size):
-    # any pinv: a unit passes, one sharing a factor with q fails
+@given(st.integers(1, 200), st.integers(0, 199))
+def test_order_is_mirrored_exactly_when_pinv_is_a_unit(q, pinv):
+    # the DynOrder premise, for any pinv: a unit mirrors, one sharing a
+    # factor with q does not
     order = DynOrder(1, q)
     order.pinv = pinv % q
-    with chunk_size(size):
-        assert order.mirrored() == reversed_view_mirror(order)
+    assert reversed_view_mirror(order) == (gcd(order.pinv, q) == 1)
 
 
 def dict_of_bytes_distinct(proc):

@@ -1,11 +1,16 @@
+import dataclasses
 import itertools
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from circlesys import consys
+from circlesys.cli import check_cylinder
 from circlesys.consys import (ConstructionSequence, build_sequence,
                               check_unique_readability, estimate_cylinder,
                               in_S_window, verify_uniformity)
@@ -13,7 +18,7 @@ from circlesys.errors import InputError, ResourceError
 from circlesys.ratarith import derive_params, dyn_order
 from circlesys.words import LazyCircularWord, circ, parse
 
-from oracles import dict_uniformity, table_cylinders
+from oracles import dict_uniformity, per_word_check_cylinder, table_cylinders
 from strategies import small_sequences
 
 DESK = derive_params([2, 2], [4, 4], [2, 2, 4])
@@ -259,11 +264,28 @@ def test_counts_equal_the_dict_and_table_routes(case):
         rep = verify_uniformity(cs, n)
         want = dict_uniformity(cs, n)
         assert rep == want and repr(rep) == repr(want)
+        assert np.array_equal(rep.M, want.M) and not rep.M.flags.writeable
         for base in range(n + 1):
             want = table_cylinders(cs, base, n, rep.eps)
             got = [estimate_cylinder(cs, u, base, n)
                    for u in range(len(cs.levels[base]))]
             assert got == want and repr(got) == repr(want)
+
+
+@given(small_sequences(), st.sampled_from([1, Fraction(1, 2), 0]))
+@settings(max_examples=60, deadline=None)
+def test_cylinder_check_equals_the_per_word_loop(case, shrink):
+    # a shrunk eps puts words over the bound, so the first one is named
+    cs = build_sequence(*case)
+    ctx = SimpleNamespace(cs=cs, params=cs.params)
+    verify = consys.verify_uniformity
+
+    def shrunk(cs, n):
+        rep = verify(cs, n)
+        return dataclasses.replace(rep, eps=rep.eps * shrink)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(consys, "verify_uniformity", shrunk)
+        assert check_cylinder(ctx) == per_word_check_cylinder(ctx)
 
 
 def test_s_window_certificate():

@@ -3,17 +3,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from circlesys import words
 from circlesys.errors import InputError
 from circlesys.ratarith import DynOrder, derive_params, dyn_order
 from circlesys.words import (B, E, Boundary, Interior, LazyCircularWord,
                              boundary_stats, circ, decode_position, parse,
                              text_to_word, word_to_text)
 
-from oracles import naive_parse
+from oracles import boundary_intervals, naive_parse, swept_spacer_mass
 
 DESK = derive_params([2, 2], [4, 4], [2, 2, 4])
 
@@ -174,7 +173,7 @@ def test_boundary_stats_names_the_first_corrupted_spacer_run():
     w0, w1 = stage1_words()
     order = dyn_order(DESK, 1)
     w = circ([w0, w1], 2, 4, 8, order)
-    runs = words._boundary_intervals(2, 4, 8, order)
+    runs = boundary_intervals(2, 4, 8, order)
     b_run = next(r for r in runs if r[1] - r[0] >= 3 and w[r[0]] == B)
     e_run = next(r for r in runs if r[1] - r[0] >= 3 and w[r[0]] == E)
     assert b_run < e_run
@@ -239,13 +238,31 @@ def test_circ_boundary_fraction(sys_):
     assert stats.near_fraction <= Fraction(3, l)
 
 
+@given(small_systems())
+@settings(max_examples=100)
+@example(([(0,), (1,)], 2, 2, 1, 0))
+@example(([(0,), (1,)], 2, 3, 1, 0))
+def test_closed_form_masses_equal_the_swept_runs(sys_):
+    # only a q = 1 word ends on a body with no spacer after it, and
+    # from l = 3 on that body's last letter is far from every spacer
+    children, k, l, q, p = sys_
+    order = DynOrder(p, q)
+    n = k * l * q * q
+    boundary, near = swept_spacer_mass(k, l, q, order)
+    for word in (circ(children, k, l, q, order),
+                 LazyCircularWord(children, k, l, q, order)):
+        stats = boundary_stats(word, k=k, l=l, q=q, order=order)
+        assert (stats.boundary_fraction, stats.near_fraction) == \
+            (Fraction(boundary, n), Fraction(near, n))
+
+
 @given(small_systems(), st.data())
 @settings(max_examples=60)
 def test_boundary_stats_names_the_corrupted_run_of_an_array(sys_, data):
     children, k, l, q, p = sys_
     order = DynOrder(p, q)
     word = circ(children, k, l, q, order, np.empty(k * l * q * q, np.int8))
-    runs = words._boundary_intervals(k, l, q, order)
+    runs = boundary_intervals(k, l, q, order)
     lo, hi = data.draw(st.sampled_from(runs))
     word[data.draw(st.integers(lo, hi - 1))] = 0
     with pytest.raises(InputError) as err:
