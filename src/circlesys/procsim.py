@@ -35,9 +35,6 @@ class GridPermutation:
     def identity(cls, cols, rows):
         return cls(cols, rows, np.arange(cols * rows, dtype=np.int64))
 
-    def apply(self, i):
-        return self.table[i]
-
     def compose(self, other):
         """(self . other)(x) = self(other(x))."""
         if (self.cols, self.rows) != (other.cols, other.rows):

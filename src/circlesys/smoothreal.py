@@ -29,8 +29,9 @@ moves its points SWAP_CHUNK at a time, so a pass holds the tracked
 points (x, y and cell: 24 bytes each) and working arrays of one chunk.
 The layers of a schedule share one set of tables (SwapTables): the
 boustrophedon index, one StandardSwap, every pair's orientation and
-origin, and one array with a row of per-cell pair positions for each
-layer, built in one vectorized pass.
+origin, and one int16 array with a row for each layer that holds, per
+cell, the index k of the layer's pair on it, built in one vectorized
+pass.
 """
 
 import math
@@ -41,7 +42,8 @@ import numpy as np
 from .errors import InputError, ResourceError, ToleranceError
 
 # Cells of the largest grid realized: the swap list is a pure-Python
-# bubble sort with up to N(N-1)/2 swaps in at most 2N-3 layers.
+# bubble sort with up to N(N-1)/2 swaps in at most 2N-3 layers, and
+# the pair table holds pair indices below N as int16.
 MAX_SMOOTH_CELLS = 1024
 # the largest per-swap delta realize_perm uses (StandardSwap needs < 1/2)
 MAX_DELTA = 0.25
@@ -84,17 +86,6 @@ class Composite(PlaneMap):
         for m in reversed(self.maps):
             pts = m.inverse(pts)
         return pts
-
-
-class Identity(PlaneMap):
-    """The identity; TrackedPoints are returned as they are."""
-
-    def forward(self, pts):
-        if isinstance(pts, TrackedPoints):
-            return pts
-        return np.array(pts, dtype=float, copy=True)
-
-    inverse = forward
 
 
 def smoothstep(x):
@@ -210,10 +201,12 @@ class StandardSwap(PlaneMap):
 class SwapTables:
     """What every layer of swaps on one grid shares: the boustrophedon
     index, the cell size, one StandardSwap, and the orientation and
-    origin of each adjacent pair (cells k and k+1)."""
+    origin of each adjacent pair (cells k and k+1).  A grid has at most
+    MAX_SMOOTH_CELLS cells, so a pair index fits the int16 pair table."""
 
     def __init__(self, grid, delta):
         m, n = grid
+        check_smooth_cells("smooth %dx%d grid" % (m, n), grid)
         self.inner = StandardSwap(delta)
         self.index = zigzag_table(grid)
         self.scale = (1.0 / m, 1.0 / n)         # (x, y) sizes of one cell
@@ -228,7 +221,7 @@ class SwapTables:
                                 np.minimum(r0, r1) / n], axis=1)
 
     def pair_of_cell(self, layers):
-        """(len(layers), cells) table: per layer, the position in it of
+        """(len(layers), cells) int16 table: per layer, the index k of
         the pair holding each cell, or -1; InputError unless each layer
         is pairs k in range with no cell in common."""
         cells = self.index.size
@@ -240,52 +233,42 @@ class SwapTables:
             raise InputError("pair index %d out of range" % k[bad][0])
         # cell k of layer i is entry i * cells + k of the flattened table
         at = np.repeat(np.arange(len(layers)) * cells, sizes) + k
-        pos = np.arange(len(k)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        table = np.full(len(layers) * cells, -1, dtype=np.intp)
-        table[at] = table[at + 1] = pos
-        # of two pairs writing one cell, one finds the other's position
-        clash = (table[at] != pos) | (table[at + 1] != pos)
+        # the writes to each cell; a pair that shares a cell shares its
+        # first cell, or the pair sharing its second cell does
+        writes = np.bincount(np.concatenate([at, at + 1]))
+        clash = writes[at] > 1
         if clash.any():
             raise InputError("pair %d shares a cell with another pair"
                              % k[clash][0])
+        table = np.full(len(layers) * cells, -1, dtype=np.int16)
+        table[at] = table[at + 1] = k
         return table.reshape(len(layers), cells)
 
 
 class CellSwap(PlaneMap):
-    """StandardSwap conjugated into disjoint adjacent cell pairs of a grid.
+    """StandardSwap conjugated into disjoint adjacent cell pairs of a grid:
+    one layer of a CellSchedule, which builds it.
 
-    k is one boustrophedon pair index (cells k and k+1) or a sequence
-    of them with no cell in common.  Disjoint swaps commute, so all of
-    them are one map.  It works on TrackedPoints, which carry each
-    point's cell: a gather of the per-cell pair table finds the points
-    inside a pair, and SWAP_CHUNK of them at a time are mapped to their
-    pair's rectangle, moved by one StandardSwap call, mapped back and
-    have their cells found again.  A plain (N, 2) array is tracked on
-    the way in and returned as an array.  `tables` and `pair_of_cell`
-    (its row of `SwapTables.pair_of_cell`) are a schedule's, shared by
-    its layers; a swap built alone makes its own.  Each point goes
-    through its own pair's conjugation alone, so a layer equals its
-    swaps applied one by one, bit for bit (short of a point within an
-    ulp of a cell edge, whose cell and rectangle test can disagree).
+    k is the layer's boustrophedon pair indices (cells k and k+1), with
+    no cell in common, and pair_of_cell its row of the schedule's
+    `SwapTables.pair_of_cell`.  Disjoint swaps commute, so all of them
+    are one map.  It moves TrackedPoints, which carry each point's cell,
+    in place: a gather of pair_of_cell finds the points inside a pair,
+    and SWAP_CHUNK of them at a time are mapped to their pair's
+    rectangle, moved by one StandardSwap call, mapped back and have
+    their cells found again.  Each point goes through its own pair's
+    conjugation alone, so a layer equals its swaps applied one by one,
+    bit for bit (short of a point within an ulp of a cell edge, whose
+    cell and rectangle test can disagree).
     """
 
-    def __init__(self, grid, k, delta, tables=None, pair_of_cell=None):
-        self.grid = grid
-        self.k = [k] if isinstance(k, (int, np.integer)) else list(k)
-        if tables is None:
-            tables = SwapTables(grid, delta)
-            pair_of_cell = tables.pair_of_cell([self.k])[0]
-        self.inner, self.index, self.scale = \
-            tables.inner, tables.index, tables.scale
+    def __init__(self, tables, k, pair_of_cell):
+        self.tables = tables
+        self.k = k
         self.pair_of_cell = pair_of_cell
-        self.paired = pair_of_cell >= 0
-        self.transpose = tables.transpose[self.k]
-        self.origin = tables.origin[self.k]
 
     def _apply(self, pts, fn):
-        if not isinstance(pts, TrackedPoints):
-            return self._apply(TrackedPoints(self.index, pts), fn).array()
-        hit = np.flatnonzero(self.paired[pts.cell])
+        hit = np.flatnonzero(self.pair_of_cell[pts.cell] >= 0)
         for start in range(0, len(hit), SWAP_CHUNK):
             self._move(pts, hit[start:start + SWAP_CHUNK], fn)
         return pts
@@ -293,15 +276,17 @@ class CellSwap(PlaneMap):
     def _move(self, pts, hit, fn):
         """Apply fn, in pair coordinates, to the points `hit` of pts
         that lie in their pair's rectangle."""
-        pair = self.pair_of_cell[pts.cell[hit]]
-        flip = self.transpose[pair]
-        x0, y0 = self.origin[:, 0][pair], self.origin[:, 1][pair]
+        t = self.tables
+        # cast once, as numpy casts int16 indices again at every gather
+        pair = self.pair_of_cell[pts.cell[hit]].astype(np.intp)
+        flip = t.transpose[pair]
+        x0, y0 = t.origin[:, 0][pair], t.origin[:, 1][pair]
         u = pts.x[hit]
         u -= x0
-        u /= self.scale[0]
+        u /= t.scale[0]
         v = pts.y[hit]
         v -= y0
-        v /= self.scale[1]
+        v /= t.scale[1]
         # column-major, so StandardSwap works on contiguous columns;
         # a vertical pair lies along y
         std = np.empty((len(hit), 2), order="F")
@@ -317,21 +302,21 @@ class CellSwap(PlaneMap):
         if len(hit):
             std = fn(std)
             x = np.where(flip, std[:, 1], std[:, 0])
-            x *= self.scale[0]
+            x *= t.scale[0]
             x += x0
             y = np.where(flip, std[:, 0], std[:, 1])
-            y *= self.scale[1]
+            y *= t.scale[1]
             y += y0
             del std
             pts.x[hit] = x
             pts.y[hit] = y
-            pts.cell[hit] = _cells(self.index, x, y)
+            pts.cell[hit] = _cells(t.index, x, y)
 
     def forward(self, pts):
-        return self._apply(pts, self.inner.forward)
+        return self._apply(pts, self.tables.inner.forward)
 
     def inverse(self, pts):
-        return self._apply(pts, self.inner.inverse)
+        return self._apply(pts, self.tables.inner.inverse)
 
 
 class TrackedPoints:
@@ -357,27 +342,28 @@ class TrackedPoints:
 class CellSchedule(Composite):
     """The CellSwap layers of one grid, applied in order to one tracked
     copy of the points, so each point's cell is found once per pass.
-    The layers share one SwapTables, and their per-cell pair tables are
-    rows of one array built for all of them at once.  TrackedPoints
-    are moved in place and returned, an array is tracked on the way in
-    and returned as an array."""
+    The layers share one SwapTables and read their rows of its one
+    pair table.  TrackedPoints are moved in place and returned; an
+    array is tracked on the way in and a fresh array returned.  With
+    no layers the schedule is the identity."""
 
     def __init__(self, grid, layers, delta):
         tables = SwapTables(grid, delta)
         super().__init__(
-            CellSwap(grid, layer, delta, tables, row)
+            CellSwap(tables, layer, row)
             for layer, row in zip(layers, tables.pair_of_cell(layers)))
         self.index = tables.index
 
-    def forward(self, pts):
+    def _tracked(self, pts, apply):
         if isinstance(pts, TrackedPoints):
-            return super().forward(pts)
-        return super().forward(TrackedPoints(self.index, pts)).array()
+            return apply(pts)
+        return apply(TrackedPoints(self.index, pts)).array()
+
+    def forward(self, pts):
+        return self._tracked(pts, super().forward)
 
     def inverse(self, pts):
-        if isinstance(pts, TrackedPoints):
-            return super().inverse(pts)
-        return super().inverse(TrackedPoints(self.index, pts)).array()
+        return self._tracked(pts, super().inverse)
 
 
 def zigzag_cell(grid, k):
@@ -386,12 +372,6 @@ def zigzag_cell(grid, k):
     row, pos = divmod(k, m)
     col = pos if row % 2 == 0 else m - 1 - pos
     return col, row
-
-
-def zigzag_index(grid, col, row):
-    m, n = grid
-    pos = col if row % 2 == 0 else m - 1 - col
-    return row * m + pos
 
 
 def zigzag_table(grid):
@@ -518,7 +498,7 @@ def realize_perm(sigma, grid, eps, seed=0, samples=20000):
                          % (len(sigma), m, n, m * n))
     swaps = perm_to_swaps(sigma)
     if not swaps:
-        return RealizeReport(Identity(), [], 0.0, 1.0)
+        return RealizeReport(CellSchedule(grid, [], MAX_DELTA), [], 0.0, 1.0)
     layers = swap_layers(swaps)
     delta = min(eps / len(swaps), MAX_DELTA)
     for _ in range(MAX_RETRIES):
@@ -544,9 +524,8 @@ class PeriodicStrip(PlaneMap):
         self.width = width
 
     def _apply(self, pts, fn):
-        pts = np.array(pts, dtype=float, copy=True)
-        base = np.floor(pts[:, 0] / self.width) * self.width
-        local = pts.copy()
+        local = np.array(pts, dtype=float, copy=True)
+        base = np.floor(local[:, 0] / self.width) * self.width
         local[:, 0] -= base
         local[:, 0] /= self.width
         out = fn(local)
@@ -604,13 +583,13 @@ def first_column_sigma(params, n, h_grid):
     in boustrophedon numbering on the k[n] x s[n+1] cell grid."""
     k = params.k[n]
     rows = params.s[n + 1]
-    sigma = [0] * (k * rows)
-    for s in range(rows):
-        for t in range(k):
-            img = int(h_grid.apply(s * h_grid.cols + t))
-            tp, sp = img % h_grid.cols, img // h_grid.cols
-            sigma[zigzag_index((k, rows), t, s)] = zigzag_index((k, rows), tp, sp)
-    return sigma
+    index = zigzag_table((k, rows))
+    # h maps the block onto itself (see h_from_words): the atom in row s,
+    # column t < k of h's grid goes to row img // cols, column img % cols
+    img = h_grid.table.reshape(rows, h_grid.cols)[:, :k]
+    sigma = np.empty(k * rows, dtype=np.int64)
+    sigma[index] = index.ravel()[img // h_grid.cols * k + img % h_grid.cols]
+    return sigma.tolist()
 
 
 def stage_map(params, h_grids, eps=0.05, seed=0, samples=20000):

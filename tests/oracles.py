@@ -15,7 +15,8 @@ tuple) pair, and per level a table of lists of the occurrences of every
 base word, grown from the identity; `per_word_check_cylinder` measures
 every base word in turn.  The spacer masses come from a sweep over the
 spacer runs of a word, and the mirror of a dynamical order from its
-whole table.
+whole table.  `loop_first_column_sigma` reads a relabeling's first
+column block cell by cell.
 """
 
 from fractions import Fraction
@@ -298,3 +299,23 @@ def reversed_view_mirror(order):
     """Whether q - j_i = j_{q-i} for 0 < i < q, on the whole table."""
     t = order.table
     return np.array_equal(order.q - t[1:], t[:0:-1])
+
+
+def zigzag_index(grid, col, row):
+    m, n = grid
+    pos = col if row % 2 == 0 else m - 1 - col
+    return row * m + pos
+
+
+def loop_first_column_sigma(params, n, h_grid):
+    """smoothreal.first_column_sigma before its one gather, verbatim but
+    for reading h_grid.table where GridPermutation.apply was called."""
+    k = params.k[n]
+    rows = params.s[n + 1]
+    sigma = [0] * (k * rows)
+    for s in range(rows):
+        for t in range(k):
+            img = int(h_grid.table[s * h_grid.cols + t])
+            tp, sp = img % h_grid.cols, img // h_grid.cols
+            sigma[zigzag_index((k, rows), t, s)] = zigzag_index((k, rows), tp, sp)
+    return sigma

@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from circlesys import cli, consys, names, procsim, smoothreal
+from circlesys import cli, consys, names, procsim, smoothreal, words
 from circlesys.cli import RunManifest, main, run_checks
 from circlesys.errors import OracleMismatch, ToleranceError
 
@@ -289,6 +289,28 @@ def test_run_boundary_with_no_stage_checked(desk):
         "params = wide.params\nprewords = w1.txt\nchecks = boundary\n")])
     assert code == 0
     assert text == ("CHECK boundary PASS value=none skipped=1(lazy) "
+                    "bound=1/l exactly, near <= 3/l\n")
+
+
+def test_run_boundary_fails_on_a_wrong_spacer_letter(desk, monkeypatch):
+    # a materialized word's spacer letters are compared with the layout;
+    # a mismatch is a FAIL that names the word, not an input error
+    build = consys.build_sequence
+
+    def corrupted(*args):
+        cs = build(*args)
+        level = cs.levels[2].copy()
+        level[1, 0] = words.E       # inside the b run of word 1's block 0
+        cs.levels[2] = level
+        return cs
+
+    monkeypatch.setattr(consys, "build_sequence", corrupted)
+    code, text = run(["run", manifest(desk,
+        "params = var.params\nprewords = w1.txt w2var.txt\n"
+        "checks = boundary\n")])
+    assert code == 1
+    assert text == ("CHECK boundary FAIL value=stage 2 word 1 letters in "
+                    "[0, 8) do not match a spacer run "
                     "bound=1/l exactly, near <= 3/l\n")
 
 

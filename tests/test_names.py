@@ -383,7 +383,7 @@ def naive_u_words(proc, h, s):
     out = []
     for j in range(k):
         atoms = [s * h.cols + j + (t * p % q) * k for t in range(q)]
-        out.append(tuple(int(labels[Z.apply(h.apply(a))]) for a in atoms))
+        out.append(tuple(int(labels[Z.table[h.table[a]]]) for a in atoms))
     return out
 
 

@@ -13,11 +13,14 @@ from circlesys.procsim import h_from_words
 from circlesys.ratarith import derive_params
 from circlesys.smoothreal import (MAX_SMOOTH_CELLS, MAX_SMOOTH_SAMPLES,
                                   CellSchedule, CellSwap, Composite, PlaneMap,
-                                  StandardSwap, TrackedPoints, cell_of_points,
+                                  StandardSwap, SwapTables, TrackedPoints,
+                                  cell_of_points, first_column_sigma,
                                   map_distance, perm_to_swaps, realize_perm,
                                   sample_jacobian, stage_map, swap_layers,
-                                  zigzag_cell, zigzag_index, zigzag_table)
+                                  zigzag_cell, zigzag_table)
 from circlesys.smoothreal import _disk_to_square, _square_to_disk, smoothstep
+from oracles import loop_first_column_sigma
+from strategies import small_processes
 
 RNG = np.random.default_rng(20240817)
 
@@ -240,13 +243,13 @@ def test_zigzag():
         [(0, 0), (1, 0), (2, 0), (2, 1), (1, 1), (0, 1)]
     for k in range(6):
         c, r = zigzag_cell((3, 2), k)
-        assert zigzag_index((3, 2), c, r) == k
+        assert zigzag_table((3, 2))[r, c] == k
 
 
 def test_cell_swap_vertical_pair():
     # pair (2, 3) on a 3x2 grid crosses rows in the same column
-    swap = CellSwap((3, 2), 2, 0.05)
-    assert swap.transpose
+    swap = CellSchedule((3, 2), [[2]], 0.05)
+    assert swap.maps[0].tables.transpose[2]
     pts = RNG.random((5000, 2))
     out = swap.forward(pts)
     src = cell_of_points((3, 2), pts)
@@ -333,6 +336,14 @@ def test_realize_identity():
     rep = realize_perm(list(range(4)), (2, 2), 0.1)
     assert rep.swaps == []
     assert rep.obedient == 1.0
+    # an array in gives a fresh, equal array out; tracked points are
+    # returned as they are
+    pts = RNG.random((100, 2))
+    tracked = TrackedPoints(zigzag_table((2, 2)), pts)
+    for fn in (rep.plane_map.forward, rep.plane_map.inverse):
+        out = fn(pts)
+        assert np.array_equal(out, pts) and not np.shares_memory(out, pts)
+        assert fn(tracked) is tracked
 
 
 def test_stage_map_measure_preserving():
@@ -348,7 +359,7 @@ def test_stage_map_measure_preserving():
 
 
 def test_map_distance_zero_on_self():
-    sw = CellSwap((2, 2), 0, 0.05)
+    sw = CellSchedule((2, 2), [[0]], 0.05)
     mean, mx = map_distance(sw, sw, RNG.random((1000, 2)))
     assert mean == 0 and mx == 0
 
@@ -396,17 +407,19 @@ class OnePairSwap(PlaneMap):
 
 class UntrackedCellSwap(CellSwap):
     """CellSwap whose _apply finds every point's cell on every call:
-    CellSwap._apply before the cells were tracked, verbatim."""
+    CellSwap._apply before the cells were tracked, verbatim but for
+    reading the shared tables by pair index."""
 
     def _apply(self, pts, fn):
+        t = self.tables
         pts = np.array(pts, dtype=float, copy=True)
-        pair = self.pair_of_cell[cell_of_points(self.grid, pts)]
+        pair = self.pair_of_cell[cell_of_points(t.index.shape[::-1], pts)]
         hit = np.flatnonzero(pair >= 0)
         pair = pair[hit]
-        flip = self.transpose[pair]
+        flip = t.transpose[pair]
         std = np.empty((len(hit), 2))
-        u = (pts[hit, 0] - self.origin[pair, 0]) / self.scale[0]
-        v = (pts[hit, 1] - self.origin[pair, 1]) / self.scale[1]
+        u = (pts[hit, 0] - t.origin[pair, 0]) / t.scale[0]
+        v = (pts[hit, 1] - t.origin[pair, 1]) / t.scale[1]
         std[:, 0] = np.where(flip, v, u)
         std[:, 1] = np.where(flip, u, v)
         del u, v
@@ -418,10 +431,17 @@ class UntrackedCellSwap(CellSwap):
         if len(hit):
             std = fn(std)
             pts[hit, 0] = (np.where(flip, std[:, 1], std[:, 0])
-                           * self.scale[0] + self.origin[pair, 0])
+                           * t.scale[0] + t.origin[pair, 0])
             pts[hit, 1] = (np.where(flip, std[:, 0], std[:, 1])
-                           * self.scale[1] + self.origin[pair, 1])
+                           * t.scale[1] + t.origin[pair, 1])
         return pts
+
+
+def untracked_layers(grid, layers, delta):
+    """UntrackedCellSwap layers on one shared SwapTables."""
+    tables = SwapTables(grid, delta)
+    return Composite([UntrackedCellSwap(tables, layer, row) for layer, row
+                      in zip(layers, tables.pair_of_cell(layers))])
 
 
 def edge_points(grid, rng, count):
@@ -445,10 +465,9 @@ def edge_points(grid, rng, count):
 def test_layered_map_equals_per_swap_map(grid_perm, delta, seed):
     grid, sigma = grid_perm
     swaps = perm_to_swaps(sigma)
-    layered = Composite([CellSwap(grid, layer, delta)
-                         for layer in swap_layers(swaps)])
+    layered = CellSchedule(grid, swap_layers(swaps), delta)
     pts = np.random.default_rng(seed).random((300, 2))
-    for oracle in (Composite([CellSwap(grid, k, delta) for k in swaps]),
+    for oracle in (CellSchedule(grid, [[k] for k in swaps], delta),
                    Composite([OnePairSwap(grid, k, delta) for k in swaps])):
         assert np.array_equal(layered.forward(pts), oracle.forward(pts))
         assert np.array_equal(layered.inverse(pts), oracle.inverse(pts))
@@ -462,8 +481,7 @@ def test_tracked_schedule_equals_untracked_layers(grid_perm, delta, seed):
     layers = swap_layers(swaps)
     tracked = CellSchedule(grid, layers, delta)
     pts = edge_points(grid, np.random.default_rng(seed), 300)
-    untracked = Composite([UntrackedCellSwap(grid, layer, delta)
-                           for layer in layers])
+    untracked = untracked_layers(grid, layers, delta)
     assert np.array_equal(tracked.forward(pts), untracked.forward(pts))
     assert np.array_equal(tracked.inverse(pts), untracked.inverse(pts))
     # per swap, a point within an ulp of a cell edge can fall in another
@@ -485,8 +503,7 @@ def test_tracked_schedule_contract(grid_perm, delta, seed):
     paired = np.isin(cell_of_points(grid, pts),
                      [c for k in swaps for c in (k, k + 1)])
     schedule = CellSchedule(grid, layers, delta)
-    maps = [schedule] + [CellSwap(grid, layer, delta) for layer in layers[:1]]
-    for plane in maps:
+    for plane in (schedule, CellSchedule(grid, layers[:1], delta)):
         for fn in (plane.forward, plane.inverse):
             out = fn(pts)
             assert out.shape == pts.shape and not np.shares_memory(out, pts)
@@ -497,9 +514,10 @@ def test_tracked_schedule_contract(grid_perm, delta, seed):
     # each layer undoes itself to rounding; through the whole schedule
     # later layers' twists amplify those roundings, so the bound is per layer
     trail = pts[:300]
-    for layer in schedule.maps:
-        moved = layer.forward(trail)
-        assert np.max(np.abs(layer.inverse(moved) - trail), initial=0.0) < 1e-9
+    for layer in layers:
+        step = CellSchedule(grid, [layer], delta)
+        moved = step.forward(trail)
+        assert np.max(np.abs(step.inverse(moved) - trail), initial=0.0) < 1e-9
         trail = moved
     assert np.array_equal(trail, schedule.forward(pts[:300]))
 
@@ -540,8 +558,7 @@ def test_chunked_schedule_equals_oracles(grid_perm, delta, seed, chunk):
     layers = swap_layers(swaps)
     pts = edge_points(grid, np.random.default_rng(seed), 60)
     fwd, inv, handed = schedule_in_chunks(grid, layers, delta, pts, chunk)
-    untracked = Composite([UntrackedCellSwap(grid, layer, delta)
-                           for layer in layers])
+    untracked = untracked_layers(grid, layers, delta)
     assert np.array_equal(fwd, untracked.forward(pts))
     assert np.array_equal(inv, untracked.inverse(pts))
     per_swap = Composite([OnePairSwap(grid, k, delta) for k in swaps])
@@ -616,8 +633,29 @@ def test_reversal_takes_2n_minus_3_layers(N):
 
 
 def test_cell_swap_refuses_pairs_sharing_a_cell():
-    with pytest.raises(InputError, match="shares a cell"):
-        CellSwap((3, 2), [1, 2], 0.05)
+    # overlapping pairs, and a pair listed twice in one layer
+    for layer, k in (([1, 2], 2), ([1, 1], 1)):
+        with pytest.raises(InputError, match="pair %d shares a cell" % k):
+            CellSchedule((3, 2), [[0], layer], 0.05)
+
+
+def test_pair_table_is_int16_within_the_cell_cap():
+    assert MAX_SMOOTH_CELLS - 1 <= np.iinfo(np.int16).max
+    table = SwapTables((4, 3), 0.05).pair_of_cell([[0, 2], [9]])
+    assert table.dtype == np.int16
+    assert table.tolist() == [[0, 0, 2, 2] + [-1] * 8,
+                              [-1] * 9 + [9, 9, -1]]
+    with pytest.raises(ResourceError, match="needs 1056 cells, cap is 1024"):
+        SwapTables((33, 32), 0.05)
+
+
+@given(small_processes())
+@settings(max_examples=60, deadline=None)
+def test_first_column_sigma_equals_the_cell_loop(procs):
+    params = procs[-1].params
+    for n, h in enumerate(procs[-1].h_list):
+        assert first_column_sigma(params, n, h) == \
+            loop_first_column_sigma(params, n, h)
 
 
 def test_realize_perm_applies_one_map_per_layer():
