@@ -599,13 +599,19 @@ def cmd_factor(args, out):
 
 
 def _obedience_table(grid, plane, sigma, rng, samples, out):
-    m, n = grid
-    pts = smoothreal.TrackedPoints(plane.index, rng.random((samples, 2)))
+    cells = grid[0] * grid[1]
+    pts = smoothreal.TrackedPoints.draw(plane.index, rng, samples)
     src = pts.cell.copy()
     dst = plane.forward(pts).cell
-    drawn = np.bincount(src, minlength=m * n).tolist()
-    obeyed = np.bincount(src[dst == np.asarray(sigma)[src]],
-                         minlength=m * n).tolist()
+    image = np.asarray(sigma, dtype=np.int16)
+    drawn = np.zeros(cells, dtype=np.intp)
+    obeyed = np.zeros(cells, dtype=np.intp)
+    # add.at reads the int16 cells as they are, where bincount would
+    # copy them to intp
+    for w in smoothreal.slices(samples, smoothreal.SCAN_WINDOW):
+        np.add.at(drawn, src[w], 1)
+        np.add.at(obeyed, src[w][dst[w] == image[src[w]]], 1)
+    drawn, obeyed = drawn.tolist(), obeyed.tolist()
     for cell, (ok, count) in enumerate(zip(obeyed, drawn)):
         out.write("rect %2d -> %2d obedient %s\n"
                   % (cell, sigma[cell], "%.4f" % (ok / count) if count

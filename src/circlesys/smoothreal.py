@@ -25,8 +25,9 @@ scheduled into layers of disjoint swaps, each one map (CellSwap).  A
 schedule (CellSchedule) finds each point's cell once per pass and
 carries it from layer to layer: a layer finds its points by their
 cells, moves only those, and finds only their cells again.  A layer
-moves its points SWAP_CHUNK at a time, so a pass holds the tracked
-points (x, y and cell: 24 bytes each) and working arrays of one chunk.
+searches its points SCAN_WINDOW at a time and moves them SWAP_CHUNK at
+a time, so a pass holds the tracked points (x and y in one array, and
+an int16 cell: 18 bytes each) and working arrays of one window.
 The layers of a schedule share one set of tables (SwapTables): the
 boustrophedon index, one StandardSwap, every pair's orientation and
 origin, and one int16 array with a row for each layer that holds, per
@@ -43,7 +44,7 @@ from .errors import InputError, ResourceError, ToleranceError
 
 # Cells of the largest grid realized: the swap list is a pure-Python
 # bubble sort with up to N(N-1)/2 swaps in at most 2N-3 layers, and
-# the pair table holds pair indices below N as int16.
+# the pair table and the tracked cells hold indices below N as int16.
 MAX_SMOOTH_CELLS = 1024
 # the largest per-swap delta realize_perm uses (StandardSwap needs < 1/2)
 MAX_DELTA = 0.25
@@ -54,10 +55,19 @@ MAX_RETRIES = 3
 # 4096 gave the lowest peak RSS of 1024 to 16384 on an 8x8 realize of
 # 20,000 samples, where the largest layer holds about 13,000 points.
 SWAP_CHUNK = 4096
+# Points per step of the scans that read every point of a pass: finding
+# the first cells, each layer's search for its points, and the
+# obedience compare and tally.  A step's arrays hold one window, so no
+# array has an intp entry per sample.  A layer's search makes two intp
+# arrays of a window (cells cast for the gather, points found), 256 KB
+# at 4 chunks; narrower windows cost Python steps: a 20,000-sample 8x8
+# pass took 2-5 ms longer than one full-length intp scan at 4 chunks a
+# window, 4-6 ms at 1 chunk.
+SCAN_WINDOW = 4 * SWAP_CHUNK
 # Sample points of one smooth realize, swap or stage: `smooth realize`
-# on 8x8 peaks at 128 MB of RSS with 2,000,000 samples, 37 MB of it the
-# interpreter and numpy, so about 48 bytes per sample and under 1 GB
-# at the cap.
+# on 8x8 peaks at 75.5 MiB of RSS with 2,000,000 samples, 37.3 MiB of it
+# the interpreter and numpy, so about 20 bytes per sample and under
+# 400 MB at the cap.
 MAX_SMOOTH_SAMPLES = 1 << 24
 
 
@@ -231,17 +241,29 @@ class SwapTables:
         bad = (k < 0) | (k >= cells - 1)
         if bad.any():
             raise InputError("pair index %d out of range" % k[bad][0])
+        k = k.astype(np.int16)
         # cell k of layer i is entry i * cells + k of the flattened table
-        at = np.repeat(np.arange(len(layers)) * cells, sizes) + k
-        # the writes to each cell; a pair that shares a cell shares its
-        # first cell, or the pair sharing its second cell does
-        writes = np.bincount(np.concatenate([at, at + 1]))
-        clash = writes[at] > 1
+        at = np.repeat(np.arange(len(layers)) * cells, sizes)
+        at += k
+        # the writes to each cell, counted in the table itself: a pair
+        # writes a cell at most once, so int16 holds the counts unless a
+        # layer lists more than 32,767 pairs (and so clashes)
+        table = np.zeros(len(layers) * cells, dtype=np.int16
+                         if max(sizes, default=0) < 1 << 15 else np.intp)
+        np.add.at(table, at, 1)
+        at += 1
+        np.add.at(table, at, 1)
+        at -= 1
+        # a pair that shares a cell shares its first cell, or the pair
+        # sharing its second cell does
+        clash = table[at] != 1
         if clash.any():
             raise InputError("pair %d shares a cell with another pair"
                              % k[clash][0])
-        table = np.full(len(layers) * cells, -1, dtype=np.int16)
-        table[at] = table[at + 1] = k
+        table.fill(-1)
+        table[at] = k
+        at += 1
+        table[at] = k
         return table.reshape(len(layers), cells)
 
 
@@ -254,12 +276,12 @@ class CellSwap(PlaneMap):
     `SwapTables.pair_of_cell`.  Disjoint swaps commute, so all of them
     are one map.  It moves TrackedPoints, which carry each point's cell,
     in place: a gather of pair_of_cell finds the points inside a pair,
-    and SWAP_CHUNK of them at a time are mapped to their pair's
-    rectangle, moved by one StandardSwap call, mapped back and have
-    their cells found again.  Each point goes through its own pair's
-    conjugation alone, so a layer equals its swaps applied one by one,
-    bit for bit (short of a point within an ulp of a cell edge, whose
-    cell and rectangle test can disagree).
+    SCAN_WINDOW points at a time, and SWAP_CHUNK of them at a time are
+    mapped to their pair's rectangle, moved by one StandardSwap call,
+    mapped back and have their cells found again.  Each point goes
+    through its own pair's conjugation alone, so a layer equals its
+    swaps applied one by one, bit for bit (short of a point within an
+    ulp of a cell edge, whose cell and rectangle test can disagree).
     """
 
     def __init__(self, tables, k, pair_of_cell):
@@ -268,17 +290,32 @@ class CellSwap(PlaneMap):
         self.pair_of_cell = pair_of_cell
 
     def _apply(self, pts, fn):
-        hit = np.flatnonzero(self.pair_of_cell[pts.cell] >= 0)
-        for start in range(0, len(hit), SWAP_CHUNK):
-            self._move(pts, hit[start:start + SWAP_CHUNK], fn)
+        paired = self.pair_of_cell >= 0
+        # Points are found a window at a time and moved SWAP_CHUNK at a
+        # time, the last few of a window with the next window's first:
+        # a point moves only once the search has passed it, so none is
+        # found twice, and the chunks are those of one unwindowed scan.
+        hit = np.empty(0, dtype=np.intp)
+        for window in slices(len(pts), SCAN_WINDOW):
+            found = paired.take(pts.cell[window]).nonzero()[0]
+            found += window.start
+            hit = np.concatenate([hit, found]) if len(hit) else found
+            del found
+            while len(hit) >= SWAP_CHUNK:
+                self._move(pts, hit[:SWAP_CHUNK], fn)
+                hit = hit[SWAP_CHUNK:]
+        if len(hit):
+            self._move(pts, hit, fn)
         return pts
 
     def _move(self, pts, hit, fn):
         """Apply fn, in pair coordinates, to the points `hit` of pts
         that lie in their pair's rectangle."""
         t = self.tables
-        # cast once, as numpy casts int16 indices again at every gather
-        pair = self.pair_of_cell[pts.cell[hit]].astype(np.intp)
+        # take casts the int16 cells to intp at once, where indexing
+        # casts them in slower buffered steps; the pair indices are cast
+        # once, as numpy casts int16 indices again at every gather
+        pair = np.take(self.pair_of_cell, pts.cell[hit]).astype(np.intp)
         flip = t.transpose[pair]
         x0, y0 = t.origin[:, 0][pair], t.origin[:, 1][pair]
         u = pts.x[hit]
@@ -320,23 +357,52 @@ class CellSwap(PlaneMap):
 
 
 class TrackedPoints:
-    """Points as contiguous x and y columns plus each point's
-    boustrophedon cell under `index` (a `zigzag_table`), found once.
+    """Points as one (n, 2) float array, with x and y its column views,
+    plus each point's int16 boustrophedon cell under `index` (a
+    `zigzag_table` of at most MAX_SMOOTH_CELLS cells), found once.
     A CellSwap updates all three in place, so a schedule of layers on
     one grid tracks the cells from layer to layer, and whoever passed
-    them in reads the moved points' cells without finding them again."""
+    them in reads the moved points' cells without finding them again.
+    The points are a copy of pts, or drawn into place by `draw`."""
 
     def __init__(self, index, pts):
-        pts = np.asarray(pts, dtype=float)
-        self.cell = _cells(index, pts[:, 0], pts[:, 1])
-        self.x = np.array(pts[:, 0])
-        self.y = np.array(pts[:, 1])
+        _check_index(index)
+        self._track(index, np.array(pts, dtype=float, order="C"))
+
+    @classmethod
+    def draw(cls, index, rng, count):
+        """Track `count` points of the unit square drawn by
+        rng.random((count, 2)), keeping the drawn array, not a copy."""
+        _check_index(index)
+        tracked = cls.__new__(cls)
+        tracked._track(index, rng.random((count, 2)))
+        return tracked
+
+    def _track(self, index, pts):
+        self._pts = pts
+        self.x, self.y = pts[:, 0], pts[:, 1]
+        self.cell = np.empty(len(pts), dtype=np.int16)
+        for window in slices(len(pts), SCAN_WINDOW):
+            self.cell[window] = _cells(index, self.x[window], self.y[window])
 
     def __len__(self):
-        return len(self.x)
+        return len(self._pts)
 
     def array(self):
-        return np.stack([self.x, self.y], axis=1)
+        """The tracked (n, 2) array itself, not a copy."""
+        return self._pts
+
+
+def _check_index(index):
+    """ResourceError before tracking cells of a grid past the cap, as
+    the int16 cells hold indices below MAX_SMOOTH_CELLS."""
+    n, m = index.shape
+    check_smooth_cells("smooth %dx%d grid" % (m, n), (m, n))
+
+
+def slices(count, size):
+    """Consecutive slices of at most `size` items covering range(count)."""
+    return (slice(start, start + size) for start in range(0, count, size))
 
 
 class CellSchedule(Composite):
@@ -344,7 +410,7 @@ class CellSchedule(Composite):
     copy of the points, so each point's cell is found once per pass.
     The layers share one SwapTables and read their rows of its one
     pair table.  TrackedPoints are moved in place and returned; an
-    array is tracked on the way in and a fresh array returned.  With
+    array is copied once to track it, and that copy returned.  With
     no layers the schedule is the identity."""
 
     def __init__(self, grid, layers, delta):
@@ -384,15 +450,21 @@ def zigzag_table(grid):
 
 def _cells(index, x, y):
     n, m = index.shape
-    col = (x * m).astype(int)
-    np.minimum(np.maximum(col, 0, out=col), m - 1, out=col)
-    row = (y * n).astype(int)
-    np.minimum(np.maximum(row, 0, out=row), n - 1, out=row)
-    row *= m
-    row += col
-    # into row itself: every entry is in range, and mode="raise" would
-    # gather into a buffer first
-    return np.take(index.ravel(), row, out=row, mode="clip")
+    # x * m and y * n truncated as astype(int) does, straight into one
+    # int array, and the clipped column kept in the smallest type that
+    # holds m - 1: 9 bytes a point where a float and an int array for
+    # each coordinate took 32 and kept smooth8's RSS about 0.3 MB higher
+    cell = np.multiply(x, m, out=np.empty(len(x), dtype=int),
+                       casting="unsafe")
+    np.minimum(np.maximum(cell, 0, out=cell), m - 1, out=cell)
+    col = cell.astype(np.min_scalar_type(m - 1))
+    np.multiply(y, n, out=cell, casting="unsafe")
+    np.minimum(np.maximum(cell, 0, out=cell), n - 1, out=cell)
+    cell *= m
+    cell += col
+    # in place: every entry is in range, and mode="raise" would gather
+    # into a buffer first
+    return np.take(index.ravel(), cell, out=cell, mode="clip")
 
 
 def cell_of_points(grid, pts):
@@ -501,14 +573,16 @@ def realize_perm(sigma, grid, eps, seed=0, samples=20000):
         return RealizeReport(CellSchedule(grid, [], MAX_DELTA), [], 0.0, 1.0)
     layers = swap_layers(swaps)
     delta = min(eps / len(swaps), MAX_DELTA)
+    image = np.asarray(sigma, dtype=np.int16)
     for _ in range(MAX_RETRIES):
         plane = CellSchedule(grid, layers, delta)
         # the same points on every try, drawn again rather than kept
-        pts = TrackedPoints(plane.index,
-                            np.random.default_rng(seed).random((samples, 2)))
-        target = np.asarray(sigma)[pts.cell]
+        pts = TrackedPoints.draw(plane.index, np.random.default_rng(seed),
+                                 samples)
+        target = image[pts.cell]
         landed = plane.forward(pts).cell
-        obedient = float(np.mean(landed == target))
+        obedient = float(sum(np.count_nonzero(landed[w] == target[w])
+                             for w in slices(samples, SCAN_WINDOW)) / samples)
         if obedient >= 1 - eps:
             return RealizeReport(plane, swaps, delta, obedient)
         delta /= 2

@@ -562,6 +562,32 @@ def test_smooth_samples_past_cap_exits_3(desk, capsys, monkeypatch, argv):
     assert peak < 1 << 20
 
 
+def test_smooth_realize_memory_per_sample():
+    # realize_perm's pass and then the obedience table's: each holds the
+    # tracked points (18 bytes), their first cells (2) and one window
+    argv = ["smooth", "realize", "--grid", "8x8", "--eps", "0.1",
+            "--seed", "1", "--samples"]
+    run(argv + ["100"])     # loads what the command uses
+    samples = 200000
+    tracemalloc.start()
+    try:
+        code, _ = run(argv + [str(samples)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 24 * samples
+
+
+@pytest.mark.parametrize("window", [1, 777, 4096])
+def test_smooth_obedience_windows_equal_one_window(window, monkeypatch):
+    argv = ["smooth", "realize", "--grid", "5x4", "--eps", "0.05",
+            "--samples", "5000", "--seed", "3"]
+    want = run(argv)
+    monkeypatch.setattr(smoothreal, "SCAN_WINDOW", window)
+    assert run(argv) == want
+
+
 def test_smooth_swap_cli(desk):
     code, text = run(["smooth", "swap", "--grid", "2x2", "--k", "0",
                       "--eps", "0.05", "--samples", "5000"])

@@ -572,6 +572,36 @@ def test_chunked_schedule_equals_oracles(grid_perm, delta, seed, chunk):
     assert [sum(sizes) for sizes in handed] == [sum(sizes) for sizes in whole]
 
 
+@given(grid_perms(), st.floats(1e-3, 0.49), st.integers(0, 2**32 - 1),
+       st.integers(1, 7), st.integers(1, 50))
+@settings(max_examples=60, deadline=None)
+def test_windowed_scans_equal_one_window(grid_perm, delta, seed, chunk,
+                                         window):
+    grid, sigma = grid_perm
+    layers = swap_layers(perm_to_swaps(sigma))
+    pts = edge_points(grid, np.random.default_rng(seed), 60)
+    whole = schedule_in_chunks(grid, layers, delta, pts, chunk)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(smoothreal, "SCAN_WINDOW", window)
+        fwd, inv, handed = schedule_in_chunks(grid, layers, delta, pts, chunk)
+        tracked = TrackedPoints(zigzag_table(grid), pts)
+    assert np.array_equal(fwd, whole[0]) and np.array_equal(inv, whole[1])
+    assert np.array_equal(tracked.cell, cell_of_points(grid, pts))
+    # points found in one window are moved with the next window's, so
+    # every StandardSwap call gets the chunk it gets with one window
+    assert handed == whole[2]
+
+
+@pytest.mark.parametrize("window", [1, 777, 4096])
+def test_windowed_realize_equals_one_window(window, monkeypatch):
+    sigma = [int(v) for v in np.random.default_rng(2).permutation(20)]
+    want = realize_perm(sigma, (5, 4), 0.05, seed=3, samples=5000)
+    monkeypatch.setattr(smoothreal, "SCAN_WINDOW", window)
+    got = realize_perm(sigma, (5, 4), 0.05, seed=3, samples=5000)
+    assert type(got.obedient) is float and got.obedient < 1
+    assert (got.obedient, got.delta) == (want.obedient, want.delta)
+
+
 def test_schedule_moves_tracked_points_in_place():
     sigma = [int(v) for v in np.random.default_rng(6).permutation(12)]
     schedule = CellSchedule((4, 3), swap_layers(perm_to_swaps(sigma)), 0.05)
@@ -586,9 +616,10 @@ def test_schedule_moves_tracked_points_in_place():
 
 
 def test_realize_perm_memory_per_sample():
-    # a pass holds its tracked points (24 bytes each) and working
-    # arrays of SWAP_CHUNK points, about 41 bytes per sample at its
-    # peak; moving each layer's points at once took about 117
+    # a pass holds its tracked points (x and y 16 bytes, the cell 2),
+    # the int16 targets (2) and working arrays of one SCAN_WINDOW: about
+    # 22.7 bytes per sample at its peak; int64 cells and targets, x and
+    # y copied out of the draw and full-length scans took about 40
     sigma = [int(v) for v in np.random.default_rng(1).permutation(64)]
     samples = 200000
     tracemalloc.start()
@@ -597,7 +628,63 @@ def test_realize_perm_memory_per_sample():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 96 * samples
+    assert peak <= 24 * samples
+
+
+def test_schedule_build_memory():
+    # the pair table is the schedule's bulk; counting the writes to each
+    # cell in the table itself needs no layers x cells count beside it
+    sigma = [int(v) for v in np.random.default_rng(1).permutation(1024)]
+    layers = swap_layers(perm_to_swaps(sigma))
+    tracemalloc.start()
+    try:
+        schedule = CellSchedule((32, 32), layers, 1e-7)
+        holds, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(schedule.maps) == len(layers)
+    assert peak <= 2 * holds
+
+
+def test_tracked_points_at_the_cell_cap():
+    # 1,024 cells, the cap: the int16 cells and targets reach cell 1023
+    grid = (32, 32)
+    index = zigzag_table(grid)
+    sigma = np.random.default_rng(8).permutation(MAX_SMOOTH_CELLS)
+    pts = edge_points(grid, np.random.default_rng(9), 20000)
+    tracked = TrackedPoints(index, pts)
+    assert tracked.cell.dtype == np.int16
+    assert np.array_equal(tracked.cell, cell_of_points(grid, pts))
+    assert tracked.cell.max() == MAX_SMOOTH_CELLS - 1
+    target = np.asarray(sigma, dtype=np.int16)[tracked.cell]
+    assert np.array_equal(target, sigma[cell_of_points(grid, pts)])
+    assert target.max() == MAX_SMOOTH_CELLS - 1
+    drawn = TrackedPoints.draw(index, np.random.default_rng(3), 20000)
+    assert np.array_equal(drawn.array(),
+                          np.random.default_rng(3).random((20000, 2)))
+    assert np.array_equal(drawn.cell, cell_of_points(grid, drawn.array()))
+
+
+class Untouchable:
+    """Points and a generator that fail if they are read or drawn."""
+
+    def __array__(self, *args, **kwargs):
+        raise AssertionError("copied points past the cap")
+
+    def random(self, *args):
+        raise AssertionError("drew points past the cap")
+
+
+@pytest.mark.parametrize("grid", [(33, 32), (1025, 1)])
+def test_tracked_points_past_the_cell_cap_refused(grid):
+    # refused before the points are copied or drawn
+    index = zigzag_table(grid)
+    message = "smooth %dx%d grid needs %d cells, cap is %d" % (
+        grid + (grid[0] * grid[1], MAX_SMOOTH_CELLS))
+    with pytest.raises(ResourceError, match=message):
+        TrackedPoints(index, Untouchable())
+    with pytest.raises(ResourceError, match=message):
+        TrackedPoints.draw(index, Untouchable(), 10)
 
 
 def test_realize_perm_samples_past_cap_refused():
@@ -637,6 +724,12 @@ def test_cell_swap_refuses_pairs_sharing_a_cell():
     for layer, k in (([1, 2], 2), ([1, 1], 1)):
         with pytest.raises(InputError, match="pair %d shares a cell" % k):
             CellSchedule((3, 2), [[0], layer], 0.05)
+
+
+def test_layer_past_int16_counts_refused():
+    # 65,537 writes to cells 1 and 2 would wrap an int16 count to 1
+    with pytest.raises(InputError, match="pair 1 shares a cell"):
+        CellSchedule((3, 2), [[0], [1] * 65537], 0.05)
 
 
 def test_pair_table_is_int16_within_the_cell_cap():
