@@ -151,17 +151,23 @@ def verify_uniformity(cs, n):
     np.add.at(M, (np.arange(ntup)[:, None], tuples), 1)
     M.flags.writeable = False
     colsum = M.sum(0)
-    # f/(q'/q) = per_copy*M*q/q', and d(w) its mean over the tuples
+    # f/(q'/q) = per_copy*M*q/q', and d(w) its mean over the tuples: one
+    # Fraction per distinct column sum, shared by the words that have it
     scale = Fraction(per_copy * q, cs.params.q[n + 1] * ntup)
-    densities = [scale * int(c) for c in colsum]
+    sums = colsum.tolist()
+    density = {c: scale * c for c in set(sums)}
+    densities = [density[c] for c in sums]
     eps = scale * int(np.abs(ntup * M - colsum).sum(1).max())
     strong = bool(M.min() == M.max())
     f_value = int(M[0, 0]) * per_copy if strong else None
     if strong:
-        # cross-check the closed forms: f = f0*q*(l-1), d = (f0/k)(1-1/l)
+        # cross-check the closed forms: f = f0*q*(l-1), and d = (f0/k)(1-1/l)
+        # for the one column sum c, as per_copy*q*c*k*l = f0*(l-1)*q'*ntup
         f0 = k // nwords
         assert f_value == f0 * per_copy
-        assert all(d == Fraction(f0, k) * (1 - Fraction(1, l)) for d in densities)
+        assert all(per_copy * q * c * k * l
+                   == f0 * (l - 1) * cs.params.q[n + 1] * ntup
+                   for c in density)
     return UniformityReport(n, densities, strong, f_value, eps, M)
 
 

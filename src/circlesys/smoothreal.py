@@ -23,16 +23,19 @@ adjacent, so adjacent transpositions suffice to realize any cell
 permutation.  Swaps on disjoint pairs commute, so the swap list is
 scheduled into layers of disjoint swaps, each one map (CellSwap).  A
 schedule (CellSchedule) finds each point's cell once per pass and
-carries it from layer to layer: a layer finds its points by their
-cells, moves only those, and finds only their cells again.  A layer
-searches its points SCAN_WINDOW at a time and moves them SWAP_CHUNK at
-a time, so a pass holds the tracked points (x and y in one array, and
-an int16 cell: 18 bytes each) and working arrays of one window.
-The layers of a schedule share one set of tables (SwapTables): the
-boustrophedon index, one StandardSwap, every pair's orientation and
-origin, and one int16 array with a row for each layer that holds, per
-cell, the index k of the layer's pair on it, built in one vectorized
-pass.
+splits the points by where they sit in it.  A deep point, far enough
+from its cell's edges to be in the core of every swap it meets, moves
+only at its own swaps, along its start cell's trajectory (the module
+`trajectory`), by the core reflection alone.  The few shallow points
+go through every layer, which finds them by their cells, moves only
+those inside a pair, and finds only their cells again.  A pass moves
+its points SWAP_CHUNK at a time, so it holds the tracked points (x and
+y in one array, and an int16 cell: 18 bytes each) and working arrays
+of one chunk.  The layers of a schedule share one set of tables
+(SwapTables): the boustrophedon index, one StandardSwap, every pair's
+orientation and origin, and one int16 array with a row for each layer
+that holds, per cell, the index k of the layer's pair on it, built in
+one vectorized pass.
 """
 
 import math
@@ -50,25 +53,28 @@ MAX_SMOOTH_CELLS = 1024
 MAX_DELTA = 0.25
 # how many times realize_perm halves delta before giving up
 MAX_RETRIES = 3
-# Points a CellSwap moves per StandardSwap call, so a pass holds its
-# tracked points and working arrays of at most this many points.
-# 4096 gave the lowest peak RSS of 1024 to 16384 on an 8x8 realize of
-# 20,000 samples, where the largest layer holds about 13,000 points.
+# Points a CellSwap moves per StandardSwap call, and deep points a pass
+# moves at a time, so a pass holds its tracked points and working
+# arrays of at most this many points.  4096 gave the lowest peak RSS of
+# 1024 to 16384 on an 8x8 realize of 20,000 samples, when every layer
+# searched every point and the largest held about 13,000.
 SWAP_CHUNK = 4096
-# Points per step of the scans that read every point of a pass: finding
-# the first cells, each layer's search for its points, and the
-# obedience compare and tally.  A step's arrays hold one window, so no
-# array has an intp entry per sample.  A layer's search makes two intp
-# arrays of a window (cells cast for the gather, points found), 256 KB
-# at 4 chunks; narrower windows cost Python steps: a 20,000-sample 8x8
-# pass took 2-5 ms longer than one full-length intp scan at 4 chunks a
-# window, 4-6 ms at 1 chunk.
+# Points per step of the scans that read every point outside a pass:
+# finding the first cells, and the obedience compare and tally.  A
+# step's arrays hold one window, so no array has an intp entry per
+# sample.
 SCAN_WINDOW = 4 * SWAP_CHUNK
 # Sample points of one smooth realize, swap or stage: `smooth realize`
 # on 8x8 peaks at 75.5 MiB of RSS with 2,000,000 samples, 37.3 MiB of it
 # the interpreter and numpy, so about 20 bytes per sample and under
 # 400 MB at the cap.
 MAX_SMOOTH_SAMPLES = 1 << 24
+# Shallow points a pass sends through its layers at once.  They are
+# about 4 w of a moved cell's area (w the margin of `trajectory`), a
+# few in 10,000 at smooth8's delta, but most points once delta nears
+# 1/2, and each held costs a copy, an index and a layer's search (34
+# bytes).
+SHALLOW_BATCH = 1 << 14
 
 
 class PlaneMap:
@@ -223,6 +229,7 @@ class SwapTables:
         # row and column of each boustrophedon index, from the table's
         # inverse permutation
         row, col = np.divmod(np.argsort(self.index, axis=None), m)
+        self.centre = np.stack([col + 0.5, row + 0.5])  # x and y, per cell
         c0, c1, r0, r1 = col[:-1], col[1:], row[:-1], row[1:]
         if (np.abs(c0 - c1) + np.abs(r0 - r1) != 1).any():
             raise AssertionError("boustrophedon neighbours are not adjacent")
@@ -276,12 +283,13 @@ class CellSwap(PlaneMap):
     `SwapTables.pair_of_cell`.  Disjoint swaps commute, so all of them
     are one map.  It moves TrackedPoints, which carry each point's cell,
     in place: a gather of pair_of_cell finds the points inside a pair,
-    SCAN_WINDOW points at a time, and SWAP_CHUNK of them at a time are
-    mapped to their pair's rectangle, moved by one StandardSwap call,
-    mapped back and have their cells found again.  Each point goes
-    through its own pair's conjugation alone, so a layer equals its
-    swaps applied one by one, bit for bit (short of a point within an
-    ulp of a cell edge, whose cell and rectangle test can disagree).
+    and SWAP_CHUNK of them at a time are mapped to their pair's
+    rectangle, moved by one StandardSwap call, mapped back and have
+    their cells found again.  Each point goes through its own pair's
+    conjugation alone, so a layer equals its swaps applied one by one,
+    bit for bit (short of a point within an ulp of a cell edge, whose
+    cell and rectangle test can disagree).  A schedule hands its layers
+    only the shallow points of a pass, at most SHALLOW_BATCH at a time.
     """
 
     def __init__(self, tables, k, pair_of_cell):
@@ -290,22 +298,9 @@ class CellSwap(PlaneMap):
         self.pair_of_cell = pair_of_cell
 
     def _apply(self, pts, fn):
-        paired = self.pair_of_cell >= 0
-        # Points are found a window at a time and moved SWAP_CHUNK at a
-        # time, the last few of a window with the next window's first:
-        # a point moves only once the search has passed it, so none is
-        # found twice, and the chunks are those of one unwindowed scan.
-        hit = np.empty(0, dtype=np.intp)
-        for window in slices(len(pts), SCAN_WINDOW):
-            found = paired.take(pts.cell[window]).nonzero()[0]
-            found += window.start
-            hit = np.concatenate([hit, found]) if len(hit) else found
-            del found
-            while len(hit) >= SWAP_CHUNK:
-                self._move(pts, hit[:SWAP_CHUNK], fn)
-                hit = hit[SWAP_CHUNK:]
-        if len(hit):
-            self._move(pts, hit, fn)
+        hit = np.flatnonzero(self.pair_of_cell.take(pts.cell) >= 0)
+        for chunk in slices(len(hit), SWAP_CHUNK):
+            self._move(pts, hit[chunk], fn)
         return pts
 
     def _move(self, pts, hit, fn):
@@ -360,10 +355,10 @@ class TrackedPoints:
     """Points as one (n, 2) float array, with x and y its column views,
     plus each point's int16 boustrophedon cell under `index` (a
     `zigzag_table` of at most MAX_SMOOTH_CELLS cells), found once.
-    A CellSwap updates all three in place, so a schedule of layers on
-    one grid tracks the cells from layer to layer, and whoever passed
-    them in reads the moved points' cells without finding them again.
-    The points are a copy of pts, or drawn into place by `draw`."""
+    A schedule's pass updates all three in place, so it tracks the cells
+    from layer to layer, and whoever passed them in reads the moved
+    points' cells without finding them again.  The points are a copy of
+    pts, or drawn into place by `draw`."""
 
     def __init__(self, index, pts):
         _check_index(index)
@@ -379,11 +374,14 @@ class TrackedPoints:
         return tracked
 
     def _track(self, index, pts):
-        self._pts = pts
-        self.x, self.y = pts[:, 0], pts[:, 1]
-        self.cell = np.empty(len(pts), dtype=np.int16)
+        self._hold(pts, np.empty(len(pts), dtype=np.int16))
         for window in slices(len(pts), SCAN_WINDOW):
             self.cell[window] = _cells(index, self.x[window], self.y[window])
+
+    def _hold(self, pts, cell):
+        self._pts = pts
+        self.x, self.y = pts[:, 0], pts[:, 1]
+        self.cell = cell
 
     def __len__(self):
         return len(self._pts)
@@ -391,6 +389,18 @@ class TrackedPoints:
     def array(self):
         """The tracked (n, 2) array itself, not a copy."""
         return self._pts
+
+    def take(self, hit):
+        """The points `hit` as TrackedPoints of their own: copies, with
+        their cells as tracked here."""
+        part = TrackedPoints.__new__(TrackedPoints)
+        part._hold(self._pts[hit], self.cell[hit])
+        return part
+
+    def put(self, hit, part):
+        """Write back the points `hit` taken as `part`."""
+        self._pts[hit] = part._pts
+        self.cell[hit] = part.cell
 
 
 def _check_index(index):
@@ -411,7 +421,15 @@ class CellSchedule(Composite):
     The layers share one SwapTables and read their rows of its one
     pair table.  TrackedPoints are moved in place and returned; an
     array is copied once to track it, and that copy returned.  With
-    no layers the schedule is the identity."""
+    no layers the schedule is the identity.
+
+    A pass splits the points by where they sit in their tracked cells.
+    Deep points, SWAP_CHUNK at a time, move only at their own swaps,
+    along their start cell's trajectory (`trajectory.DeepPoints`), bit
+    for bit as the layers would move them.  Points of cells that meet
+    no pair stay as they are.  The shallow rest, near a cell edge or
+    off the unit square, go through every layer (Composite) as
+    TrackedPoints of their own, at most SHALLOW_BATCH at a time."""
 
     def __init__(self, grid, layers, delta):
         tables = SwapTables(grid, delta)
@@ -419,17 +437,43 @@ class CellSchedule(Composite):
             CellSwap(tables, layer, row)
             for layer, row in zip(layers, tables.pair_of_cell(layers)))
         self.index = tables.index
+        # imported on first use, so that executing this module adds no
+        # module to the package while code that walks the package's
+        # names (a tracer) may be what set it off
+        from .trajectory import DeepPoints
+        self.deep = DeepPoints(tables, [m.pair_of_cell for m in self.maps])
 
-    def _tracked(self, pts, apply):
+    def _pass(self, pts, inverse):
+        layers = super().inverse if inverse else super().forward
+        shallow, held = [], 0
+        for part in slices(len(pts), SWAP_CHUNK):
+            rest = self.deep.move(pts, part, inverse) + part.start
+            if held and held + len(rest) > SHALLOW_BATCH:
+                _through(layers, pts, shallow)
+                shallow, held = [], 0
+            shallow.append(rest)
+            held += len(rest)
+        _through(layers, pts, shallow)
+        return pts
+
+    def _tracked(self, pts, inverse):
         if isinstance(pts, TrackedPoints):
-            return apply(pts)
-        return apply(TrackedPoints(self.index, pts)).array()
+            return self._pass(pts, inverse)
+        return self._pass(TrackedPoints(self.index, pts), inverse).array()
 
     def forward(self, pts):
-        return self._tracked(pts, super().forward)
+        return self._tracked(pts, False)
 
     def inverse(self, pts):
-        return self._tracked(pts, super().inverse)
+        return self._tracked(pts, True)
+
+
+def _through(layers, pts, shallow):
+    """Send the points of the index arrays `shallow` through `layers`."""
+    hit = np.concatenate(shallow) if shallow else np.empty(0, np.intp)
+    part = pts.take(hit)
+    layers(part)
+    pts.put(hit, part)
 
 
 def zigzag_cell(grid, k):
@@ -485,14 +529,18 @@ def perm_to_swaps(sigma):
         raise InputError("not a permutation of 0..%d" % (N - 1))
     arr = list(sigma)
     swaps = []
-    changed = True
-    while changed:
-        changed = False
-        for k in range(N - 1):
+    # past a pass's last swap the values are sorted and in place, so the
+    # next pass stops there (Knuth, TAOCP Vol. 3, 5.2.2, bubble sort
+    # with BOUND) and records the same swaps as full passes would
+    bound = N - 1
+    while bound:
+        last = 0
+        for k in range(bound):
             if arr[k] > arr[k + 1]:
                 arr[k], arr[k + 1] = arr[k + 1], arr[k]
                 swaps.append(k)
-                changed = True
+                last = k
+        bound = last
     assert len(swaps) <= N * (N - 1) // 2
     # recompose and verify: content of cell i flows to (t_L ... t_1)(i)
     acc = list(range(N))
@@ -513,10 +561,11 @@ def swap_layers(swaps):
     applying the layers one after another is the same map as applying
     the swaps one after another.
     """
-    last = {}                   # cell -> index of the last layer touching it
+    # per cell, the index of the last layer touching it
+    last = [-1] * (max(swaps, default=-1) + 2)
     layers = []
     for k in swaps:
-        depth = max(last.get(k, -1), last.get(k + 1, -1)) + 1
+        depth = max(last[k], last[k + 1]) + 1
         if depth == len(layers):
             layers.append([])
         layers[depth].append(k)

@@ -16,7 +16,9 @@ base word, grown from the identity; `per_word_check_cylinder` measures
 every base word in turn.  The spacer masses come from a sweep over the
 spacer runs of a word, and the mirror of a dynamical order from its
 whole table.  `loop_first_column_sigma` reads a relabeling's first
-column block cell by cell.
+column block cell by cell.  `full_pass_perm_to_swaps` bubble-sorts
+with full passes, and `dict_swap_layers` keeps each cell's last layer
+in a dict.
 """
 
 from fractions import Fraction
@@ -319,3 +321,34 @@ def loop_first_column_sigma(params, n, h_grid):
             tp, sp = img % h_grid.cols, img // h_grid.cols
             sigma[zigzag_index((k, rows), t, s)] = zigzag_index((k, rows), tp, sp)
     return sigma
+
+
+def full_pass_perm_to_swaps(sigma):
+    """smoothreal.perm_to_swaps before its passes stopped at the last
+    swap, verbatim but for the recomposition check: every pass compares
+    every adjacent pair, until one swaps nothing."""
+    arr = list(sigma)
+    swaps = []
+    changed = True
+    while changed:
+        changed = False
+        for k in range(len(arr) - 1):
+            if arr[k] > arr[k + 1]:
+                arr[k], arr[k + 1] = arr[k + 1], arr[k]
+                swaps.append(k)
+                changed = True
+    return swaps
+
+
+def dict_swap_layers(swaps):
+    """smoothreal.swap_layers before its last layers became a list,
+    verbatim: a dict from cell to the last layer touching it."""
+    last = {}
+    layers = []
+    for k in swaps:
+        depth = max(last.get(k, -1), last.get(k + 1, -1)) + 1
+        if depth == len(layers):
+            layers.append([])
+        layers[depth].append(k)
+        last[k] = last[k + 1] = depth
+    return layers

@@ -19,7 +19,9 @@ from circlesys.smoothreal import (MAX_SMOOTH_CELLS, MAX_SMOOTH_SAMPLES,
                                   sample_jacobian, stage_map, swap_layers,
                                   zigzag_cell, zigzag_table)
 from circlesys.smoothreal import _disk_to_square, _square_to_disk, smoothstep
-from oracles import loop_first_column_sigma
+from circlesys.trajectory import DEEP_SLACK, DeepPoints, Trajectories
+from oracles import (dict_swap_layers, full_pass_perm_to_swaps,
+                     loop_first_column_sigma)
 from strategies import small_processes
 
 RNG = np.random.default_rng(20240817)
@@ -784,3 +786,277 @@ def test_grid_past_cap_refused():
                        % (N, N, MAX_SMOOTH_CELLS)):
         realize_perm(list(range(N)), (N, 1), 0.1)
 
+
+
+def deep_of_pass(schedule, pts, inverse=False):
+    """A pass of schedule over pts, and which points it moved as deep."""
+    seen = []
+    follow = DeepPoints.follow
+
+    def recorded(self, tracked, hit, paths):
+        seen.append(hit.copy())
+        return follow(self, tracked, hit, paths)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DeepPoints, "follow", recorded)
+        out = (schedule.inverse if inverse else schedule.forward)(pts)
+    deep = np.zeros(len(pts), dtype=bool)
+    for hit in seen:
+        assert not deep[hit].any()
+        deep[hit] = True
+    return deep, out
+
+
+def core_checked_layers(grid, layers, delta, pts, deep, inverse=False):
+    """The untracked layers of a pass, one by one, asserting that each
+    point of `deep` a layer moves lies inside its pair's rectangle and
+    in the core of its swap: the moved points, each point's count of
+    swaps, and the least r_in - r seen."""
+    tables = SwapTables(grid, delta)
+    rows = tables.pair_of_cell(layers)
+    steps = np.zeros(len(pts), dtype=int)
+    margin = math.inf
+    pts = np.array(pts, dtype=float)
+    for i in (range(len(layers))[::-1] if inverse else range(len(layers))):
+        pair = rows[i][cell_of_points(grid, pts)]
+        hit = np.flatnonzero((pair >= 0) & deep)
+        pair = pair[hit]
+        u = (pts[hit, 0] - tables.origin[pair, 0]) / tables.scale[0]
+        v = (pts[hit, 1] - tables.origin[pair, 1]) / tables.scale[1]
+        flip = tables.transpose[pair]
+        std = np.stack([np.where(flip, v, u), np.where(flip, u, v)], axis=1)
+        assert ((std >= 0) & (std < (2.0, 1.0))).all()
+        gap = tables.inner.r_in - swap_radius(std)
+        assert (gap > 0).all()
+        margin = min(margin, gap.min(initial=math.inf))
+        steps[hit] += 1
+        layer = UntrackedCellSwap(tables, layers[i], rows[i])
+        pts = layer.inverse(pts) if inverse else layer.forward(pts)
+    return pts, steps, margin
+
+
+def margin_points(grid, delta, rng, count):
+    """(points, edge): `count` drawn points; every cell's centre, then
+    points w - 1 ulp, w and w + 1 ulp from each of its edges, w the deep
+    margin, and likewise at the ring's own rim 1 - sqrt(1 - delta); and
+    then, marked in `edge`, points on the cell edges, at 1.0 and off
+    the unit square."""
+    m, n = grid
+    rim = delta / (1 + math.sqrt(1 - delta))
+    offsets = np.array([rim, rim + DEEP_SLACK])
+    offsets = np.concatenate([offsets, 1 - offsets])
+    cells = [(c, r) for c in range(m) for r in range(n)]
+    near = [((c + 0.5) / m, (r + 0.5) / n) for c, r in cells]
+    for c, r in cells:
+        for a in offsets:
+            x, y = (c + a) / m, (r + a) / n
+            for d in (-math.inf, 0, math.inf):
+                nx = x if d == 0 else math.nextafter(x, d)
+                ny = y if d == 0 else math.nextafter(y, d)
+                near += [(nx, (r + 0.5) / n), ((c + 0.5) / m, ny), (nx, ny)]
+    edge = [(c / m, rng.random()) for c in range(m + 1)] + \
+        [(rng.random(), r / n) for r in range(n + 1)] + \
+        [(-0.01, 0.5), (1.01, 0.5), (0.5, -1e-9), (0.5, 1.5), (1.0, 1.0),
+         (math.nextafter(1.0, 2), 0.3)]
+    pts = np.vstack([rng.random((count, 2)), near, edge])
+    flags = np.zeros(len(pts), dtype=bool)
+    flags[len(pts) - len(edge):] = True
+    return pts, flags
+
+
+def near_an_edge(grid, pts):
+    """Points within 1e-12 cell widths of a cell edge or off the unit
+    square, where a per-swap map may see another pair's rectangle."""
+    scaled = pts * grid
+    off = np.abs(scaled - np.round(scaled)) < 1e-12
+    return off.any(axis=1) | ((pts < 0) | (pts > 1)).any(axis=1)
+
+
+@st.composite
+def line_grid_perms(draw):
+    """Permutations of 1xN, Nx1, 3x2 and small grids."""
+    grid = draw(st.one_of(st.tuples(st.just(1), st.integers(2, 12)),
+                          st.tuples(st.integers(2, 12), st.just(1)),
+                          st.just((3, 2)),
+                          st.tuples(st.integers(1, 5), st.integers(1, 5))))
+    return grid, draw(st.permutations(range(grid[0] * grid[1])))
+
+
+# 1e-300 makes the ring thinner than an ulp: r_in == R
+DELTAS = st.one_of(st.floats(1e-12, 0.49), st.sampled_from([1e-300, 0.49]))
+
+
+@given(line_grid_perms(), DELTAS, st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_deep_points_equal_the_layers(grid_perm, delta, seed):
+    grid, sigma = grid_perm
+    swaps = perm_to_swaps(sigma)
+    layers = swap_layers(swaps)
+    count = 100
+    pts, edge = margin_points(grid, delta, np.random.default_rng(seed), count)
+    schedule = CellSchedule(grid, layers, delta)
+    untracked = untracked_layers(grid, layers, delta)
+    per_swap = Composite([OnePairSwap(grid, k, delta) for k in swaps])
+    for inverse in (False, True):
+        deep, out = deep_of_pass(schedule, pts, inverse)
+        fn = "inverse" if inverse else "forward"
+        assert np.array_equal(out, getattr(untracked, fn)(pts))
+        inner = ~near_an_edge(grid, pts)
+        assert np.array_equal(out[inner], getattr(per_swap, fn)(pts[inner]))
+        assert not deep[edge].any()
+        paths = schedule.deep.paths(inverse)
+        centres = slice(count, count + grid[0] * grid[1])
+        moved = paths.steps[cell_of_points(grid, pts[centres])] > 0
+        assert deep[centres][moved].all() and not deep[centres][~moved].any()
+        # every deep point is in the core at each of its swaps, and
+        # meets as many as its start cell's trajectory
+        got, steps, _ = core_checked_layers(grid, layers, delta, pts, deep,
+                                            inverse)
+        assert np.array_equal(got, out)
+        want = paths.steps[cell_of_points(grid, pts)]
+        assert np.array_equal(steps[deep], want[deep])
+
+
+@pytest.mark.parametrize("grid", [(1024, 1), (1, 1024)])
+def test_deep_margin_outlasts_the_longest_schedule(grid):
+    # the reversal of 1,024 cells takes 2,045 layers, and each point
+    # about 1,023 steps; points start just past the deep margin, along
+    # the grid's long axis, where the rounding of `+ x0` is widest
+    N = 1024
+    layers = swap_layers(perm_to_swaps(range(N)[::-1]))
+    assert len(layers) == 2 * N - 3
+    delta = 1e-7
+    w = delta / (1 + math.sqrt(1 - delta)) + DEEP_SLACK
+    offsets = np.array([w, 1 - w]) * (1 + np.array([1e-6, -1e-6]))
+    along = ((np.arange(N)[:, None] + offsets) / N).ravel()
+    pts = np.stack([along, np.full(len(along), 0.5)], axis=1)
+    if grid == (1, N):
+        pts = pts[:, ::-1].copy()
+    schedule = CellSchedule(grid, layers, delta)
+    for inverse in (False, True):
+        deep, out = deep_of_pass(schedule, pts, inverse)
+        assert deep.all()
+        got, steps, margin = core_checked_layers(grid, layers, delta, pts,
+                                                 deep, inverse)
+        assert np.array_equal(got, out)
+        assert steps.min() > 0 and steps.max() >= N - 1
+        # r_in - r starts at about 0.8 DEEP_SLACK; rounding drift over
+        # the whole schedule takes only a part of it
+        assert margin > 0.5 * DEEP_SLACK
+
+
+@given(grid_perms())
+@settings(max_examples=100, deadline=None)
+def test_trajectories_follow_the_swaps(grid_perm):
+    grid, sigma = grid_perm
+    N = grid[0] * grid[1]
+    layers = swap_layers(perm_to_swaps(sigma))
+    rows = SwapTables(grid, 0.1).pair_of_cell(layers)
+    for inverse, order, image in ((False, layers, sigma),
+                                  (True, layers[::-1], np.argsort(sigma))):
+        paths = Trajectories.walk(rows[::-1] if inverse else rows, N)
+        assert paths.pairs.dtype == np.int16
+        assert paths.pairs.shape == (max(paths.steps, default=0), N)
+        # content of cell c flows to sigma[c]
+        assert np.array_equal(paths.end, image)
+        for c in range(N):
+            met, at = [], c
+            for layer in order:
+                for k in layer:
+                    if at in (k, k + 1):
+                        met.append(k)
+                        at = 2 * k + 1 - at
+            assert paths.steps[c] == len(met)
+            assert paths.pairs[:, c].tolist() == \
+                met + [-1] * (paths.pairs.shape[0] - len(met))
+
+
+@given(grid_perms(), st.floats(0.05, 0.49), st.integers(0, 2**32 - 1),
+       st.integers(1, 7), st.integers(1, 20))
+@settings(max_examples=60, deadline=None)
+def test_shallow_batches_equal_one_batch(grid_perm, delta, seed, chunk,
+                                         batch):
+    grid, sigma = grid_perm
+    layers = swap_layers(perm_to_swaps(sigma))
+    pts = edge_points(grid, np.random.default_rng(seed), 60)
+    schedule = CellSchedule(grid, layers, delta)
+    want = schedule.forward(pts), schedule.inverse(pts)
+    sizes = []
+    walk = Composite.forward
+
+    def counted(self, tracked):
+        sizes.append(len(tracked))
+        return walk(self, tracked)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(smoothreal, "SWAP_CHUNK", chunk)
+        mp.setattr(smoothreal, "SHALLOW_BATCH", batch)
+        mp.setattr(Composite, "forward", counted)
+        got = schedule.forward(pts), schedule.inverse(pts)
+        whole = []
+        mp.setattr(smoothreal, "SHALLOW_BATCH", len(pts))
+        sizes, whole = whole, sizes
+        schedule.forward(pts)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    # batches of at most `batch` points, or one chunk's, in one call
+    # per batch, that together hold the one batch's points
+    assert all(size <= max(batch, chunk) for size in whole)
+    assert sum(whole) == sum(sizes) and len(sizes) == 1
+
+
+def test_one_layer_walk_per_pass():
+    # with no shallow point the layers still run once, on no points, so
+    # each layer's span is seen once per pass
+    sigma = [int(v) for v in np.random.default_rng(5).permutation(12)]
+    layers = swap_layers(perm_to_swaps(sigma))
+    schedule = CellSchedule((4, 3), layers, 0.01)
+    centres = np.array([[(c + 0.5) / 4, (r + 0.5) / 3]
+                        for c in range(4) for r in range(3)])
+    calls = Counter()
+    walk, layer = Composite.forward, CellSwap.forward
+
+    def walked(self, tracked):
+        calls["walk", len(tracked)] += 1
+        return walk(self, tracked)
+
+    def layered(self, tracked):
+        calls["layer"] += 1
+        return layer(self, tracked)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Composite, "forward", walked)
+        mp.setattr(CellSwap, "forward", layered)
+        out = schedule.forward(centres)
+    assert calls == {("walk", 0): 1, "layer": len(layers)}
+    assert np.array_equal(out, untracked_layers((4, 3), layers, 0.01)
+                          .forward(centres))
+
+
+def test_pass_memory_32x32():
+    # one pass holds its int16 step table, at most cells x most steps x
+    # 2 bytes (2.06 MB here), and working arrays of one SWAP_CHUNK
+    sigma = [int(v) for v in np.random.default_rng(1).permutation(1024)]
+    layers = swap_layers(perm_to_swaps(sigma))
+    schedule = CellSchedule((32, 32), layers, 1e-7)
+    pts = TrackedPoints.draw(schedule.index, np.random.default_rng(2), 20000)
+    tracemalloc.start()
+    try:
+        schedule.forward(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    paths = schedule.deep.paths(False)
+    assert paths.pairs.dtype == np.int16
+    assert paths.pairs.shape == (paths.steps.max(), 1024)
+    assert paths.pairs.nbytes <= 2.1e6
+    assert peak <= paths.pairs.nbytes + 160 * smoothreal.SWAP_CHUNK
+
+
+@given(st.integers(1, 40), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_swap_lists_equal_the_full_pass_sort(size, rnd):
+    sigma = list(range(size))
+    rnd.shuffle(sigma)
+    swaps = perm_to_swaps(sigma)
+    assert swaps == full_pass_perm_to_swaps(sigma)
+    assert swap_layers(swaps) == dict_swap_layers(swaps)
