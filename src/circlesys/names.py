@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import ratarith
-from .errors import InputError, OracleMismatch
+from .errors import InputError, OracleMismatch, ResourceError
 from .procsim import refine, rotation_perm, rotation_shift
 from .ratarith import FrameRuns, chunks, dyn_order, spacer_columns
 from .words import circ, label_dtype
@@ -177,13 +177,19 @@ def name_stability(coarse, fine):
     row[w + j], and shift -j at u = w + j + j sc: a step function of w,
     stepping at the run starts and at the run starts minus j.  Per row,
     the matched atoms are cols minus the length of the union of these
-    unequal intervals, merged by sort and sweep (Klee 1977).
+    unequal intervals, merged by sort and sweep (Klee 1977).  The
+    intervals are packed in int64 keys (`_LENGTH`), so a fine stage of
+    more than 2**31 columns raises ResourceError before anything is built.
     """
     params, n = coarse.params, coarse.stage
     if fine.stage != n + 1 or fine.h_list[:-1] != coarse.h_list:
         raise InputError("fine must extend coarse by one stage")
-    q = params.q[n]
     cols, rows = fine.cols, fine.rows
+    if cols > _MAX_COLS:
+        raise ResourceError("stage-%d name stability needs %d columns, "
+                            "interval-key limit is %d"
+                            % (n + 1, cols, _MAX_COLS))
+    q = params.q[n]
     h = fine.h_list[-1]
     assert fine.Z.is_permutation()
     assert h.commutes_with(rotation_perm(params, n, h.cols, h.rows))
@@ -228,9 +234,11 @@ def name_stability(coarse, fine):
                            1 - Fraction(3, params.l[n]))
 
 
-# an interval [lo, lo + length) of a row is the key lo << 32 | length;
-# both fit 31 bits, as no stage has 2**31 columns (`spacer_columns`)
+# an interval [lo, lo + length) of a row is the key lo << 32 | length,
+# exact in int64 while lo < cols <= 2**31 and length <= cols < 2**32;
+# `name_stability` refuses a wider stage before it allocates
 _LENGTH = (1 << 32) - 1
+_MAX_COLS = 1 << 31
 
 
 def _union(keys, lo, length, cols):

@@ -476,14 +476,6 @@ def _through(layers, pts, shallow):
     pts.put(hit, part)
 
 
-def zigzag_cell(grid, k):
-    """(column, row) of boustrophedon index k on an m x n grid."""
-    m, n = grid
-    row, pos = divmod(k, m)
-    col = pos if row % 2 == 0 else m - 1 - pos
-    return col, row
-
-
 def zigzag_table(grid):
     """(n, m) table of the boustrophedon index of each (row, column)."""
     m, n = grid
@@ -509,11 +501,6 @@ def _cells(index, x, y):
     # in place: every entry is in range, and mode="raise" would gather
     # into a buffer first
     return np.take(index.ravel(), cell, out=cell, mode="clip")
-
-
-def cell_of_points(grid, pts):
-    """Boustrophedon cell index of each point."""
-    return _cells(zigzag_table(grid), pts[:, 0], pts[:, 1])
 
 
 def perm_to_swaps(sigma):

@@ -15,7 +15,9 @@ tuple) pair, and per level a table of lists of the occurrences of every
 base word, grown from the identity; `per_word_check_cylinder` measures
 every base word in turn.  The spacer masses come from a sweep over the
 spacer runs of a word, and the mirror of a dynamical order from its
-whole table.  `loop_first_column_sigma` reads a relabeling's first
+whole table.  `zigzag_cell` and `cell_of_points` locate boustrophedon
+cells by index and by point, which the package only does inside
+`TrackedPoints`.  `loop_first_column_sigma` reads a relabeling's first
 column block cell by cell.  `full_pass_perm_to_swaps` bubble-sorts
 with full passes, and `dict_swap_layers` keeps each cell's last layer
 in a dict.
@@ -25,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from circlesys import consys
+from circlesys import consys, smoothreal
 from circlesys.consys import CylinderEstimate, UniformityReport
 from circlesys.errors import InputError
 from circlesys.names import StabilityReport, label_dtype
@@ -307,6 +309,21 @@ def zigzag_index(grid, col, row):
     m, n = grid
     pos = col if row % 2 == 0 else m - 1 - col
     return row * m + pos
+
+
+def zigzag_cell(grid, k):
+    """(column, row) of boustrophedon index k on an m x n grid."""
+    m, n = grid
+    row, pos = divmod(k, m)
+    col = pos if row % 2 == 0 else m - 1 - pos
+    return col, row
+
+
+def cell_of_points(grid, pts):
+    """Boustrophedon cell index of each point, by the cell formula that
+    `TrackedPoints` applies once to the points it tracks."""
+    return smoothreal._cells(smoothreal.zigzag_table(grid), pts[:, 0],
+                             pts[:, 1])
 
 
 def loop_first_column_sigma(params, n, h_grid):

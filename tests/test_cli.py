@@ -10,6 +10,7 @@ import pytest
 from circlesys import cli, consys, names, procsim, smoothreal, words
 from circlesys.cli import RunManifest, main, run_checks
 from circlesys.errors import OracleMismatch, ToleranceError
+from oracles import dense_name_stability
 
 DESK_PARAMS = "k = 2 2\nl = 4 4\ns = 2 2 4\n"
 VAR_PARAMS = "k = 2 4\nl = 4 4\ns = 2 2 4\n"
@@ -409,6 +410,59 @@ def test_run_thin_rung_past_2_22_columns(desk):
         "CHECK stability PASS value=4194177/4194368 bound=>= 65534/65537\n")
 
 
+def refuse_stability(*_):
+    raise AssertionError("name_stability runs on a vacuous bound")
+
+
+@pytest.mark.parametrize("l, bound", [(2, "-1/2"), (3, "0")])
+def test_stability_skips_a_bound_that_cannot_fail(desk, monkeypatch, l, bound):
+    # 1 - 3/l <= 0 for l <= 3, and l = 3 is the edge where it is 0
+    monkeypatch.setattr(names, "name_stability", refuse_stability)
+    (desk / "low.params").write_text("k = 2 2\nl = 4 %d\ns = 2 2 4\n" % l)
+    code, text = run(["run", manifest(desk,
+        "params = low.params\nhwords = w1.txt w2.txt\nchecks = stability\n")])
+    assert (code, text) == (0, "CHECK stability PASS value=none "
+                               "skipped=2(l<=3) bound=>= %s\n" % bound)
+
+
+def test_stability_counts_from_l_4(desk):
+    ctx = cli.Context(str(desk / "desk.params"),
+                      hwords=[str(desk / "w1.txt"), str(desk / "w2.txt")])
+    rep = dense_name_stability(ctx.procs[-2], ctx.procs[-1])
+    assert cli.check_stability(ctx) == (True, str(rep.fraction), ">= 1/4")
+
+
+def test_names_stability_skips_l_2(desk, monkeypatch):
+    monkeypatch.setattr(names, "name_stability", refuse_stability)
+    (desk / "low.params").write_text("k = 2 2\nl = 4 2\ns = 2 2 4\n")
+    argv = ["names", "stability", "--params", str(desk / "low.params"),
+            "--hwords", str(desk / "w1.txt"), "--hwords", str(desk / "w2.txt")]
+    assert run(argv) == (0, "CHECK stability PASS value=none "
+                            "skipped=2(l<=3) bound=>= -1/2\n")
+    # the processes are still built, so a bad h-word file is still refused
+    (desk / "w2bad.txt").write_text("0 1 0\n1 0 1\n0 1 1\n1 1 0\n")
+    argv[-1] = str(desk / "w2bad.txt")
+    assert run(argv) == (2, "")
+
+
+def test_grid3_shaped_checks_threads_match_serial(desk):
+    # l = 2 2 2 as in the grid3 benchmark rung; the threads share the
+    # processes and one uniformity report per stage
+    (desk / "grid3.params").write_text("k = 2 4 4\nl = 2 2 2\ns = 2 2 4 4\n")
+    files = [str(desk / f) for f in ("w1.txt", "w2var.txt", "w3.txt")]
+    checks = sorted(set(RunManifest(manifest(desk,
+        "params = grid3.params\nprewords = w1.txt\nhwords = w1.txt\n"))
+        .default_checks()) - {"readability"})
+
+    def context():
+        return cli.Context(str(desk / "grid3.params"), files, files)
+    serial = run_checks(context(), checks, jobs=1)
+    assert serial == run_checks(context(), checks, jobs=2)
+    assert serial[1]
+    assert ("CHECK stability PASS value=none skipped=3(l<=3) bound=>= -1/2"
+            in serial[0])
+
+
 def test_run_stage_grid_past_cap_atoms_exit3(desk, capsys):
     # 67,108,864 stage-3 atoms, one past cap_atoms
     (desk / "rung.params").write_text("k = 2 4 4\nl = 4 2 8\ns = 2 2 4 8\n")
@@ -447,7 +501,8 @@ def test_run_checks_threads_match_serial():
 
 
 def test_cylinder_reads_one_uniformity_report_per_level(desk, monkeypatch):
-    # every word of a level is measured against the same eps
+    # every word of a level is measured against the same eps, and the
+    # uniformity check reads the same reports
     calls = []
     verify = consys.verify_uniformity
 
@@ -457,6 +512,7 @@ def test_cylinder_reads_one_uniformity_report_per_level(desk, monkeypatch):
     monkeypatch.setattr(consys, "verify_uniformity", counted)
     ctx = cli.Context(str(desk / "desk.params"), [str(desk / "w1.txt")] * 2)
     assert cli.check_cylinder(ctx) == (True, "0", "<= 0")
+    assert cli.check_uniformity(ctx) == (True, "f=24", "equal counts")
     assert calls == [0, 1]
 
 

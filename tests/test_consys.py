@@ -277,7 +277,8 @@ def test_counts_equal_the_dict_and_table_routes(case):
 def test_cylinder_check_equals_the_per_word_loop(case, shrink):
     # a shrunk eps puts words over the bound, so the first one is named
     cs = build_sequence(*case)
-    ctx = SimpleNamespace(cs=cs, params=cs.params)
+    ctx = SimpleNamespace(cs=cs, params=cs.params, uniformity=lambda n:
+                          consys.verify_uniformity(cs, n))
     verify = consys.verify_uniformity
 
     def shrunk(cs, n):

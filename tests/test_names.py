@@ -348,6 +348,38 @@ def test_stability_needs_consecutive_stages():
         name_stability(other, p2)
 
 
+class PastTheGuard(Exception):
+    pass
+
+
+class StandInFine:
+    """A stage-1 process of `cols` columns that holds no arrays: reading
+    its relabeling, the first thing after the column guard, raises."""
+    stage, rows, h_list = 1, 2, [None]
+
+    def __init__(self, cols):
+        self.cols = cols
+
+    @property
+    def Z(self):
+        raise PastTheGuard
+
+
+@pytest.mark.parametrize("cols, fits", [(2**31, True), (2**31 + 1, False)])
+def test_stability_interval_keys_guard_the_columns(cols, fits):
+    # keys pack lo << 32 | length, exact in int64 while cols <= 2**31
+    coarse = type("StandInCoarse", (), {"params": DESK, "stage": 0,
+                                        "h_list": []})()
+    if fits:
+        with pytest.raises(PastTheGuard):
+            name_stability(coarse, StandInFine(cols))
+    else:
+        with pytest.raises(ResourceError, match=(
+                "^stage-1 name stability needs 2147483649 columns, "
+                "interval-key limit is 2147483648$")):
+            name_stability(coarse, StandInFine(cols))
+
+
 def test_stability_refuses_h_off_the_rotation():
     # a stage-2 h that swaps two atoms of the first column only is a
     # permutation of the right size, but not equivariant

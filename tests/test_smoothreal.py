@@ -14,14 +14,15 @@ from circlesys.ratarith import derive_params
 from circlesys.smoothreal import (MAX_SMOOTH_CELLS, MAX_SMOOTH_SAMPLES,
                                   CellSchedule, CellSwap, Composite, PlaneMap,
                                   StandardSwap, SwapTables, TrackedPoints,
-                                  cell_of_points, first_column_sigma,
-                                  map_distance, perm_to_swaps, realize_perm,
+                                  first_column_sigma, map_distance,
+                                  perm_to_swaps, realize_perm,
                                   sample_jacobian, stage_map, swap_layers,
-                                  zigzag_cell, zigzag_table)
+                                  zigzag_table)
 from circlesys.smoothreal import _disk_to_square, _square_to_disk, smoothstep
 from circlesys.trajectory import DEEP_SLACK, DeepPoints, Trajectories
-from oracles import (dict_swap_layers, full_pass_perm_to_swaps,
-                     loop_first_column_sigma)
+from oracles import (cell_of_points, dict_swap_layers,
+                     full_pass_perm_to_swaps, loop_first_column_sigma,
+                     zigzag_cell)
 from strategies import small_processes
 
 RNG = np.random.default_rng(20240817)
