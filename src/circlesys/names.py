@@ -20,7 +20,7 @@ import numpy as np
 
 from . import ratarith
 from .errors import InputError, OracleMismatch, ResourceError
-from .procsim import refine, rotation_perm, rotation_shift
+from .procsim import containing_atom, rotation_perm, rotation_shift
 from .ratarith import FrameRuns, chunks, dyn_order, spacer_columns
 from .words import circ, label_dtype
 
@@ -54,8 +54,8 @@ def q_labels(params, h_list, stage, cols, rows):
     for m, h in enumerate(h_list, 1):
         marks = spacer_columns(params, m)
         q0, s0 = params.q[m - 1], params.s[m - 1]
-        grid = refine(frame.at(np.arange(q0 * s0)), q0, s0, h.cols,
-                      h.rows)[h.table].reshape(h.rows, h.cols)
+        grid = frame.at(containing_atom(h.table, h.cols, h.rows, q0, s0)
+                        ).reshape(h.rows, h.cols)
         cuts = np.flatnonzero(np.append(True, np.any(
             grid[:, 1:] != grid[:, :-1], axis=0)))
         scaled = cuts * (params.q[m] // h.cols)
@@ -114,10 +114,9 @@ def u_words(proc, h, s):
         raise InputError("h resolution %dx%d does not fit stage %d"
                          % (h.cols, h.rows, n))
     col = np.arange(k)[:, None] + (np.arange(q) * p % q)[None, :] * k
-    atom = h.table[s * h.cols + col]
-    row = atom // h.cols // (h.rows // proc.rows)   # rows of the stage atoms
-    return [tuple(word) for word in frame_labels(proc).at(
-        row * proc.cols + atom % h.cols // k).tolist()]
+    atom = containing_atom(h.table[s * h.cols + col], h.cols, h.rows,
+                           proc.cols, proc.rows)
+    return [tuple(word) for word in frame_labels(proc).at(atom).tolist()]
 
 
 def crosscheck_tower(proc_next, proc, h, s, simulated=None):

@@ -98,11 +98,11 @@ class LiftedPermutation:
         self.base = base
         self.cols = cols
         self.rows = rows
-        self._fc = cols // base.cols
-        self._band = cols * (rows // base.rows)     # indices per base row
+        band = cols * (rows // base.rows)       # indices per base row
         a = np.arange(base.table.size, dtype=np.int64)
-        self._shift = ((base.table // base.cols - a // base.cols) * self._band
-                       + (base.table % base.cols - a % base.cols) * self._fc)
+        self._shift = ((base.table // base.cols - a // base.cols) * band
+                       + (base.table % base.cols - a % base.cols)
+                       * (cols // base.cols))
 
     def apply(self, i):
         src = np.asarray(i, dtype=np.int64)
@@ -110,8 +110,8 @@ class LiftedPermutation:
         src, dst = src.reshape(-1), out.reshape(-1)
         for lo, hi in chunks(0, src.size):
             chunk = src[lo:hi]
-            atom = chunk // self._band * self.base.cols
-            atom += chunk % self.cols // self._fc
+            atom = containing_atom(chunk, self.cols, self.rows,
+                                   self.base.cols, self.base.rows)
             np.add(chunk, self._shift[atom], out=dst[lo:hi])
         return out
 
@@ -120,17 +120,12 @@ class LiftedPermutation:
         return self.base.is_permutation()
 
 
-def refine(values, cols, rows, fine_cols, fine_rows):
-    """Per-atom values of a cols x rows grid read on a grid refining it:
-    each fine atom takes the value of the atom that contains it.  The
-    output is the only allocation, filled by one broadcast write."""
-    if fine_cols % cols or fine_rows % rows:
-        raise InputError("%d x %d does not refine %d x %d"
-                         % (fine_cols, fine_rows, cols, rows))
-    out = np.empty(fine_cols * fine_rows, dtype=values.dtype)
-    out.reshape(rows, fine_rows // rows, cols, fine_cols // cols)[...] = \
-        values.reshape(rows, 1, cols, 1)
-    return out
+def containing_atom(i, cols, rows, coarse_cols, coarse_rows):
+    """Index on a coarse_cols x coarse_rows grid of the atom containing
+    each atom i of a cols x rows grid that refines it."""
+    atom = i // (cols * (rows // coarse_rows)) * coarse_cols
+    atom += i % cols // (cols // coarse_cols)
+    return atom
 
 
 def rotation_shift(params, n, cols):
@@ -159,6 +154,9 @@ def h_from_words(params, n, h_words):
     ordered by (row, column).  The rest of the grid is the equivariant
     copy under the stage-n rotation.
     """
+    if not 0 <= n < params.stages:
+        raise InputError("h-words for stage %d, but the parameters have "
+                         "stages 1..%d" % (n + 1, params.stages))
     k, q = params.k[n], params.q[n]
     s_lo, s_hi = params.s[n], params.s[n + 1]
     h_words = [tuple(w) for w in h_words]
@@ -297,77 +295,68 @@ class EpsApproxReport:
     deleted: int            # atoms in D
     blocks: int             # complete coarse traversals found
     subordinate: bool       # off D, fine towers traverse coarse towers
-    levels_equal: bool      # X - D meets coarse levels in equal masses
 
 
 def eps_approx(coarse, fine):
     """Approximation defect between consecutive processes.
 
-    The deleted set D consists of the fine tower levels that are newly
-    labelled b or e at the fine stage; eps is its mass (1/l for one
-    stage step).  `subordinate` confirms that off D every fine tower
-    splits into complete base-to-top traversals of coarse towers, and
-    `levels_equal` that the complement of D meets the levels of each
-    coarse tower in equal masses.  Note D is not minimal for these two
-    clauses alone: the all-b run of the first pass happens to traverse
-    a coarse tower consecutively too.
+    Position t of fine tower s lies in a coarse atom of level own[t] = S q
+    + j, level j of coarse tower S.  A block, one base-to-top traversal of
+    a coarse tower, starts at each position t that is not a new spacer (a
+    column freshly labelled b or e at the fine stage) with own[t] % q == 0
+    and no break own[i+1] != own[i] + 1 for i in [t, t + q - 1).  The
+    deleted set D is what the windows [t, t + q) leave out, atoms - q
+    blocks atoms; eps is its mass (1/l for one stage step), and
+    `subordinate` says that D holds new spacers only.  D is not minimal
+    for this: the all-b run of the first pass traverses a coarse tower too.
+
+    A greedy walk along the tower, stepping by 1, over a block from a
+    start or over a run of spacers, finds the same blocks: two starts are
+    at least q apart, since one at offset 0 < d < q inside a block has own
+    = S q + d, not 0 mod q, so no step passes over a start.  The windows
+    are complete traversals, so when the towers of both stages partition
+    their grids (asserted on Z) the kept atoms meet the levels of each
+    coarse tower in equal masses.  One fine tower is held at a time.
     """
     params = coarse.params
     if fine.stage != coarse.stage + 1:
         raise InputError("processes must be one stage apart")
+    assert coarse.Z.is_permutation() and fine.Z.is_permutation()
     q = params.q[coarse.stage]
     qf = params.q[fine.stage]
 
-    # which coarse level (tower, step) owns each fine atom
-    n_coarse = params.s[coarse.stage]
+    # coarse level S q + j of each coarse atom
     level = np.empty(coarse.atoms, dtype=np.int64)
     level[np.concatenate(coarse.towers())] = np.arange(coarse.atoms)
-    owner = refine(level, coarse.cols, coarse.rows, fine.cols, fine.rows)
 
     # word position t of a fine tower is a new spacer iff the column it
-    # occupies is freshly labelled at the fine stage
+    # occupies is freshly labelled at the fine stage; plain[t] counts the
+    # other positions before t
     marks = spacer_columns(params, fine.stage)
-    col_of_t = np.arange(qf, dtype=np.int64) * params.p[fine.stage] % qf
-    is_spacer = marks.row(0)[col_of_t] != 0
-    # the spacer positions lie in runs, each ending at one of run_ends;
-    # the scan deletes what is left of a run from wherever it enters
-    run_ends = np.flatnonzero(np.diff(is_spacer, prepend=False,
-                                      append=False))[1::2]
+    is_spacer = marks.row(0)[np.arange(qf, dtype=np.int64)
+                             * params.p[fine.stage] % qf] != 0
+    plain = np.concatenate(([0], np.cumsum(~is_spacer)))
 
-    mask = np.zeros(fine.atoms, dtype=bool)     # the deleted set D
-    deleted = 0
     blocks = 0
-    subordinate = True
+    kept = 0                                # plain positions in windows
+    own = np.empty(qf, dtype=np.int64)
     for s in range(params.s[fine.stage]):
-        tw = fine.tower(s)
-        own = owner[tw]
-        t = 0
-        while t < qf:
-            if is_spacer[t]:
-                end = int(run_ends[np.searchsorted(run_ends, t, "right")])
-                mask[tw[t:end]] = True
-                deleted += end - t
-                t = end
-                continue
-            S, step = divmod(int(own[t]), q)
-            if (step == 0 and t + q <= qf
-                    and np.array_equal(own[t:t + q], np.arange(S * q, S * q + q))):
-                blocks += 1
-                t += q
-            else:
-                subordinate = False
-                mask[tw[t]] = True
-                deleted += 1
-                t += 1
-
-    per_level = np.zeros(n_coarse * q, dtype=np.int64)
-    for lo, hi in chunks(0, fine.atoms):
-        per_level += np.bincount(owner[lo:hi][~mask[lo:hi]],
-                                 minlength=per_level.size)
-    per_level = per_level.reshape(n_coarse, q)
-    levels_equal = all(len(set(row)) == 1 for row in per_level.tolist())
+        for lo, hi in chunks(0, qf):
+            own[lo:hi] = level[containing_atom(
+                fine.tower(s, lo, hi), fine.cols, fine.rows, coarse.cols,
+                coarse.rows)]
+        breaks = np.flatnonzero(np.diff(own) != 1)
+        t = np.flatnonzero(own[:qf - q + 1] % q == 0)
+        # no break in [t, t + q - 1): the first break at or after t
+        # comes at t + q - 1 or later
+        after = np.append(breaks, qf)[np.searchsorted(breaks, t)]
+        t = t[~is_spacer[t] & (after >= t + q - 1)]
+        blocks += t.size
+        kept += int(np.sum(plain[t + q] - plain[t]))    # windows are disjoint
+    deleted = fine.atoms - q * blocks
+    subordinate = kept == params.s[fine.stage] * int(plain[-1])
     return EpsApproxReport(Fraction(deleted, fine.atoms), deleted, blocks,
-                           subordinate, levels_equal)
+                           subordinate)
 
 
 @dataclass
@@ -386,7 +375,11 @@ def check_requirements(params, h_words_per_stage):
     non-decreasing but not-yet-growing prefix is reported as
     "unverifiable" rather than passed.
     """
-    s = params.s[:len(h_words_per_stage) + 1]
+    stages = len(h_words_per_stage)
+    if stages > params.stages:
+        raise InputError("got %d h-word lists but only %d stages of "
+                         "parameters" % (stages, params.stages))
+    s = params.s[:stages + 1]
     if any(b < a for a, b in zip(s, s[1:])):
         req1 = "fail"
     elif len(s) > 1 and s[-1] > s[0]:

@@ -31,7 +31,7 @@ from circlesys import consys, smoothreal
 from circlesys.consys import CylinderEstimate, UniformityReport
 from circlesys.errors import InputError
 from circlesys.names import StabilityReport, label_dtype
-from circlesys.procsim import refine, rotation_perm, rotation_shift
+from circlesys.procsim import rotation_perm, rotation_shift
 from circlesys.ratarith import chunks, dyn_order
 from circlesys.words import B, E
 
@@ -53,6 +53,13 @@ def table_marks(params, m):
     i = t // (k * block_len)
     rr = t % block_len
     return rr < q_prev - ji[i], rr >= block_len - ji[i]
+
+
+def refine(values, cols, rows, fine_cols, fine_rows):
+    """Per-atom values of a cols x rows grid read on a grid refining it,
+    each column and each row repeated."""
+    return np.repeat(np.repeat(values.reshape(rows, cols), fine_cols // cols,
+                               axis=1), fine_rows // rows, axis=0).reshape(-1)
 
 
 def dense_q_labels(params, h_list, stage, cols, rows):

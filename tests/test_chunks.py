@@ -23,7 +23,7 @@ from circlesys.cli import (check_distinct, check_names, check_numerology,
                            check_process)
 from circlesys.errors import InputError, ResourceError
 from circlesys.names import distinct_names, frame_labels, simulate_tower_name
-from circlesys.procsim import build_process, refine
+from circlesys.procsim import build_process, containing_atom
 from circlesys.ratarith import (DynOrder, chunks, derive_params,
                                 spacer_columns)
 from circlesys.words import B, E, circ
@@ -194,13 +194,14 @@ def test_numerology_passes_past_int64_without_a_table():
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 40), st.integers(0, 60), st.integers(1, 3),
        st.integers(1, 3), st.sampled_from([np.int8, np.int64]))
-def test_refine_matches_double_repeat(cols, seed, fc, fr, dtype):
+def test_containing_atom_matches_double_repeat(cols, seed, fc, fr, dtype):
     rows = 1 + seed % 5
     values = np.random.default_rng(seed).integers(
         -2, 100, cols * rows).astype(dtype)
     want = np.repeat(np.repeat(values.reshape(rows, cols), fc, axis=1),
                      fr, axis=0).reshape(-1)
-    got = refine(values, cols, rows, cols * fc, rows * fr)
+    fine = np.arange(cols * fc * rows * fr, dtype=np.int64)
+    got = values[containing_atom(fine, cols * fc, rows * fr, cols, rows)]
     assert got.dtype == dtype and np.array_equal(got, want)
 
 

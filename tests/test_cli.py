@@ -7,9 +7,10 @@ import tracemalloc
 
 import pytest
 
-from circlesys import cli, consys, names, procsim, smoothreal, words
+from circlesys import (cli, consys, factor, names, procsim, smoothreal,
+                       words)
 from circlesys.cli import RunManifest, main, run_checks
-from circlesys.errors import OracleMismatch, ToleranceError
+from circlesys.errors import CoherenceError, OracleMismatch, ToleranceError
 from oracles import dense_name_stability
 
 DESK_PARAMS = "k = 2 2\nl = 4 4\ns = 2 2 4\n"
@@ -206,6 +207,33 @@ def test_bad_input_exits_2(desk, capsys, monkeypatch, argv):
     assert "Traceback" not in err
 
 
+# var.params has two stages, so a third h-word file names a stage it lacks
+EXTRA_HWORDS = ["w1.txt", "w2var.txt", "w2.txt"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "every.txt"],
+    ["run", "requirements.txt"],
+    ["proc", "build"],
+    ["proc", "reqs"],
+    ["names", "crosscheck"],
+    ["smooth", "stage"],
+])
+def test_extra_h_word_files_exit_2(desk, capsys, monkeypatch, argv):
+    monkeypatch.chdir(desk)
+    head = "params = var.params\nhwords = %s\n" % " ".join(EXTRA_HWORDS)
+    (desk / "every.txt").write_text(head)
+    (desk / "requirements.txt").write_text(head + "checks = requirements\n")
+    if argv[0] != "run":
+        argv = argv + ["--params", "var.params"]
+        for w in EXTRA_HWORDS:
+            argv += ["--hwords", w]
+    code, _ = run(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_words_parse_refuses_a_lazy_stage_at_once(desk, capsys, monkeypatch):
     monkeypatch.chdir(desk)
     start = time.perf_counter()
@@ -313,6 +341,18 @@ def test_run_boundary_fails_on_a_wrong_spacer_letter(desk, monkeypatch):
     assert text == ("CHECK boundary FAIL value=stage 2 word 1 letters in "
                     "[0, 8) do not match a spacer run "
                     "bound=1/l exactly, near <= 3/l\n")
+
+
+def test_run_factor_fails_on_an_incoherent_point(desk, monkeypatch):
+    def incoherent(pt):
+        raise CoherenceError("gap past 1/q_1")
+
+    monkeypatch.setattr(factor, "rho_trace", incoherent)
+    code, text = run(["run", manifest(desk,
+        "params = var.params\nhwords = w1.txt w2var.txt\nchecks = factor\n")])
+    assert code == 1
+    assert text == ("CHECK factor FAIL value=offsets (0, 1, 9): gap past "
+                    "1/q_1 bound=rho monotone, gaps < 1/q_n\n")
 
 
 @pytest.mark.parametrize("argv", [["params", "bin.txt"], ["run", "bin.txt"],

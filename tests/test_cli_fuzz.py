@@ -7,7 +7,7 @@ import io
 import os
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from circlesys.cli import main
@@ -211,6 +211,9 @@ FUZZ = settings(max_examples=250, deadline=None,
 
 @FUZZ
 @given(case=subcommand_argv())
+# the three h-word files fit var.params up to a stage it does not have
+@example(case=(["proc", "eps", "--params", "var.params", "--hwords", "w1.txt",
+                "--hwords", "w2var.txt", "--hwords", "w2.txt"], 2))
 def test_any_argv_exits_0_to_3(workdir, case):
     argv, expected = case
     code = exit_code(workdir, argv)

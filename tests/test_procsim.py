@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
@@ -214,6 +215,16 @@ def test_h_from_words_validation():
         h_from_words(DESK, 0, [(0, 0), (1, 0)])   # symbol 0 used 3 times
     with pytest.raises(InputError):
         h_from_words(DESK, 0, [(0, 1)])           # needs s_1 = 2 words
+    for n in (-1, DESK.stages):
+        with pytest.raises(InputError, match="stage %d" % (n + 1)):
+            h_from_words(DESK, n, W1)
+
+
+def test_more_h_word_lists_than_stages_are_refused():
+    with pytest.raises(InputError):
+        build_process(DESK, [W1, W2_DUP, W2_DUP])
+    with pytest.raises(InputError):
+        check_requirements(DESK, [W1, W2_DUP, W2_DUP])
 
 
 def test_atom_cap():
@@ -228,11 +239,12 @@ def test_eps_approx_desk():
     assert rep.deleted == 512
     assert rep.blocks == 192
     assert rep.subordinate
-    assert rep.levels_equal
 
 
 def naive_eps_approx(coarse, fine):
-    """eps_approx with the owner table filled atom by atom."""
+    """eps_approx by a greedy walk over the owner table filled atom by
+    atom, and whether the kept atoms meet the levels of each coarse tower
+    in equal numbers."""
     params = coarse.params
     if fine.cols % coarse.cols or fine.rows % coarse.rows:
         raise InputError("fine grid does not refine coarse grid")
@@ -290,18 +302,22 @@ def naive_eps_approx(coarse, fine):
     per_level = per_level.reshape(n_coarse, q)
     levels_equal = all(len(set(row)) == 1 for row in per_level.tolist())
     return EpsApproxReport(Fraction(len(deleted), fine.atoms),
-                           len(deleted), blocks, subordinate, levels_equal)
+                           len(deleted), blocks, subordinate), levels_equal
 
 
 @settings(max_examples=40, deadline=None)
 @given(small_processes(), st.data())
 def test_eps_approx_matches_atom_by_atom_owner(procs, data):
     # a coarse and a fine process built from different h-words need not
-    # be subordinate, so the failed-position path is compared too
+    # be subordinate, so the failed-position path is compared too; the
+    # kept atoms meet coarse levels equally in every case, as eps_approx
+    # proves instead of counting
     other = process_chain(data.draw, procs[0].params)
     for chain in (procs, other):
         for coarse, fine in zip(procs, chain[1:]):
-            assert eps_approx(coarse, fine) == naive_eps_approx(coarse, fine)
+            rep, levels_equal = naive_eps_approx(coarse, fine)
+            assert levels_equal
+            assert eps_approx(coarse, fine) == rep
 
 
 def test_eps_approx_of_unrelated_processes_matches_oracle():
@@ -310,7 +326,25 @@ def test_eps_approx_of_unrelated_processes_matches_oracle():
     fine = compose_stage(q1, h2)
     rep = eps_approx(p1, fine)
     assert not rep.subordinate
-    assert rep == naive_eps_approx(p1, fine)
+    assert (rep, True) == naive_eps_approx(p1, fine)
+
+
+def test_eps_approx_holds_one_tower_at_a_time():
+    # 16 towers of q[2] = 4,096 levels, 65,536 atoms
+    params = derive_params([2, 4], [2, 64], [2, 2, 16])
+    balanced = [w for w in itertools.product((0, 1), repeat=4)
+                if sum(w) == 2]
+    p1 = build_process(params, [W1])
+    p2 = compose_stage(p1, h_from_words(
+        params, 1, itertools.islice(itertools.cycle(balanced), 16)))
+    tracemalloc.start()
+    try:
+        rep = eps_approx(p1, p2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.deleted, rep.subordinate) == (p2.atoms // 64, True)
+    assert peak <= 128 * params.q[2]
 
 
 def test_requirements_desk_duplicate():
