@@ -112,12 +112,8 @@ class Context:
             if self._procs is None:
                 if not self.h_words:
                     raise InputError("this operation needs h-word files")
-                ps = [procsim.initial_process(self.params)]
-                for n, h_words in enumerate(self.h_words):
-                    h = procsim.h_from_words(self.params, n, h_words)
-                    ps.append(procsim.compose_stage(ps[-1], h,
-                                                    self.cap_atoms))
-                self._procs = ps
+                self._procs = list(procsim.stages(
+                    self.params, self.h_words, self.cap_atoms))
         return self._procs
 
     def uniformity(self, n):
@@ -162,7 +158,8 @@ def check_numerology(ctx):
 
 def check_readability(ctx):
     # q_{n-1} = 1 (stage 1) gives degenerate spacer patterns with no
-    # readability guarantee, so the scan starts where q exceeds 1
+    # readability guarantee, so the scan starts where q exceeds 1; as
+    # q[0] = 1, stage 1 is always skipped and the tail is never empty
     scanned, skipped = [], []
     for n in range(1, ctx.cs.depth + 1):
         if ctx.params.q[n - 1] == 1:
@@ -175,9 +172,8 @@ def check_readability(ctx):
         if bad:
             return False, "stage %d offset %d" % (n, bad[0][2]), "offsets 0,q only"
         scanned.append(str(n))
-    return True, "0 violations scanned=%s skipped=%s" % (
-        ",".join(scanned) or "none", ",".join(skipped) or "none"), \
-        "offsets 0,q only"
+    value = "0 violations scanned=%s" % (",".join(scanned) or "none")
+    return True, value + _skipped(skipped), "offsets 0,q only"
 
 
 def _stage_stats(ctx, n, w):
@@ -427,6 +423,9 @@ class RunManifest:
         self.out = rel(seen["out"]) if "out" in seen else None
         self.sigma = integer("sigma")
         self.jobs = integer("jobs", 1)
+        if self.jobs < 1:
+            raise InputError("%s: jobs must be at least 1, got %d"
+                             % (path, self.jobs))
 
     def context(self):
         return Context(self.params_path, self.preword_paths,

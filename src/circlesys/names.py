@@ -109,11 +109,11 @@ def u_words(proc, h, s):
     an h-grid atom carries the frame label of the atom containing it.
     """
     n, params = proc.stage, proc.params
-    k, q, p = params.k[n], params.q[n], params.p[n]
+    k, q = params.k[n], params.q[n]
     if (h.cols, h.rows) != (k * q, params.s[n + 1]):
         raise InputError("h resolution %dx%d does not fit stage %d"
                          % (h.cols, h.rows, n))
-    col = np.arange(k)[:, None] + (np.arange(q) * p % q)[None, :] * k
+    col = np.arange(k)[:, None] + proc.orbit(0)[None, :] * k
     atom = containing_atom(h.table[s * h.cols + col], h.cols, h.rows,
                            proc.cols, proc.rows)
     return [tuple(word) for word in frame_labels(proc).at(atom).tolist()]

@@ -49,18 +49,10 @@ class GridPermutation:
     def lift(self, cols, rows):
         """Refine to a finer grid, moving each sub-atom rigidly: sub-atom
         (dr, dc) of atom a lands at offset (dr, dc) in the image of a.
-        The images' corners broadcast against the offsets, so only the
-        result is allocated at full size."""
-        if cols % self.cols or rows % self.rows:
-            raise InputError("%d x %d does not refine %d x %d"
-                             % (cols, rows, self.cols, self.rows))
-        fc = cols // self.cols
-        fr = rows // self.rows
-        img = self.table.reshape(self.rows, 1, self.cols, 1)
-        corner = img // self.cols * fr * cols + img % self.cols * fc
-        table = (corner + np.arange(fr).reshape(fr, 1, 1) * cols
-                 + np.arange(fc))       # axes: row, sub-row, col, sub-col
-        return GridPermutation(cols, rows, table.reshape(-1))
+        The table is `LiftedPermutation` applied to every index."""
+        lifted = LiftedPermutation(self, cols, rows)
+        return GridPermutation(cols, rows, lifted.apply(
+            np.arange(cols * rows, dtype=np.int64)))
 
     def commutes_with(self, other):
         """Whether self . other == other . self."""
@@ -169,21 +161,21 @@ def h_from_words(params, n, h_words):
             raise InputError("word %d uses symbols outside 0..%d" % (s, s_lo - 1))
     cols, rows = k * q, s_hi
     strip = rows // s_lo                       # rows per stage-n strip
-    table = np.arange(cols * rows, dtype=np.int64)
+    words = np.array(h_words, dtype=np.int64).reshape(rows, k)
+    # first-column target sp * k + tp of each (word, slot) s * k + t
+    target = np.empty(rows * k, dtype=np.int64)
     for i in range(s_lo):
-        sources = [(s, t) for s in range(rows) for t in range(k)
-                   if h_words[s][t] == i]
-        targets = [(sp, tp) for sp in range(i * strip, (i + 1) * strip)
-                   for tp in range(k)]
-        if len(sources) != len(targets):
+        sources = np.flatnonzero(words == i)
+        if sources.size != strip * k:
             raise ConstraintError(
                 "symbol %d occurs %d times but its strip holds %d atoms; "
                 "each word needs it exactly k/s = %d times"
-                % (i, len(sources), len(targets), k // s_lo))
-        for (s, t), (sp, tp) in zip(sources, targets):
-            for m in range(q):               # equivariant copies
-                table[s * cols + t + m * k] = sp * cols + tp + m * k
-    perm = GridPermutation(cols, rows, table)
+                % (i, sources.size, strip * k, k // s_lo))
+        target[sources] = np.arange(i * strip * k, (i + 1) * strip * k)
+    # the equivariant copy m moves slot and target by m k columns
+    table = ((target // k * cols + target % k).reshape(rows, 1, k)
+             + np.arange(q, dtype=np.int64).reshape(q, 1) * k)
+    perm = GridPermutation(cols, rows, table.reshape(-1))
     assert perm.is_permutation()
     return perm
 
@@ -218,14 +210,13 @@ class GridProcess:
     def Z(self):
         return LiftedPermutation(self.W, self.cols, self.rows)
 
-    def rotation(self):
-        return rotation_perm(self.params, self.stage, self.cols, self.rows)
-
     def orbit(self, s, lo=0, hi=None):
         """Rotation-frame indices of levels lo..hi-1 of tower s, base to
-        top; the whole tower, q[stage] levels, by default.  Level t lies
-        in column t p mod q (of q) of the tower's first row, so only
-        these levels are computed."""
+        top; the whole tower, q[stage] levels, by default.  The grid of a
+        stage-n process is q[n] x s[n] (`initial_process`,
+        `compose_stage`), so tower s is the rotation orbit through row s:
+        level t lies in column t p mod q of that row, and only these
+        levels are computed."""
         n = self.stage
         q, p = self.params.q[n], self.params.p[n]
         hi = q if hi is None else hi
@@ -237,8 +228,7 @@ class GridProcess:
                              % (lo, hi, q))
         # (lo + t) p = t p + lo p (mod q): int64-exact for a chunk of levels
         col = (np.arange(hi - lo, dtype=np.int64) * p + lo * p % q) % q
-        col *= self.cols // q
-        col += s * (self.rows // self.params.s[n]) * self.cols
+        col += s * self.cols
         return col
 
     def tower(self, s, lo=0, hi=None):
@@ -280,12 +270,20 @@ def compose_stage(proc, h, cap_atoms=DEFAULT_ATOM_CAP):
     return GridProcess(params, n + 1, cols, rows, W, proc.h_list + [h])
 
 
-def build_process(params, h_words_per_stage, cap_atoms=DEFAULT_ATOM_CAP):
-    """Compose h_from_words over consecutive stages, starting at stage 0."""
+def stages(params, h_words_per_stage, cap_atoms=DEFAULT_ATOM_CAP):
+    """The processes of stages 0, 1, ..., len(h_words_per_stage) in turn,
+    each composed from the one before with `h_from_words` of its list."""
     proc = initial_process(params)
+    yield proc
     for n, h_words in enumerate(h_words_per_stage):
         proc = compose_stage(proc, h_from_words(params, n, h_words),
                              cap_atoms=cap_atoms)
+        yield proc
+
+
+def build_process(params, h_words_per_stage, cap_atoms=DEFAULT_ATOM_CAP):
+    """The last of `stages`: the process of stage len(h_words_per_stage)."""
+    *_, proc = stages(params, h_words_per_stage, cap_atoms)
     return proc
 
 
@@ -333,8 +331,7 @@ def eps_approx(coarse, fine):
     # occupies is freshly labelled at the fine stage; plain[t] counts the
     # other positions before t
     marks = spacer_columns(params, fine.stage)
-    is_spacer = marks.row(0)[np.arange(qf, dtype=np.int64)
-                             * params.p[fine.stage] % qf] != 0
+    is_spacer = marks.row(0)[fine.orbit(0)] != 0
     plain = np.concatenate(([0], np.cumsum(~is_spacer)))
 
     blocks = 0

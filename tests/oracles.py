@@ -18,7 +18,8 @@ spacer runs of a word, and the mirror of a dynamical order from its
 whole table.  `zigzag_cell` and `cell_of_points` locate boustrophedon
 cells by index and by point, which the package only does inside
 `TrackedPoints`.  `loop_first_column_sigma` reads a relabeling's first
-column block cell by cell.  `full_pass_perm_to_swaps` bubble-sorts
+column block cell by cell, and `loop_h_from_words` builds a relabeling
+by matching its atoms one at a time, every equivariant copy in turn.  `full_pass_perm_to_swaps` bubble-sorts
 with full passes, and `dict_swap_layers` keeps each cell's last layer
 in a dict.
 """
@@ -29,9 +30,10 @@ import numpy as np
 
 from circlesys import consys, smoothreal
 from circlesys.consys import CylinderEstimate, UniformityReport
-from circlesys.errors import InputError
+from circlesys.errors import ConstraintError, InputError
 from circlesys.names import StabilityReport, label_dtype
-from circlesys.procsim import rotation_perm, rotation_shift
+from circlesys.procsim import (GridPermutation, rotation_perm,
+                               rotation_shift)
 from circlesys.ratarith import chunks, dyn_order
 from circlesys.words import B, E
 
@@ -345,6 +347,33 @@ def loop_first_column_sigma(params, n, h_grid):
             tp, sp = img % h_grid.cols, img // h_grid.cols
             sigma[zigzag_index((k, rows), t, s)] = zigzag_index((k, rows), tp, sp)
     return sigma
+
+
+def loop_h_from_words(params, n, h_words):
+    """procsim.h_from_words before its copies became one broadcast,
+    verbatim but for the input validation, which the package keeps:
+    symbol by symbol, the (word, slot) occurrences are zipped with the
+    strip's (row, column) atoms and written once per copy."""
+    k, q = params.k[n], params.q[n]
+    s_lo, s_hi = params.s[n], params.s[n + 1]
+    h_words = [tuple(w) for w in h_words]
+    cols, rows = k * q, s_hi
+    strip = rows // s_lo
+    table = np.arange(cols * rows, dtype=np.int64)
+    for i in range(s_lo):
+        sources = [(s, t) for s in range(rows) for t in range(k)
+                   if h_words[s][t] == i]
+        targets = [(sp, tp) for sp in range(i * strip, (i + 1) * strip)
+                   for tp in range(k)]
+        if len(sources) != len(targets):
+            raise ConstraintError(
+                "symbol %d occurs %d times but its strip holds %d atoms; "
+                "each word needs it exactly k/s = %d times"
+                % (i, len(sources), len(targets), k // s_lo))
+        for (s, t), (sp, tp) in zip(sources, targets):
+            for m in range(q):
+                table[s * cols + t + m * k] = sp * cols + tp + m * k
+    return GridPermutation(cols, rows, table)
 
 
 def full_pass_perm_to_swaps(sigma):

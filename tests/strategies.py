@@ -24,9 +24,15 @@ def materialised_z(proc):
 
 @st.composite
 def small_processes(draw):
-    """Processes for stages 0..2 with q[2] <= 512, or half the time for
-    stages 0..3; each h-word is a random permutation of the balanced
-    multiset its stage requires.
+    """Processes for every stage of `small_params`; each h-word is a
+    random permutation of the balanced multiset its stage requires."""
+    return process_chain(draw, draw(small_params()))
+
+
+@st.composite
+def small_params(draw):
+    """Parameters of two stages with q[2] <= 512, or half the time of
+    three stages.
 
     Three stages stay small only with few strips, as s[n+1] <= s[n]**k[n]:
     s[0] = 1 keeps one strip throughout (every h is then the identity)
@@ -53,7 +59,7 @@ def small_processes(draw):
         except ConstraintError:
             assume(False)
         assume(params.q[2] <= 512)
-    return process_chain(draw, params)
+    return params
 
 
 def process_chain(draw, params):
@@ -61,12 +67,17 @@ def process_chain(draw, params):
     permutation of the balanced multiset its stage requires."""
     procs = [initial_process(params)]
     for n in range(params.stages):
-        k, lo, hi = params.k[n], params.s[n], params.s[n + 1]
-        letters = [i for i in range(lo) for _ in range(k // lo)]
-        h_words = [draw(st.permutations(letters)) for _ in range(hi)]
-        h = h_from_words(params, n, h_words)
+        h = h_from_words(params, n, balanced_h_words(draw, params, n))
         procs.append(compose_stage(procs[-1], h))
     return procs
+
+
+def balanced_h_words(draw, params, n):
+    """s[n+1] stage-(n+1) h-words, each a random permutation of the
+    balanced multiset: every symbol below s[n] k[n]/s[n] times."""
+    k, lo, hi = params.k[n], params.s[n], params.s[n + 1]
+    letters = [i for i in range(lo) for _ in range(k // lo)]
+    return [draw(st.permutations(letters)) for _ in range(hi)]
 
 
 @st.composite

@@ -274,7 +274,7 @@ def test_13_stage_map_consistency():
         return row * kc + col
 
     H = S1.conjugate_out
-    rot = p1.rotation()
+    rot = rotation_perm(DESK, 1, p1.cols, p1.rows)
     Z1 = materialised_z(p1)
     cur, atoms = pts.copy(), fine_atom(pts)
     match = np.ones(N, bool)

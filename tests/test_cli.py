@@ -422,6 +422,14 @@ def test_run_non_integer_seed_exit2(desk, capsys):
     assert "seed must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_run_jobs_below_one_exit2(desk, capsys, jobs):
+    path = manifest(desk, "params = desk.params\njobs = %s\n" % jobs)
+    assert run(["run", path]) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: %s: jobs must be at least 1, got %s\n" % (path, jobs))
+
+
 def test_run_unknown_key_exit2(desk):
     code, _ = run(["run", manifest(desk, "params = desk.params\nbogus = 1\n")])
     assert code == 2

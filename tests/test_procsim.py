@@ -15,11 +15,12 @@ from circlesys.procsim import (EpsApproxReport, GridPermutation,
                                LiftedPermutation, build_process,
                                check_requirements, compose_stage, eps_approx,
                                h_from_words, initial_process, rotation_perm,
-                               rotation_shift)
+                               rotation_shift, stages)
 from circlesys.ratarith import CHUNK, derive_params
 
-from oracles import table_marks
-from strategies import materialised_z, process_chain, small_processes
+from oracles import loop_h_from_words, table_marks
+from strategies import (balanced_h_words, materialised_z, process_chain,
+                        small_params, small_processes)
 
 DESK = derive_params([2, 2], [4, 4], [2, 2, 4])
 W1 = [(0, 1), (1, 0)]
@@ -83,7 +84,7 @@ def test_orbit_is_rotation_orbit():
     # that orbit's images under Z
     procs = desk_procs()[:3]
     for proc in procs:
-        rot = proc.rotation().table
+        rot = rotation_perm(DESK, proc.stage, proc.cols, proc.rows).table
         for s in range(DESK.s[proc.stage]):
             orbit = proc.orbit(s)
             assert np.array_equal(rot[orbit], np.roll(orbit, -1))
@@ -218,6 +219,51 @@ def test_h_from_words_validation():
     for n in (-1, DESK.stages):
         with pytest.raises(InputError, match="stage %d" % (n + 1)):
             h_from_words(DESK, n, W1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_params(), st.booleans(), st.data())
+def test_h_from_words_matches_the_loop(params, balanced, data):
+    # unbalanced words are any words of the right length and alphabet
+    n = data.draw(st.integers(0, params.stages - 1))
+    if balanced:
+        h_words = balanced_h_words(data.draw, params, n)
+    else:
+        word = st.lists(st.integers(0, params.s[n] - 1),
+                        min_size=params.k[n], max_size=params.k[n])
+        h_words = [data.draw(word) for _ in range(params.s[n + 1])]
+    try:
+        want = loop_h_from_words(params, n, h_words)
+    except ConstraintError as exc:
+        with pytest.raises(ConstraintError) as got:
+            h_from_words(params, n, h_words)
+        assert str(got.value) == str(exc)
+    else:
+        assert h_from_words(params, n, h_words) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_processes())
+def test_stage_grid_is_q_by_s(procs):
+    # the premise of `GridProcess.orbit`
+    for proc in procs:
+        n = proc.stage
+        assert (proc.cols, proc.rows) == (proc.params.q[n], proc.params.s[n])
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_params(), st.data())
+def test_stages_yield_the_composed_chain(params, data):
+    # the chain composed stage by stage, as the run context built it
+    count = data.draw(st.integers(0, params.stages))
+    words = [balanced_h_words(data.draw, params, n) for n in range(count)]
+    chain = [initial_process(params)]
+    for n, h_words in enumerate(words):
+        chain.append(compose_stage(chain[-1],
+                                   h_from_words(params, n, h_words)))
+    got = list(stages(params, words))
+    assert [(p.stage, p.W) for p in got] == [(p.stage, p.W) for p in chain]
+    assert build_process(params, words).W == chain[-1].W
 
 
 def test_more_h_word_lists_than_stages_are_refused():
