@@ -24,7 +24,7 @@ import numpy as np
 from . import words
 from .errors import (CoherenceError, ConstraintError, InputError,
                      OracleMismatch, ResourceError, ToleranceError)
-from .ratarith import (DEFAULT_ATOM_CAP, content_lines, dyn_order,
+from .ratarith import (DEFAULT_ATOM_CAP, chunks, content_lines, dyn_order,
                        load_params, parse_key_values, read_text)
 
 
@@ -363,6 +363,12 @@ def _action_flags(args):
             setattr(args, dest, default)
 
 
+def _check_line(name, ok, value, bound):
+    """The verdict line of one check, as the module docstring gives it."""
+    return "CHECK %s %s value=%s bound=%s" % (
+        name, "PASS" if ok else "FAIL", value, bound)
+
+
 def run_checks(ctx, checks, jobs=1):
     """Returns (lines, all_passed); lines sorted by check name."""
     checks = sorted(checks)
@@ -372,8 +378,7 @@ def run_checks(ctx, checks, jobs=1):
 
     def one(name):
         ok, value, bound = CHECK_FUNCS[name](ctx)
-        return "CHECK %s %s value=%s bound=%s" % (
-            name, "PASS" if ok else "FAIL", value, bound), ok
+        return _check_line(name, ok, value, bound), ok
 
     if jobs > 1:
         import concurrent.futures
@@ -405,27 +410,31 @@ class RunManifest:
         def rel(p):
             return p if os.path.isabs(p) else os.path.join(base, p)
 
-        def integer(key, default=None):
+        def integer(key, default=None, least=1):
+            """The value of `key`, refused below `least` even where
+            nothing reads it."""
             if key not in seen:
                 return default
             try:
-                return int(seen[key])
+                value = int(seen[key])
             except ValueError:
                 raise InputError("%s: %s must be an integer, got %r"
                                  % (path, key, seen[key]))
+            if value < least:
+                raise InputError("%s: %s must be %s, got %d" % (
+                    path, key, "at least %d" % least if least
+                    else "non-negative", value))
+            return value
 
         self.params_path = rel(seen["params"])
         self.preword_paths = [rel(p) for p in seen.get("prewords", "").split()]
         self.hword_paths = [rel(p) for p in seen.get("hwords", "").split()]
         self.checks = seen.get("checks", "").split() or None
-        integer("seed")
+        integer("seed", least=0)
         self.cap_atoms = integer("cap_atoms", DEFAULT_ATOM_CAP)
         self.out = rel(seen["out"]) if "out" in seen else None
         self.sigma = integer("sigma")
         self.jobs = integer("jobs", 1)
-        if self.jobs < 1:
-            raise InputError("%s: jobs must be at least 1, got %d"
-                             % (path, self.jobs))
 
     def context(self):
         return Context(self.params_path, self.preword_paths,
@@ -564,10 +573,9 @@ def cmd_proc(args, out):
                       % (s, " ".join(map(str, proc.tower(s)))))
         return 0
     rep = procsim.eps_approx(ctx.procs[-2], proc)  # eps
-    ok = rep.subordinate
-    out.write("CHECK eps-approx %s value=%s bound=subordinate off "
-              "deleted set\n" % ("PASS" if ok else "FAIL", frac(rep.eps)))
-    return 0 if ok else 1
+    out.write(_check_line("eps-approx", rep.subordinate, frac(rep.eps),
+                          "subordinate off deleted set") + "\n")
+    return 0 if rep.subordinate else 1
 
 
 def cmd_names(args, out):
@@ -621,6 +629,12 @@ def cmd_factor(args, out):
     return 0
 
 
+def _obedient_line(ok, fraction, eps, tail=""):
+    """The verdict on a sampled obedient fraction, which needs 1 - eps."""
+    return "%s obedient %.4f (need %.4f)%s" % (
+        "PASS" if ok else "FAIL", fraction, 1 - eps, tail)
+
+
 def _obedience_table(grid, plane, sigma, rng, samples, out):
     cells = grid[0] * grid[1]
     pts = smoothreal.TrackedPoints.draw(plane.index, rng, samples)
@@ -631,9 +645,10 @@ def _obedience_table(grid, plane, sigma, rng, samples, out):
     obeyed = np.zeros(cells, dtype=np.intp)
     # add.at reads the int16 cells as they are, where bincount would
     # copy them to intp
-    for w in smoothreal.slices(samples, smoothreal.SCAN_WINDOW):
-        np.add.at(drawn, src[w], 1)
-        np.add.at(obeyed, src[w][dst[w] == image[src[w]]], 1)
+    for lo, hi in chunks(0, samples):
+        cell = src[lo:hi]
+        np.add.at(drawn, cell, 1)
+        np.add.at(obeyed, cell[dst[lo:hi] == image[cell]], 1)
     drawn, obeyed = drawn.tolist(), obeyed.tolist()
     for cell, (ok, count) in enumerate(zip(obeyed, drawn)):
         out.write("rect %2d -> %2d obedient %s\n"
@@ -653,21 +668,33 @@ def cmd_smooth(args, out):
     if not 0 < args.eps < top:
         raise InputError("smooth %s needs --eps in (0, %g), got %r"
                          % (args.action, top, args.eps))
+    if args.action == "stage":
+        if args.params is None or not args.hwords:
+            raise InputError("smooth stage needs --params and --hwords")
+        ctx = _context_from_args(args)
+        grids = [procsim.h_from_words(ctx.params, n, h_words)
+                 for n, h_words in enumerate(ctx.h_words)]
+        try:
+            _, reports = smoothreal.stage_map(
+                ctx.params, grids, args.eps, seed=args.seed,
+                samples=args.samples)
+        except ToleranceError as exc:
+            out.write(_obedient_line(False, 1 - exc.achieved, args.eps) + "\n")
+            return 1
+        for n, rep in enumerate(reports):
+            out.write("stage %d obedient %.4f (%d swaps)\n"
+                      % (n + 1, rep.obedient, len(rep.swaps)))
+        out.write("PASS\n")
+        return 0
+    grid = _parse_grid(args.grid)
+    smoothreal.check_smooth_cells("smooth %s grid" % args.action, grid)
     rng = np.random.default_rng(args.seed)
+    tail = ""
     if args.action == "swap":
-        grid = _parse_grid(args.grid)
-        smoothreal.check_smooth_cells("smooth swap grid", grid)
         plane = smoothreal.CellSchedule(grid, [[args.k]], args.eps)
         sigma = list(range(grid[0] * grid[1]))
         sigma[args.k], sigma[args.k + 1] = sigma[args.k + 1], sigma[args.k]
-        frac_ok = _obedience_table(grid, plane, sigma, rng, args.samples, out)
-        ok = frac_ok >= 1 - args.eps
-        out.write("%s obedient %.4f (need %.4f)\n"
-                  % ("PASS" if ok else "FAIL", frac_ok, 1 - args.eps))
-        return 0 if ok else 1
-    if args.action == "realize":
-        grid = _parse_grid(args.grid)
-        smoothreal.check_smooth_cells("smooth realize grid", grid)
+    else:  # realize
         try:
             sigma = [int(v) for v in (rng.permutation(grid[0] * grid[1])
                                       if args.perm is None
@@ -677,31 +704,14 @@ def cmd_smooth(args, out):
                              % args.perm)
         rep = smoothreal.realize_perm(sigma, grid, args.eps, seed=args.seed,
                                       samples=args.samples)
-        frac_ok = _obedience_table(grid, rep.plane_map, sigma,
-                                   np.random.default_rng(args.seed + 1),
-                                   args.samples, out)
-        ok = frac_ok >= 1 - args.eps
-        out.write("%s obedient %.4f (need %.4f), %d swaps\n"
-                  % ("PASS" if ok else "FAIL", frac_ok, 1 - args.eps,
-                     len(rep.swaps)))
-        return 0 if ok else 1
-    if args.params is None or not args.hwords:  # stage
-        raise InputError("smooth stage needs --params and --hwords")
-    ctx = _context_from_args(args)
-    grids = [procsim.h_from_words(ctx.params, n, h_words)
-             for n, h_words in enumerate(ctx.h_words)]
-    try:
-        _, reports = smoothreal.stage_map(ctx.params, grids, args.eps,
-                                          seed=args.seed, samples=args.samples)
-    except ToleranceError as exc:
-        out.write("FAIL obedient %.4f (need %.4f)\n"
-                  % (1 - exc.achieved, 1 - args.eps))
-        return 1
-    for n, rep in enumerate(reports):
-        out.write("stage %d obedient %.4f (%d swaps)\n"
-                  % (n + 1, rep.obedient, len(rep.swaps)))
-    out.write("PASS\n")
-    return 0
+        plane, tail = rep.plane_map, ", %d swaps" % len(rep.swaps)
+        # realize_perm tuned delta on the points of `seed`, so the
+        # verdict samples points of its own
+        rng = np.random.default_rng(args.seed + 1)
+    frac_ok = _obedience_table(grid, plane, sigma, rng, args.samples, out)
+    ok = frac_ok >= 1 - args.eps
+    out.write(_obedient_line(ok, frac_ok, args.eps, tail) + "\n")
+    return 0 if ok else 1
 
 
 def _parse_grid(text):

@@ -25,7 +25,12 @@ class ToleranceError(RuntimeError):
 
 
 class CoherenceError(ValueError):
-    """Stage offsets of a symbolic point do not nest consistently."""
+    """Stage offsets of a symbolic point do not nest consistently; `stage`
+    names the stage whose offset breaks the nesting, if one does."""
+
+    def __init__(self, message, stage=None):
+        super().__init__(message)
+        self.stage = stage
 
 
 class OracleMismatch(AssertionError):

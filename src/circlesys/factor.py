@@ -53,16 +53,16 @@ class SymbolicPoint:
         for n in range(1, len(offs)):
             if not 0 <= offs[n] < self.params.q[n]:
                 raise CoherenceError("offsets[%d] = %d outside [0, q[%d]=%d)"
-                                     % (n, offs[n], n, self.params.q[n]))
+                                     % (n, offs[n], n, self.params.q[n]), n)
             pos = skeleton(self.params, n).decode(offs[n])
             if not isinstance(pos, Interior):
                 raise CoherenceError("stage-%d offset %d is a spacer position"
-                                     % (n, offs[n]))
+                                     % (n, offs[n]), n)
             if pos.inner != offs[n - 1]:
                 raise CoherenceError(
                     "stage-%d offset %d sits over inner position %d, "
                     "expected offsets[%d] = %d"
-                    % (n, offs[n], pos.inner, n - 1, offs[n - 1]))
+                    % (n, offs[n], pos.inner, n - 1, offs[n - 1]), n)
 
     @property
     def depth(self):
@@ -113,21 +113,15 @@ def shift_point(point):
 
     Returns the shifted SymbolicPoint when every stage offset can just
     advance by one, otherwise the BoundaryCrossing naming the lowest
-    stage whose window is exhausted or whose next letter is a spacer.
+    stage whose window is exhausted or whose next letter is a spacer:
+    the first stage at which SymbolicPoint finds the advanced offsets
+    incoherent.
     """
-    params = point.params
-    cand = tuple(r + 1 for r in point.offsets[1:])
-    for n in range(1, point.depth + 1):
-        r = cand[n - 1]
-        if r >= params.q[n]:
-            return BoundaryCrossing(n)
-        pos = skeleton(params, n).decode(r)
-        if not isinstance(pos, Interior):
-            return BoundaryCrossing(n)
-        inner = 0 if n == 1 else cand[n - 2]
-        if pos.inner != inner:
-            return BoundaryCrossing(n)
-    return SymbolicPoint(params, (0,) + cand)
+    try:
+        return SymbolicPoint(point.params,
+                             (0,) + tuple(r + 1 for r in point.offsets[1:]))
+    except CoherenceError as exc:
+        return BoundaryCrossing(exc.stage)
 
 
 def coherent_from_top(params, depth, m):

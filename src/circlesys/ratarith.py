@@ -21,9 +21,9 @@ import numpy as np
 from .errors import ConstraintError, InputError, ResourceError
 from .words import B, E
 
-# entries per pass of the chunked array routes (dynamical order, tower
-# orbits, lifted relabelings, tower names, stability shifts), so that no
-# temporary has one int64 entry per column or per tower level
+# entries per pass of the chunked routes (dynamical order, tower orbits,
+# lifted relabelings, tower names, stability shifts, smooth scans), so
+# that no temporary has one entry per column, tower level or sample
 CHUNK = 1 << 14
 
 #: atoms a grid process may hold (`procsim.compose_stage`), unless the
@@ -31,9 +31,10 @@ CHUNK = 1 << 14
 DEFAULT_ATOM_CAP = 1 << 24
 
 
-def chunks(lo, hi):
-    """The ranges [a, b) of at most CHUNK entries that tile [lo, hi)."""
-    step = CHUNK
+def chunks(lo, hi, size=None):
+    """The ranges [a, b) of at most `size` entries, CHUNK (read at the
+    call) unless given, that tile [lo, hi)."""
+    step = CHUNK if size is None else size
     for a in range(lo, hi, step):
         yield a, min(a + step, hi)
 

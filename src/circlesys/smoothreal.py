@@ -44,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ResourceError, ToleranceError
+from .ratarith import chunks
 
 # Cells of the largest grid realized: the swap list is a pure-Python
 # bubble sort with up to N(N-1)/2 swaps in at most 2N-3 layers, and
@@ -55,15 +56,11 @@ MAX_DELTA = 0.25
 MAX_RETRIES = 3
 # Points a CellSwap moves per StandardSwap call, and deep points a pass
 # moves at a time, so a pass holds its tracked points and working
-# arrays of at most this many points.  4096 gave the lowest peak RSS of
-# 1024 to 16384 on an 8x8 realize of 20,000 samples, when every layer
-# searched every point and the largest held about 13,000.
+# arrays of at most this many points: `smooth realize` on 8x8 (seeds 1
+# to 3, eps 0.1, 20,000 samples) peaked at 37.71-37.76 MB of RSS with
+# 4096 and 39.22-39.37 MB with 16384.  The scans that read every point
+# outside a pass (first cells, obedience) go `ratarith.CHUNK` at a time.
 SWAP_CHUNK = 4096
-# Points per step of the scans that read every point outside a pass:
-# finding the first cells, and the obedience compare and tally.  A
-# step's arrays hold one window, so no array has an intp entry per
-# sample.
-SCAN_WINDOW = 4 * SWAP_CHUNK
 # Sample points of one smooth realize, swap or stage: `smooth realize`
 # on 8x8 peaks at 75.5 MiB of RSS with 2,000,000 samples, 37.3 MiB of it
 # the interpreter and numpy, so about 20 bytes per sample and under
@@ -299,8 +296,8 @@ class CellSwap(PlaneMap):
 
     def _apply(self, pts, fn):
         hit = np.flatnonzero(self.pair_of_cell.take(pts.cell) >= 0)
-        for chunk in slices(len(hit), SWAP_CHUNK):
-            self._move(pts, hit[chunk], fn)
+        for lo, hi in chunks(0, len(hit), SWAP_CHUNK):
+            self._move(pts, hit[lo:hi], fn)
         return pts
 
     def _move(self, pts, hit, fn):
@@ -375,8 +372,8 @@ class TrackedPoints:
 
     def _track(self, index, pts):
         self._hold(pts, np.empty(len(pts), dtype=np.int16))
-        for window in slices(len(pts), SCAN_WINDOW):
-            self.cell[window] = _cells(index, self.x[window], self.y[window])
+        for lo, hi in chunks(0, len(pts)):
+            self.cell[lo:hi] = _cells(index, self.x[lo:hi], self.y[lo:hi])
 
     def _hold(self, pts, cell):
         self._pts = pts
@@ -410,11 +407,6 @@ def _check_index(index):
     check_smooth_cells("smooth %dx%d grid" % (m, n), (m, n))
 
 
-def slices(count, size):
-    """Consecutive slices of at most `size` items covering range(count)."""
-    return (slice(start, start + size) for start in range(0, count, size))
-
-
 class CellSchedule(Composite):
     """The CellSwap layers of one grid, applied in order to one tracked
     copy of the points, so each point's cell is found once per pass.
@@ -446,8 +438,8 @@ class CellSchedule(Composite):
     def _pass(self, pts, inverse):
         layers = super().inverse if inverse else super().forward
         shallow, held = [], 0
-        for part in slices(len(pts), SWAP_CHUNK):
-            rest = self.deep.move(pts, part, inverse) + part.start
+        for lo, hi in chunks(0, len(pts), SWAP_CHUNK):
+            rest = self.deep.move(pts, slice(lo, hi), inverse) + lo
             if held and held + len(rest) > SHALLOW_BATCH:
                 _through(layers, pts, shallow)
                 shallow, held = [], 0
@@ -617,8 +609,8 @@ def realize_perm(sigma, grid, eps, seed=0, samples=20000):
                                  samples)
         target = image[pts.cell]
         landed = plane.forward(pts).cell
-        obedient = float(sum(np.count_nonzero(landed[w] == target[w])
-                             for w in slices(samples, SCAN_WINDOW)) / samples)
+        obedient = float(sum(np.count_nonzero(landed[lo:hi] == target[lo:hi])
+                             for lo, hi in chunks(0, samples)) / samples)
         if obedient >= 1 - eps:
             return RealizeReport(plane, swaps, delta, obedient)
         delta /= 2

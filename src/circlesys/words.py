@@ -220,7 +220,11 @@ def _spacer_layout(k, l, q, js):
     """Predicted spacer letters of a circular product, shaped (q, 1, l*q)
     to broadcast over its (pass, block, position) view: B or E on the
     spacer runs, 0 elsewhere, and the bool mask of the runs.  Every
-    block of pass i shares one row.  Read-only, as the cache shares it."""
+    block of pass i shares one row.  Read-only, as the cache shares it.
+
+    Built from (k, l, q) and the order alone, not by `circ`: it is the
+    boundary check's independent layout, and one that `circ` built could
+    not disagree with the words `circ` wrote."""
     block_len = l * q
     letters = np.zeros((q, block_len), dtype=np.int8)
     for i, ji in enumerate(js):

@@ -21,7 +21,9 @@ cells by index and by point, which the package only does inside
 column block cell by cell, and `loop_h_from_words` builds a relabeling
 by matching its atoms one at a time, every equivariant copy in turn.  `full_pass_perm_to_swaps` bubble-sorts
 with full passes, and `dict_swap_layers` keeps each cell's last layer
-in a dict.
+in a dict.  `stagewise_shift_point` shifts a symbolic point by testing
+each advanced stage offset itself, where `factor.shift_point` asks
+`SymbolicPoint`.
 """
 
 from fractions import Fraction
@@ -31,11 +33,12 @@ import numpy as np
 from circlesys import consys, smoothreal
 from circlesys.consys import CylinderEstimate, UniformityReport
 from circlesys.errors import ConstraintError, InputError
+from circlesys.factor import BoundaryCrossing, SymbolicPoint, skeleton
 from circlesys.names import StabilityReport, label_dtype
 from circlesys.procsim import (GridPermutation, rotation_perm,
                                rotation_shift)
 from circlesys.ratarith import chunks, dyn_order
-from circlesys.words import B, E
+from circlesys.words import B, E, Interior
 
 
 def dense(runs):
@@ -405,3 +408,23 @@ def dict_swap_layers(swaps):
         layers[depth].append(k)
         last[k] = last[k + 1] = depth
     return layers
+
+
+def stagewise_shift_point(point):
+    """`factor.shift_point` by its own walk of the stages: the point
+    with every stage offset advanced by one, or the BoundaryCrossing of
+    the lowest stage whose advanced offset leaves its word, is a spacer
+    position or sits over another inner position than the stage below's."""
+    params = point.params
+    cand = tuple(r + 1 for r in point.offsets[1:])
+    for n in range(1, point.depth + 1):
+        r = cand[n - 1]
+        if r >= params.q[n]:
+            return BoundaryCrossing(n)
+        pos = skeleton(params, n).decode(r)
+        if not isinstance(pos, Interior):
+            return BoundaryCrossing(n)
+        inner = 0 if n == 1 else cand[n - 2]
+        if pos.inner != inner:
+            return BoundaryCrossing(n)
+    return SymbolicPoint(params, (0,) + cand)

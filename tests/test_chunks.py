@@ -63,6 +63,19 @@ def test_chunks_tile_the_range():
         assert list(chunks(4, 4)) == []
 
 
+def test_chunks_of_a_given_size():
+    # a size given at the call tiles by it whatever CHUNK is, and CHUNK
+    # itself is read at the call, not when chunks was defined
+    with chunk_size(3):
+        assert list(chunks(2, 10, 4)) == [(2, 6), (6, 10)]
+        assert list(chunks(0, 5, 1)) == [(0, 1), (1, 2), (2, 3), (3, 4),
+                                         (4, 5)]
+        assert list(chunks(7, 7, 2)) == []
+        assert list(chunks(0, 3, 100)) == [(0, 3)]
+    assert list(chunks(0, 40000)) == [(0, 16384), (16384, 32768),
+                                      (32768, 40000)]
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_processes(), CHUNKS, st.data())
 def test_orbit_and_tower_pieces_match_whole_towers(procs, size, data):

@@ -4,11 +4,13 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from circlesys import (cli, consys, factor, names, procsim, smoothreal,
-                       words)
+from circlesys import (cli, consys, factor, names, procsim, ratarith,
+                       smoothreal, words)
 from circlesys.cli import RunManifest, main, run_checks
 from circlesys.errors import CoherenceError, OracleMismatch, ToleranceError
 from oracles import dense_name_stability
@@ -430,6 +432,29 @@ def test_run_jobs_below_one_exit2(desk, capsys, jobs):
         "error: %s: jobs must be at least 1, got %s\n" % (path, jobs))
 
 
+@pytest.mark.parametrize("key, value, rule", [
+    ("cap_atoms", "0", "at least 1"), ("cap_atoms", "-1", "at least 1"),
+    ("sigma", "0", "at least 1"), ("sigma", "-2", "at least 1"),
+    ("seed", "-3", "non-negative"),
+])
+def test_run_integer_below_its_least_exit2(desk, capsys, key, value, rule):
+    # refused while parsing, though the h-word checks read no sigma or
+    # seed, and a cap of 0 used to reach them and exit 3 on the grid
+    path = manifest(desk, "params = desk.params\nhwords = w1.txt w2.txt\n"
+                    "%s = %s\n" % (key, value))
+    assert run(["run", path]) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: %s: %s must be %s, got %s\n" % (path, key, rule, value))
+
+
+def test_run_least_values_are_accepted(desk):
+    code, text = run(["run", manifest(desk,
+        "params = desk.params\nprewords = w1.txt\nseed = 0\n"
+        "cap_atoms = 1\nsigma = 2\njobs = 1\nchecks = recursion\n")])
+    assert code == 0
+    assert text.startswith("CHECK recursion PASS")
+
+
 def test_run_unknown_key_exit2(desk):
     code, _ = run(["run", manifest(desk, "params = desk.params\nbogus = 1\n")])
     assert code == 2
@@ -688,7 +713,7 @@ def test_smooth_obedience_windows_equal_one_window(window, monkeypatch):
     argv = ["smooth", "realize", "--grid", "5x4", "--eps", "0.05",
             "--samples", "5000", "--seed", "3"]
     want = run(argv)
-    monkeypatch.setattr(smoothreal, "SCAN_WINDOW", window)
+    monkeypatch.setattr(ratarith, "CHUNK", window)
     assert run(argv) == want
 
 
@@ -706,3 +731,38 @@ def test_smooth_obedience_names_cells_without_samples():
     assert (code, text) == (0, "rect  0 ->  1 obedient n/a (0 samples)\n"
                                "rect  1 ->  0 obedient 1.0000\n"
                                "PASS obedient 1.0000 (need 0.9500)\n")
+
+
+# the verdict lines of a FAIL, each from a stand-in for the computation
+# behind it, so that a FAIL needs no input that really fails
+@pytest.mark.parametrize("argv, line", [
+    (["swap", "--grid", "2x2", "--k", "1"],
+     "FAIL obedient 0.5000 (need 0.9000)\n"),
+    (["realize", "--grid", "2x2", "--perm", "1,0,3,2"],
+     "FAIL obedient 0.5000 (need 0.9000), 2 swaps\n"),
+])
+def test_smooth_obedience_fail_line(monkeypatch, argv, line):
+    monkeypatch.setattr(cli, "_obedience_table", lambda *args: 0.5)
+    assert run(["smooth"] + argv + ["--eps", "0.1", "--samples", "100"]) \
+        == (1, line)
+
+
+def test_smooth_stage_fail_line(desk, monkeypatch):
+    def fail(*args, **kwargs):
+        raise ToleranceError("obedient fraction below 1 - eps",
+                             achieved=0.25)
+    monkeypatch.setattr(smoothreal, "stage_map", fail)
+    monkeypatch.chdir(desk)
+    assert run(["smooth", "stage", "--params", "desk.params", "--hwords",
+                "w1.txt", "--hwords", "w2.txt", "--eps", "0.1"]) \
+        == (1, "FAIL obedient 0.7500 (need 0.9000)\n")
+
+
+def test_proc_eps_fail_line(desk, monkeypatch):
+    monkeypatch.setattr(procsim, "eps_approx", lambda prev, proc:
+                        SimpleNamespace(eps=Fraction(3, 8), subordinate=False))
+    monkeypatch.chdir(desk)
+    assert run(["proc", "eps", "--params", "desk.params", "--hwords",
+                "w1.txt", "--hwords", "w2.txt"]) \
+        == (1, "CHECK eps-approx FAIL value=3/8 bound=subordinate off "
+               "deleted set\n")

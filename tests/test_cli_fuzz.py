@@ -165,29 +165,37 @@ MANIFEST = {
     "out": (["reports"], ["w1.txt", "w1.txt/x", ""]),
 }
 MANIFEST["hwords"] = MANIFEST["prewords"]
+# the integer keys a manifest refuses while parsing, with the bad values
+# that are bad by themselves: sigma = 1 is bad only for the word files
+PARSED = {key: [v for v in MANIFEST[key][1] if (key, v) != ("sigma", "1")]
+          for key in ("seed", "cap_atoms", "sigma", "jobs")}
 
 
 @st.composite
 def manifest_text(draw):
-    """A manifest; a clean one has params and good values only."""
+    """(text, exit code it must give or None) for a manifest; a clean
+    one has params and good values only.  A bad value of a PARSED key
+    must exit 2."""
     clean = draw(st.booleans())
     keys = draw(st.lists(st.sampled_from(sorted(MANIFEST)), unique=clean,
                          max_size=6))
     if clean and "params" not in keys:
         keys.append("params")
     params = draw(st.sampled_from(PARAMS[0] if clean else sum(PARAMS, [])))
-    lines = []
+    lines, expected = [], None
     for key in keys:
         good, bad = MANIFEST[key]
         if clean and key in ("prewords", "hwords"):
             good = [" ".join(f) for f in WORD_FILES[params]]
         val = params if key == "params" else draw(st.sampled_from(
             good if clean else good + bad))
+        if val in PARSED.get(key, ()):
+            expected = 2
         lines.append("%s = %s" % (key, val))
     if not clean:
         lines += draw(st.lists(st.sampled_from(
             ["nonsense", "bogus = 1", "# c", "", "params"]), max_size=1))
-    return "\n".join(draw(st.permutations(lines))) + "\n"
+    return "\n".join(draw(st.permutations(lines))) + "\n", expected
 
 
 def exit_code(workdir, argv):
@@ -222,7 +230,13 @@ def test_any_argv_exits_0_to_3(workdir, case):
 
 
 @FUZZ
-@given(text=manifest_text())
-def test_any_manifest_exits_0_to_3(workdir, text):
+@given(case=manifest_text())
+# h-words that build a grid, with a cap no grid fits in
+@example(case=("params = desk.params\nhwords = w1.txt w2.txt\n"
+               "cap_atoms = 0\n", 2))
+def test_any_manifest_exits_0_to_3(workdir, case):
+    text, expected = case
     (workdir / "m.txt").write_text(text)
-    assert exit_code(workdir, ["run", "m.txt"]) in (0, 1, 2, 3), text
+    code = exit_code(workdir, ["run", "m.txt"])
+    assert code in (0, 1, 2, 3), text
+    assert expected is None or code == expected, text

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circlesys.errors import CoherenceError, InputError
 from circlesys.factor import (BoundaryCrossing, SymbolicPoint, collapse_pi,
@@ -8,6 +10,8 @@ from circlesys.factor import (BoundaryCrossing, SymbolicPoint, collapse_pi,
                               rho_trace, shift_point)
 from circlesys.ratarith import derive_params
 from circlesys.words import B, E
+from oracles import stagewise_shift_point
+from strategies import small_params
 
 DESK = derive_params([2, 2], [4, 4], [2, 2, 4])
 
@@ -34,6 +38,41 @@ def test_shift_equivariance():
     for n in range(3):
         advance = (t1.rhos[n] - t0.rhos[n]) % 1
         assert advance == DESK.alpha(n) % 1
+
+
+@pytest.mark.parametrize("offsets, stage", [
+    ((0, 8), 1),            # outside [0, q[1])
+    ((0, 0), 1),            # a spacer position
+    ((0, 1, 512), 2),       # outside [0, q[2])
+    ((0, 1, 0), 2),         # a spacer position
+    ((0, 1, 10), 2),        # over inner position 2, not 1
+    ((0, 0, 9), 1),         # the lowest failing stage is named
+])
+def test_coherence_error_names_its_stage(offsets, stage):
+    with pytest.raises(CoherenceError) as exc:
+        SymbolicPoint(DESK, offsets)
+    assert exc.value.stage == stage
+
+
+@pytest.mark.parametrize("offsets", [(), (1, 1), (0, 1, 9, 1)])
+def test_malformed_offsets_name_no_stage(offsets):
+    with pytest.raises(CoherenceError) as exc:
+        SymbolicPoint(DESK, offsets)
+    assert exc.value.stage is None
+
+
+@given(small_params(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_shift_point_equals_the_stagewise_walk(params, data):
+    depth = data.draw(st.integers(0, 2), label="depth")
+    pt = data.draw(st.sampled_from(list(enumerate_coherent(params, depth))),
+                   label="point")
+    for _ in range(data.draw(st.integers(1, 40), label="shifts")):
+        got = shift_point(pt)
+        assert got == stagewise_shift_point(pt)
+        if isinstance(got, BoundaryCrossing):
+            break
+        pt = got
 
 
 def test_shift_boundary_crossing():

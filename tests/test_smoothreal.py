@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circlesys import smoothreal
+from circlesys import ratarith, smoothreal
 from circlesys.errors import InputError, ResourceError, ToleranceError
 from circlesys.procsim import h_from_words
 from circlesys.ratarith import derive_params
@@ -585,7 +585,7 @@ def test_windowed_scans_equal_one_window(grid_perm, delta, seed, chunk,
     pts = edge_points(grid, np.random.default_rng(seed), 60)
     whole = schedule_in_chunks(grid, layers, delta, pts, chunk)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(smoothreal, "SCAN_WINDOW", window)
+        mp.setattr(ratarith, "CHUNK", window)
         fwd, inv, handed = schedule_in_chunks(grid, layers, delta, pts, chunk)
         tracked = TrackedPoints(zigzag_table(grid), pts)
     assert np.array_equal(fwd, whole[0]) and np.array_equal(inv, whole[1])
@@ -599,7 +599,7 @@ def test_windowed_scans_equal_one_window(grid_perm, delta, seed, chunk,
 def test_windowed_realize_equals_one_window(window, monkeypatch):
     sigma = [int(v) for v in np.random.default_rng(2).permutation(20)]
     want = realize_perm(sigma, (5, 4), 0.05, seed=3, samples=5000)
-    monkeypatch.setattr(smoothreal, "SCAN_WINDOW", window)
+    monkeypatch.setattr(ratarith, "CHUNK", window)
     got = realize_perm(sigma, (5, 4), 0.05, seed=3, samples=5000)
     assert type(got.obedient) is float and got.obedient < 1
     assert (got.obedient, got.delta) == (want.obedient, want.delta)
@@ -620,7 +620,7 @@ def test_schedule_moves_tracked_points_in_place():
 
 def test_realize_perm_memory_per_sample():
     # a pass holds its tracked points (x and y 16 bytes, the cell 2),
-    # the int16 targets (2) and working arrays of one SCAN_WINDOW: about
+    # the int16 targets (2) and working arrays of one CHUNK: about
     # 22.7 bytes per sample at its peak; int64 cells and targets, x and
     # y copied out of the draw and full-length scans took about 40
     sigma = [int(v) for v in np.random.default_rng(1).permutation(64)]
