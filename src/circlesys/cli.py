@@ -24,7 +24,7 @@ import numpy as np
 from . import words
 from .errors import (CoherenceError, ConstraintError, InputError,
                      OracleMismatch, ResourceError, ToleranceError)
-from .ratarith import (DEFAULT_ATOM_CAP, chunks, content_lines, dyn_order,
+from .ratarith import (DEFAULT_ATOM_CAP, content_lines, dyn_order,
                        load_params, parse_key_values, read_text)
 
 
@@ -150,10 +150,11 @@ def check_numerology(ctx):
     # the q[n] - 1 mirror identities of a stage hold exactly when p[n] is
     # a unit mod q[n] (the `DynOrder` premise), so no table is read
     p, q = ctx.params.p, ctx.params.q
+    bound = "q-j_i = j_{q-i}"
     for n in range(1, ctx.params.stages + 1):
         if math.gcd(p[n], q[n]) != 1:
-            return False, "stage %d" % n, "q-j_i = j_{q-i}"
-    return True, str(sum(qn - 1 for qn in q[1:])), "q-j_i = j_{q-i}"
+            return False, "stage %d" % n, bound
+    return True, str(sum(qn - 1 for qn in q[1:])), bound
 
 
 def check_readability(ctx):
@@ -161,6 +162,7 @@ def check_readability(ctx):
     # readability guarantee, so the scan starts where q exceeds 1; as
     # q[0] = 1, stage 1 is always skipped and the tail is never empty
     scanned, skipped = [], []
+    bound = "offsets 0,q only"
     for n in range(1, ctx.cs.depth + 1):
         if ctx.params.q[n - 1] == 1:
             skipped.append("%d(q=1)" % n)
@@ -170,10 +172,10 @@ def check_readability(ctx):
             continue
         bad = consys.check_unique_readability(ctx.cs, n)
         if bad:
-            return False, "stage %d offset %d" % (n, bad[0][2]), "offsets 0,q only"
+            return False, "stage %d offset %d" % (n, bad[0][2]), bound
         scanned.append(str(n))
     value = "0 violations scanned=%s" % (",".join(scanned) or "none")
-    return True, value + _skipped(skipped), "offsets 0,q only"
+    return True, value + _skipped(skipped), bound
 
 
 def _stage_stats(ctx, n, w):
@@ -202,11 +204,12 @@ def check_boundary(ctx):
 
 
 def check_uniformity(ctx):
+    bound = "equal counts"
     for n in range(ctx.cs.depth):
         rep = ctx.uniformity(n)
         if not rep.strong:
-            return False, "stage %d eps=%s" % (n, frac(rep.eps)), "equal counts"
-    return True, "f=%s" % frac(rep.f_value), "equal counts"
+            return False, "stage %d eps=%s" % (n, frac(rep.eps)), bound
+    return True, "f=%s" % frac(rep.f_value), bound
 
 
 def check_cylinder(ctx):
@@ -251,15 +254,16 @@ def check_requirements(ctx):
 
 def check_names(ctx):
     procs = ctx.procs
+    bound = "simulated = circular product"
     for n in range(1, len(procs)):
         for s in range(ctx.params.s[n]):
             try:
                 names.crosscheck_tower(procs[n], procs[n - 1],
                                        procs[n].h_list[n - 1], s)
             except OracleMismatch as exc:
-                return False, "stage %d tower %d pos %d" % (n, s, exc.index), \
-                    "simulated = circular product"
-    return True, "all towers", "simulated = circular product"
+                value = "stage %d tower %d pos %d" % (n, s, exc.index)
+                return False, value, bound
+    return True, "all towers", bound
 
 
 def check_stability(ctx):
@@ -274,7 +278,7 @@ def check_stability(ctx):
     """
     procs = ctx.procs
     n = len(procs) - 2
-    bound = 1 - Fraction(3, ctx.params.l[n])
+    bound = names.stability_bound(ctx.params, n)
     if bound <= 0:
         return True, "none skipped=%d(l<=3)" % (n + 1), ">= " + frac(bound)
     rep = names.name_stability(procs[-2], procs[-1])
@@ -334,22 +338,38 @@ ACTION_CHECKS = {
 }
 
 # flags that only some actions of a subcommand read, with their defaults:
-# command -> action -> {dest: default}.  The parser leaves them None, so
-# a flag given to an action that does not read it is refused.
+# command -> action -> {dest: default}.  `build_parser` adds each as
+# --dest, an int flag for an int default and a repeated one for (), and
+# leaves it None, so a flag given to an action that does not read it is
+# refused.
 ACTION_FLAGS = {
-    "words": {"build": {"range": None}, "decode": {"index": 0, "pos": 0},
-              "parse": {"text": ""}, "stats": {"index": 0}},
+    "words": {"decode": {"pos": 0, "index": 0}, "stats": {"index": 0},
+              "build": {"range": None}, "parse": {"text": ""}},
     "seq": {"s-window": {"window": "", "origin": 0}},
     "names": {"tower": {"index": 0}},
     "factor": {"pi": {"width": 8}},
-    "smooth": {"swap": {"grid": "2x2", "k": 0},
-               "realize": {"grid": "2x2", "perm": None},
-               "stage": {"params": None, "hwords": ()}},
+    "smooth": {"stage": {"params": None, "hwords": ()},
+               "swap": {"grid": "2x2", "k": 0},
+               "realize": {"grid": "2x2", "perm": None}},
 }
 
+# the least value of each integer input, a manifest key or a flag
+LEAST = {"cap_atoms": 1, "sigma": 1, "jobs": 1, "samples": 1, "seed": 0,
+         "width": 0}
 
-def _action_flags(args):
-    """Refuse the flags of sibling actions; default the action's own."""
+
+def _at_least(name, key, value):
+    """`value` of input `key`, named `name`, refused below LEAST[key]."""
+    least = LEAST[key]
+    if value < least:
+        raise InputError("%s must be %s, got %d" % (
+            name, "at least %d" % least if least else "non-negative", value))
+    return value
+
+
+def _check_flags(args):
+    """Refuse the flags of sibling actions and integers below their least
+    values; default the action's own flags."""
     actions = ACTION_FLAGS.get(args.command, {})
     own = actions.get(vars(args).get("action"), {})
     refused = sorted({dest for flags in actions.values() for dest in flags
@@ -361,6 +381,9 @@ def _action_flags(args):
     for dest, default in own.items():
         if getattr(args, dest) is None:
             setattr(args, dest, default)
+    for key in LEAST:
+        if vars(args).get(key) is not None:
+            _at_least("--" + key.replace("_", "-"), key, getattr(args, key))
 
 
 def _check_line(name, ok, value, bound):
@@ -410,9 +433,8 @@ class RunManifest:
         def rel(p):
             return p if os.path.isabs(p) else os.path.join(base, p)
 
-        def integer(key, default=None, least=1):
-            """The value of `key`, refused below `least` even where
-            nothing reads it."""
+        def integer(key, default=None):
+            """The value of `key`, held to LEAST even if nothing reads it."""
             if key not in seen:
                 return default
             try:
@@ -420,17 +442,13 @@ class RunManifest:
             except ValueError:
                 raise InputError("%s: %s must be an integer, got %r"
                                  % (path, key, seen[key]))
-            if value < least:
-                raise InputError("%s: %s must be %s, got %d" % (
-                    path, key, "at least %d" % least if least
-                    else "non-negative", value))
-            return value
+            return _at_least("%s: %s" % (path, key), key, value)
 
         self.params_path = rel(seen["params"])
         self.preword_paths = [rel(p) for p in seen.get("prewords", "").split()]
         self.hword_paths = [rel(p) for p in seen.get("hwords", "").split()]
         self.checks = seen.get("checks", "").split() or None
-        integer("seed", least=0)
+        integer("seed")
         self.cap_atoms = integer("cap_atoms", DEFAULT_ATOM_CAP)
         self.out = rel(seen["out"]) if "out" in seen else None
         self.sigma = integer("sigma")
@@ -447,22 +465,6 @@ class RunManifest:
         if self.hword_paths:
             out += HWORD_CHECKS
         return out
-
-
-def emit_words(cs, stage, rng=None, out=sys.stdout):
-    """Stream a position range of each stage word, one word per line."""
-    if not 1 <= stage <= cs.depth:
-        raise InputError("stage %d out of range" % stage)
-    level = cs.levels[stage]
-    total = len(level[0])
-    lo, hi = rng if rng is not None else (0, total)
-    if not 0 <= lo <= hi <= total:
-        raise InputError("range [%d, %d) outside word length %d"
-                         % (lo, hi, total))
-    for w in level:
-        toks = ([w[m] for m in range(lo, hi)]
-                if isinstance(w, words.LazyCircularWord) else w[lo:hi])
-        out.write(words.word_to_text(toks) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -492,12 +494,18 @@ def _parse_range(text):
         raise InputError("range must be LO:HI, got %r" % text)
 
 
+def _level(ctx, stage, first):
+    """The words of construction stage `stage`, refused outside
+    [first, depth]."""
+    if not first <= stage <= ctx.cs.depth:
+        raise InputError("stage %d out of range [%d, %d]"
+                         % (stage, first, ctx.cs.depth))
+    return ctx.cs.levels[stage]
+
+
 def _stage_word(ctx, stage, index):
     """Word `index` of construction stage `stage` (1..depth)."""
-    if not 1 <= stage <= ctx.cs.depth:
-        raise InputError("stage %d out of range [1, %d]"
-                         % (stage, ctx.cs.depth))
-    level = ctx.cs.levels[stage]
+    level = _level(ctx, stage, 1)
     if not 0 <= index < len(level):
         raise InputError("index %d out of range [0, %d)" % (index, len(level)))
     return level[index]
@@ -505,9 +513,18 @@ def _stage_word(ctx, stage, index):
 
 def cmd_words(args, out):
     ctx = _context_from_args(args)
-    if args.action == "build":
+    if args.action == "build":  # positions lo..hi of each word, one a line
         rng = _parse_range(args.range) if args.range else None
-        emit_words(ctx.cs, args.stage, rng, out)
+        level = _level(ctx, args.stage, 1)
+        total = len(level[0])
+        lo, hi = rng or (0, total)
+        if not 0 <= lo <= hi <= total:
+            raise InputError("range [%d, %d) outside word length %d"
+                             % (lo, hi, total))
+        for w in level:
+            toks = ([w[m] for m in range(lo, hi)]
+                    if isinstance(w, words.LazyCircularWord) else w[lo:hi])
+            out.write(words.word_to_text(toks) + "\n")
     elif args.action == "decode":
         w = _stage_word(ctx, args.stage, args.index)
         if not isinstance(w, words.LazyCircularWord):
@@ -520,15 +537,12 @@ def cmd_words(args, out):
         out.write("letter = %s\n" % words.word_to_text((w[args.pos],)))
         out.write("position = %r\n" % (pos,))
     elif args.action == "parse":
-        if not 0 <= args.stage <= ctx.cs.depth:
-            raise InputError("stage %d out of range [0, %d]"
-                             % (args.stage, ctx.cs.depth))
+        level = _level(ctx, args.stage, 0)
         if not ctx.cs.is_materialized(args.stage):
             raise InputError("stage %d words have %d letters, past the word "
-                             "cap %d" % (args.stage, len(ctx.cs.levels[
-                                 args.stage][0]), consys.DEFAULT_WORD_CAP))
-        target = words.text_to_word(args.text)
-        hits = words.parse(target, ctx.cs.levels[args.stage])
+                             "cap %d" % (args.stage, len(level[0]),
+                                         consys.DEFAULT_WORD_CAP))
+        hits = words.parse(words.text_to_word(args.text), level)
         for off, wi in hits:
             out.write("offset=%d word=%d\n" % (off, wi))
         if not hits:
@@ -618,9 +632,7 @@ def cmd_factor(args, out):
         else:
             out.write("point = %s\n" % ",".join(map(str, res.offsets)))
         return 0
-    if args.width < 0:  # pi
-        raise InputError("--width must be non-negative, got %d" % args.width)
-    n = len(pt.offsets) - 1
+    n = len(pt.offsets) - 1  # pi
     skel = factor.skeleton(params, n)
     lo = max(0, pt.offsets[n] - args.width)
     hi = min(params.q[n], pt.offsets[n] + args.width)
@@ -635,21 +647,8 @@ def _obedient_line(ok, fraction, eps, tail=""):
         "PASS" if ok else "FAIL", fraction, 1 - eps, tail)
 
 
-def _obedience_table(grid, plane, sigma, rng, samples, out):
-    cells = grid[0] * grid[1]
-    pts = smoothreal.TrackedPoints.draw(plane.index, rng, samples)
-    src = pts.cell.copy()
-    dst = plane.forward(pts).cell
-    image = np.asarray(sigma, dtype=np.int16)
-    drawn = np.zeros(cells, dtype=np.intp)
-    obeyed = np.zeros(cells, dtype=np.intp)
-    # add.at reads the int16 cells as they are, where bincount would
-    # copy them to intp
-    for lo, hi in chunks(0, samples):
-        cell = src[lo:hi]
-        np.add.at(drawn, cell, 1)
-        np.add.at(obeyed, cell[dst[lo:hi] == image[cell]], 1)
-    drawn, obeyed = drawn.tolist(), obeyed.tolist()
+def _obedience_table(plane, sigma, rng, samples, out):
+    drawn, obeyed = smoothreal.obedience(plane, sigma, rng, samples)
     for cell, (ok, count) in enumerate(zip(obeyed, drawn)):
         out.write("rect %2d -> %2d obedient %s\n"
                   % (cell, sigma[cell], "%.4f" % (ok / count) if count
@@ -658,11 +657,7 @@ def _obedience_table(grid, plane, sigma, rng, samples, out):
 
 
 def cmd_smooth(args, out):
-    if args.samples < 1:
-        raise InputError("--samples must be at least 1, got %d" % args.samples)
     smoothreal.check_smooth_samples("smooth " + args.action, args.samples)
-    if args.seed < 0:
-        raise InputError("--seed must be non-negative, got %d" % args.seed)
     # swap's eps is its StandardSwap delta, which must stay below 1/2
     top = 0.5 if args.action == "swap" else 1.0
     if not 0 < args.eps < top:
@@ -708,7 +703,7 @@ def cmd_smooth(args, out):
         # realize_perm tuned delta on the points of `seed`, so the
         # verdict samples points of its own
         rng = np.random.default_rng(args.seed + 1)
-    frac_ok = _obedience_table(grid, plane, sigma, rng, args.samples, out)
+    frac_ok = _obedience_table(plane, sigma, rng, args.samples, out)
     ok = frac_ok >= 1 - args.eps
     out.write(_obedient_line(ok, frac_ok, args.eps, tail) + "\n")
     return 0 if ok else 1
@@ -741,96 +736,64 @@ def build_parser():
     top = argparse.ArgumentParser(prog="circlesys")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def inputs(p, prewords=False, hwords=False, optional=False):
-        """--params and the word files, each with the flag that shapes
-        what is built from them.  `optional` is for `smooth`, where only
-        `stage` reads them (an ACTION_FLAGS entry, so they default to
-        None) and builds no grid process, so --params is not required
-        and --hwords comes without --cap-atoms."""
-        p.add_argument("--params", required=not optional)
-        if prewords:
-            p.add_argument("--prewords", action="append", default=[])
-            p.add_argument("--sigma", type=int, default=None)
-        if hwords:
-            p.add_argument("--hwords", action="append",
-                           default=None if optional else [])
-        if hwords and not optional:
-            p.add_argument("--cap-atoms", dest="cap_atoms", type=int,
-                           default=DEFAULT_ATOM_CAP)
+    def command(name, handler, *actions, **kwargs):
+        p = sub.add_parser(name, **kwargs)
+        p.set_defaults(handler=handler)
+        if actions:
+            p.add_argument("action", choices=actions)
+        return p
 
-    p = sub.add_parser("params", help="derive p, q, alpha from a file")
-    p.add_argument("params")
+    def inputs(p, files):
+        """--params and the word files `files`, each with the flag that
+        shapes what is built from them."""
+        p.add_argument("--params", required=True)
+        p.add_argument("--" + files, action="append", default=[])
+        if files == "prewords":
+            p.add_argument("--sigma", type=int)
+        else:
+            p.add_argument("--cap-atoms", type=int, default=DEFAULT_ATOM_CAP)
 
-    p = sub.add_parser("words")
-    p.add_argument("action", choices=["build", "decode", "parse", "stats"])
-    inputs(p, prewords=True)
+    command("params", cmd_params,
+            help="derive p, q, alpha from a file").add_argument("params")
+    p = command("words", cmd_words, "build", "decode", "parse", "stats")
+    inputs(p, "prewords")
     p.add_argument("--stage", type=int, required=True)
-    p.add_argument("--pos", type=int)
-    p.add_argument("--index", type=int)
-    p.add_argument("--range")
-    p.add_argument("--text")
-
-    p = sub.add_parser("seq")
-    p.add_argument("action", choices=["build", "verify", "measure", "s-window"])
-    inputs(p, prewords=True)
-    p.add_argument("--window")
-    p.add_argument("--origin", type=int)
-
-    p = sub.add_parser("proc")
-    p.add_argument("action", choices=["build", "towers", "eps", "reqs"])
-    inputs(p, hwords=True)
-
-    p = sub.add_parser("names")
-    p.add_argument("action", choices=["tower", "crosscheck", "stability",
-                                      "distinct"])
-    inputs(p, hwords=True)
-    p.add_argument("--index", type=int)
-
-    p = sub.add_parser("factor")
-    p.add_argument("action", choices=["rho", "shift", "pi"])
+    inputs(command("seq", cmd_seq, "build", "verify", "measure", "s-window"),
+           "prewords")
+    inputs(command("proc", cmd_proc, "build", "towers", "eps", "reqs"),
+           "hwords")
+    inputs(command("names", cmd_names, "tower", "crosscheck", "stability",
+                   "distinct"), "hwords")
+    p = command("factor", cmd_factor, "rho", "shift", "pi")
     p.add_argument("--params", required=True)
     p.add_argument("--point", required=True)
-    p.add_argument("--width", type=int)
-
-    p = sub.add_parser("smooth")
-    p.add_argument("action", choices=["swap", "realize", "stage"])
-    inputs(p, hwords=True, optional=True)
-    p.add_argument("--grid")
-    p.add_argument("--k", type=int)
+    p = command("smooth", cmd_smooth, "swap", "realize", "stage")
     p.add_argument("--eps", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--perm")
-
-    p = sub.add_parser("run")
-    p.add_argument("manifest")
+    command("run", cmd_run).add_argument("manifest")
+    for name, actions in ACTION_FLAGS.items():
+        flags = {}
+        for own in actions.values():
+            flags.update(own)
+        for dest, default in flags.items():
+            sub.choices[name].add_argument("--" + dest, **(
+                {"action": "append"} if default == ()
+                else {"type": int} if isinstance(default, int) else {}))
     return top
-
-
-COMMANDS = {
-    "params": cmd_params,
-    "words": cmd_words,
-    "seq": cmd_seq,
-    "proc": cmd_proc,
-    "names": cmd_names,
-    "factor": cmd_factor,
-    "smooth": cmd_smooth,
-    "run": cmd_run,
-}
 
 
 def main(argv=None, out=None):
     out = out or sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        _action_flags(args)
+        args = build_parser().parse_args(argv)
+        _check_flags(args)
         checks = ACTION_CHECKS.get((args.command, vars(args).get("action")))
         if checks:
             lines, ok = run_checks(_context_from_args(args), checks)
             out.write("\n".join(lines) + "\n")
             return 0 if ok else 1
-        return COMMANDS[args.command](args, out)
+        return args.handler(args, out)
     except (InputError, ConstraintError, CoherenceError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -153,7 +153,13 @@ class StabilityReport:
     matched: int
     atoms: int
     fraction: Fraction
-    bound: Fraction         # 1 - 3/l[n]
+    bound: Fraction         # stability_bound(params, n)
+
+
+def stability_bound(params, n):
+    """1 - 3/l[n], the least fraction of atoms whose names agree across
+    the transition n -> n + 1."""
+    return 1 - Fraction(3, params.l[n])
 
 
 def name_stability(coarse, fine):
@@ -230,7 +236,7 @@ def name_stability(coarse, fine):
                                       cols) & _LENGTH)) for keys in bad[:-1])
     matched = fine.atoms - unmatched
     return StabilityReport(matched, fine.atoms, Fraction(matched, fine.atoms),
-                           1 - Fraction(3, params.l[n]))
+                           stability_bound(params, n))
 
 
 # an interval [lo, lo + length) of a row is the key lo << 32 | length,

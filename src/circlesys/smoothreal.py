@@ -577,14 +577,33 @@ class RealizeReport:
     obedient: float         # sampled fraction landing in the right cell
 
 
+def obedience(plane, sigma, rng, samples):
+    """(drawn, obeyed): per cell, how many of `samples` points drawn by
+    `rng` start in it, and how many of those `plane` moves into the cell
+    sigma sends it to."""
+    pts = TrackedPoints.draw(plane.index, rng, samples)
+    src = pts.cell.copy()
+    dst = plane.forward(pts).cell
+    image = np.asarray(sigma, dtype=np.int16)
+    drawn = np.zeros(len(sigma), dtype=np.intp)
+    obeyed = np.zeros(len(sigma), dtype=np.intp)
+    # add.at reads the int16 cells as they are, where bincount would
+    # copy them to intp
+    for lo, hi in chunks(0, samples):
+        cell = src[lo:hi]
+        np.add.at(drawn, cell, 1)
+        np.add.at(obeyed, cell[dst[lo:hi] == image[cell]], 1)
+    return drawn.tolist(), obeyed.tolist()
+
+
 def realize_perm(sigma, grid, eps, seed=0, samples=20000):
     """Smooth map moving each grid cell onto its image under sigma.
 
     The exceptional budget eps is split evenly over the adjacent swaps
     (at most MAX_DELTA each), which are applied in layers of disjoint
-    swaps (`swap_layers`); the
-    sampled obedient fraction must reach 1 - eps or the budget is
-    halved and retried, with ToleranceError after MAX_RETRIES tries.
+    swaps (`swap_layers`); the sampled obedient fraction (`obedience`)
+    must reach 1 - eps or the budget is halved and retried, with
+    ToleranceError after MAX_RETRIES tries.
     """
     m, n = grid
     check_smooth_cells("smooth %dx%d grid" % (m, n), grid)
@@ -601,16 +620,12 @@ def realize_perm(sigma, grid, eps, seed=0, samples=20000):
         return RealizeReport(CellSchedule(grid, [], MAX_DELTA), [], 0.0, 1.0)
     layers = swap_layers(swaps)
     delta = min(eps / len(swaps), MAX_DELTA)
-    image = np.asarray(sigma, dtype=np.int16)
     for _ in range(MAX_RETRIES):
         plane = CellSchedule(grid, layers, delta)
         # the same points on every try, drawn again rather than kept
-        pts = TrackedPoints.draw(plane.index, np.random.default_rng(seed),
-                                 samples)
-        target = image[pts.cell]
-        landed = plane.forward(pts).cell
-        obedient = float(sum(np.count_nonzero(landed[lo:hi] == target[lo:hi])
-                             for lo, hi in chunks(0, samples)) / samples)
+        _, obeyed = obedience(plane, sigma, np.random.default_rng(seed),
+                              samples)
+        obedient = sum(obeyed) / samples
         if obedient >= 1 - eps:
             return RealizeReport(plane, swaps, delta, obedient)
         delta /= 2

@@ -251,7 +251,7 @@ def test_words_parse_refuses_a_lazy_stage_at_once(desk, capsys, monkeypatch):
 def test_failed_oracle_or_tolerance_exits_1(desk, capsys, monkeypatch, exc):
     def fail(args, out):
         raise exc
-    monkeypatch.setitem(cli.COMMANDS, "params", fail)
+    monkeypatch.setattr(cli, "cmd_params", fail)
     code, _ = run(["params", str(desk / "desk.params")])
     assert code == 1
     assert capsys.readouterr().err == "FAIL: %s\n" % exc
@@ -445,6 +445,26 @@ def test_run_integer_below_its_least_exit2(desk, capsys, key, value, rule):
     assert run(["run", path]) == (2, "")
     assert capsys.readouterr().err == (
         "error: %s: %s must be %s, got %s\n" % (path, key, rule, value))
+
+
+@pytest.mark.parametrize("argv, flag, value, rule", [
+    (["proc", "build", "--params", "desk.params", "--hwords", "w1.txt",
+      "--hwords", "w2.txt"], "--cap-atoms", "0", "at least 1"),
+    (["seq", "build", "--params", "desk.params", "--prewords", "w1.txt",
+      "--prewords", "w2.txt"], "--sigma", "0", "at least 1"),
+    (["smooth", "swap"], "--samples", "0", "at least 1"),
+    (["smooth", "realize"], "--seed", "-1", "non-negative"),
+    (["factor", "pi", "--params", "desk.params", "--point", "0,1,9"],
+     "--width", "-1", "non-negative"),
+], ids=["cap-atoms", "sigma", "samples", "seed", "width"])
+def test_flag_below_its_least_exit2(desk, capsys, monkeypatch, argv, flag,
+                                    value, rule):
+    # the rule of the manifest keys: a cap of 0 used to size a grid and
+    # exit 3, a sigma of 0 to name the empty alphabet
+    monkeypatch.chdir(desk)
+    assert run(argv + [flag, value]) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: %s must be %s, got %s\n" % (flag, rule, value))
 
 
 def test_run_least_values_are_accepted(desk):

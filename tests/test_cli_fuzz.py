@@ -75,6 +75,12 @@ FLAGS = {
     "--perm": (["0,1,2,3", "3,2,1,0", "1,0,3,2", "5,4,3,2,1,0"],
                ["0,1", "a,b", "0,0,1,1", "", "0,1,2,9"]),
 }
+# the integer flags refused below their least value before any file is
+# read, as the PARSED manifest keys are, with their bad values below it
+BELOW = {flag: [v for v in FLAGS[flag][1]
+                if v.lstrip("-").isdigit() and int(v) < least]
+         for flag, least in [("--cap-atoms", 1), ("--sigma", 1),
+                             ("--samples", 1), ("--seed", 0), ("--width", 0)]}
 # subcommand -> (required flags, flags every action reads,
 #                {action: the flags only some actions read})
 SUBCOMMANDS = {
@@ -118,9 +124,11 @@ def flag_args(flag, val):
 def subcommand_argv(draw):
     """(argv, exit code it must give or None) for one subcommand.  A
     clean argv has the required flags and good values, and may carry
-    flags that only sibling actions read, which must be refused with
-    exit 2.  Otherwise values may be bad, required flags may be missing
-    and flags of other subcommands may appear."""
+    flags that only sibling actions read and one integer flag below its
+    least value, each of which must be refused with exit 2.  Otherwise
+    values may be bad, required flags may be missing and flags of other
+    subcommands may appear; a BELOW value that stands (the last one of
+    its flag) must still exit 2."""
     clean = draw(st.booleans())
     command = draw(st.sampled_from(sorted(SUBCOMMANDS) + ["params"]))
     if command == "params":
@@ -134,17 +142,23 @@ def subcommand_argv(draw):
     if clean:
         unread = subset(draw, siblings, max_size=2)
         flags = required + subset(draw, common + own) + unread
+        low = subset(draw, [f for f in flags if f in BELOW], max_size=1)
     else:
-        unread = None
+        unread, low = None, []
         flags = draw(st.lists(st.sampled_from(
             required + common + siblings + own + sorted(FLAGS)), max_size=7))
     params = value(draw, "--params", clean)
-    argv = [command, action]
+    argv, last = [command, action], {}
     for flag in draw(st.permutations(flags)):
-        val = params if flag == "--params" else value(draw, flag, clean,
-                                                       params)
+        if flag in low:
+            val = draw(st.sampled_from(BELOW[flag]))
+        else:
+            val = params if flag == "--params" else value(draw, flag, clean,
+                                                           params)
+        last[flag] = val
         argv += flag_args(flag, val)
-    return argv, 2 if unread else None
+    below = any(last.get(flag) in vals for flag, vals in BELOW.items())
+    return argv, 2 if unread or below else None
 
 
 CHECKS = ["boundary", "cylinder", "distinct", "factor", "names",
@@ -222,6 +236,9 @@ FUZZ = settings(max_examples=250, deadline=None,
 # the three h-word files fit var.params up to a stage it does not have
 @example(case=(["proc", "eps", "--params", "var.params", "--hwords", "w1.txt",
                 "--hwords", "w2var.txt", "--hwords", "w2.txt"], 2))
+# a cap below its least value, which once sized a grid and exited 3
+@example(case=(["proc", "build", "--params", "desk.params", "--hwords",
+                "w1.txt", "--hwords", "w2.txt", "--cap-atoms", "0"], 2))
 def test_any_argv_exits_0_to_3(workdir, case):
     argv, expected = case
     code = exit_code(workdir, argv)

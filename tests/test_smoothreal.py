@@ -14,7 +14,7 @@ from circlesys.ratarith import derive_params
 from circlesys.smoothreal import (MAX_SMOOTH_CELLS, MAX_SMOOTH_SAMPLES,
                                   CellSchedule, CellSwap, Composite, PlaneMap,
                                   StandardSwap, SwapTables, TrackedPoints,
-                                  first_column_sigma, map_distance,
+                                  first_column_sigma, map_distance, obedience,
                                   perm_to_swaps, realize_perm,
                                   sample_jacobian, stage_map, swap_layers,
                                   zigzag_table)
@@ -616,6 +616,22 @@ def test_schedule_moves_tracked_points_in_place():
         assert np.array_equal(moved.array(), fn(pts))
         assert np.array_equal(moved.cell,
                               cell_of_points((4, 3), moved.array()))
+
+
+@pytest.mark.parametrize("window", [1, 777, 4096])
+def test_obedience_counts_each_cell(window, monkeypatch):
+    # against one untracked pass and whole-sample bincounts
+    sigma = [int(v) for v in np.random.default_rng(4).permutation(12)]
+    plane = CellSchedule((4, 3), swap_layers(perm_to_swaps(sigma)), 0.05)
+    monkeypatch.setattr(ratarith, "CHUNK", window)
+    drawn, obeyed = obedience(plane, sigma, np.random.default_rng(5), 3000)
+    pts = np.random.default_rng(5).random((3000, 2))
+    src = cell_of_points((4, 3), pts)
+    dst = cell_of_points((4, 3), plane.forward(pts))
+    assert drawn == np.bincount(src, minlength=12).tolist()
+    assert obeyed == np.bincount(src[dst == np.asarray(sigma)[src]],
+                                 minlength=12).tolist()
+    assert 0 < sum(obeyed) < sum(drawn) == 3000
 
 
 def test_realize_perm_memory_per_sample():
