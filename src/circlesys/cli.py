@@ -647,13 +647,12 @@ def _obedient_line(ok, fraction, eps, tail=""):
         "PASS" if ok else "FAIL", fraction, 1 - eps, tail)
 
 
-def _obedience_table(plane, sigma, rng, samples, out):
-    drawn, obeyed = smoothreal.obedience(plane, sigma, rng, samples)
+def _obedience_table(sigma, drawn, obeyed, out):
     for cell, (ok, count) in enumerate(zip(obeyed, drawn)):
         out.write("rect %2d -> %2d obedient %s\n"
                   % (cell, sigma[cell], "%.4f" % (ok / count) if count
                      else "n/a (0 samples)"))
-    return sum(obeyed) / samples
+    return sum(obeyed) / sum(drawn)
 
 
 def cmd_smooth(args, out):
@@ -689,6 +688,7 @@ def cmd_smooth(args, out):
         plane = smoothreal.CellSchedule(grid, [[args.k]], args.eps)
         sigma = list(range(grid[0] * grid[1]))
         sigma[args.k], sigma[args.k + 1] = sigma[args.k + 1], sigma[args.k]
+        counts = smoothreal.obedience(plane, sigma, rng, args.samples)
     else:  # realize
         try:
             sigma = [int(v) for v in (rng.permutation(grid[0] * grid[1])
@@ -699,11 +699,8 @@ def cmd_smooth(args, out):
                              % args.perm)
         rep = smoothreal.realize_perm(sigma, grid, args.eps, seed=args.seed,
                                       samples=args.samples)
-        plane, tail = rep.plane_map, ", %d swaps" % len(rep.swaps)
-        # realize_perm tuned delta on the points of `seed`, so the
-        # verdict samples points of its own
-        rng = np.random.default_rng(args.seed + 1)
-    frac_ok = _obedience_table(plane, sigma, rng, args.samples, out)
+        counts, tail = (rep.drawn, rep.obeyed), ", %d swaps" % len(rep.swaps)
+    frac_ok = _obedience_table(sigma, *counts, out)
     ok = frac_ok >= 1 - args.eps
     out.write(_obedient_line(ok, frac_ok, args.eps, tail) + "\n")
     return 0 if ok else 1

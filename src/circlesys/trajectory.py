@@ -12,8 +12,9 @@ point operations a CellSwap applies to a core point, and no test of
 its rectangle, ring or cell, whose outcome is known.
 
 This is a module of its own because each smooth command compiles it
-from source when no byte-code cache is written, and compiling it as
-part of `smoothreal` kept about 0.6 MB more of the compiler's memory.
+from source when no byte-code cache is written: folded into `smoothreal`
+it raised an 8x8 `smooth realize`'s peak RSS from 37.6 to 38.0 MB
+(medians of 14 fresh children, seeds 1 and 2, on a 2-vCPU guest).
 """
 
 import math

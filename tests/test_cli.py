@@ -712,8 +712,8 @@ def test_smooth_samples_past_cap_exits_3(desk, capsys, monkeypatch, argv):
 
 
 def test_smooth_realize_memory_per_sample():
-    # realize_perm's pass and then the obedience table's: each holds the
-    # tracked points (18 bytes), their first cells (2) and one window
+    # realize_perm's one pass holds the tracked points (18 bytes), their
+    # first cells (2) and one window; the obedience table only prints
     argv = ["smooth", "realize", "--grid", "8x8", "--eps", "0.1",
             "--seed", "1", "--samples"]
     run(argv + ["100"])     # loads what the command uses
@@ -726,6 +726,21 @@ def test_smooth_realize_memory_per_sample():
         tracemalloc.stop()
     assert code == 0
     assert peak <= 24 * samples
+
+
+def test_smooth_realize_samples_once(monkeypatch):
+    # the table and verdict read realize_perm's own sample
+    real, calls = smoothreal.obedience, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(smoothreal, "obedience", counted)
+    code, text = run(["smooth", "realize", "--grid", "3x2", "--samples",
+                      "500", "--seed", "1"])
+    assert (code, len(calls)) == (0, 1)
+    assert text.endswith(", 6 swaps\n")
 
 
 @pytest.mark.parametrize("window", [1, 777, 4096])

@@ -1,17 +1,20 @@
+import io
 import math
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circlesys import ratarith, smoothreal
+from circlesys import cli, ratarith, smoothreal
 from circlesys.errors import InputError, ResourceError, ToleranceError
 from circlesys.procsim import h_from_words
 from circlesys.ratarith import derive_params
-from circlesys.smoothreal import (MAX_SMOOTH_CELLS, MAX_SMOOTH_SAMPLES,
+from circlesys.smoothreal import (MAX_DELTA, MAX_SMOOTH_CELLS,
+                                  MAX_SMOOTH_SAMPLES,
                                   CellSchedule, CellSwap, Composite, PlaneMap,
                                   StandardSwap, SwapTables, TrackedPoints,
                                   first_column_sigma, map_distance, obedience,
@@ -26,6 +29,7 @@ from oracles import (cell_of_points, dict_swap_layers,
 from strategies import small_processes
 
 RNG = np.random.default_rng(20240817)
+DESK_DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
 
 
 def test_square_disk_round_trip():
@@ -361,6 +365,36 @@ def test_stage_map_measure_preserving():
     assert np.max(d) < 1e-9
 
 
+def test_stage_map_names_the_first_stage_below_budget(monkeypatch):
+    # the real stage_map and realize_perm, with the sample of stage 2
+    # obeying three times in four
+    real, calls = smoothreal.obedience, []
+
+    def obedience_low_at_stage_2(plane, sigma, rng, samples):
+        calls.append(len(sigma))
+        if len(calls) != 2:
+            return real(plane, sigma, rng, samples)
+        rest = [0] * (len(sigma) - 1)
+        return [samples] + rest, [samples * 3 // 4] + rest
+
+    monkeypatch.setattr(smoothreal, "obedience", obedience_low_at_stage_2)
+    params = derive_params([2, 2], [4, 4], [2, 2, 4])
+    grids = [h_from_words(params, 0, [(0, 1), (1, 0)]),
+             h_from_words(params, 1, [(0, 1), (1, 0), (0, 1), (1, 0)])]
+    with pytest.raises(ToleranceError, match="^stage 2 obedient fraction "
+                       "0.7500 below 1 - 0.1$") as err:
+        stage_map(params, grids, eps=0.1, samples=400)
+    assert err.value.achieved == 0.25 and calls == [4, 8]
+    calls.clear()
+    out = io.StringIO()
+    argv = ["smooth", "stage", "--params", str(DESK_DATA / "desk.params"),
+            "--hwords", str(DESK_DATA / "words1.txt"),
+            "--hwords", str(DESK_DATA / "words2_desk.txt"),
+            "--eps", "0.1", "--samples", "400"]
+    assert cli.main(argv, out=out) == 1 and calls == [4, 8]
+    assert out.getvalue() == "FAIL obedient 0.7500 (need 0.9000)\n"
+
+
 def test_map_distance_zero_on_self():
     sw = CellSchedule((2, 2), [[0]], 0.05)
     mean, mx = map_distance(sw, sw, RNG.random((1000, 2)))
@@ -663,6 +697,18 @@ def test_schedule_build_memory():
         tracemalloc.stop()
     assert len(schedule.maps) == len(layers)
     assert peak <= 2 * holds
+
+
+@given(grid_perms(), st.floats(1e-3, 0.999), st.integers(1, 300),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_realize_perm_reports_its_one_sample(grid_perm, eps, samples, seed):
+    grid, sigma = grid_perm
+    rep = realize_perm(sigma, grid, eps, seed=seed, samples=samples)
+    assert rep.delta == min(eps / max(len(rep.swaps), 1), MAX_DELTA)
+    assert len(rep.drawn) == len(rep.obeyed) == len(sigma)
+    assert sum(rep.drawn) == samples
+    assert rep.obedient == sum(rep.obeyed) / samples
 
 
 def test_tracked_points_at_the_cell_cap():
