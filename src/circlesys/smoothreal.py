@@ -480,7 +480,8 @@ def _cells(index, x, y):
     # int array, and the clipped column kept in the smallest type that
     # holds m - 1: 9 bytes a point where a float and an int array for
     # each coordinate took 32 and kept an 8x8 smooth realize's peak RSS
-    # about 0.2 MB higher (37.8 against 37.6 MB, as in `trajectory`)
+    # about 0.2 MB higher (37.8 against 37.6 MB, measured as for
+    # `trajectory`)
     cell = np.multiply(x, m, out=np.empty(len(x), dtype=int),
                        casting="unsafe")
     np.minimum(np.maximum(cell, 0, out=cell), m - 1, out=cell)
