@@ -2,12 +2,18 @@
 simulation of the conjugacy method, the rotation factor, and smooth
 realizations of grid permutations.
 
-The names below are served on first use (PEP 562): `import circlesys`
-executes no submodule, and reading a name executes the submodule it is
-exported from, with that submodule's own imports.
+`import circlesys` registers every submodule but `cli` and `__main__`
+in `sys.modules` and on the package as an `importlib.util.LazyLoader`
+module and executes none of them: a submodule executes, with its own
+imports, on the first read of one of its attributes, and each exported
+name below is served from its submodule on first use (PEP 562).  That
+first load is not thread-safe (Python 3.11 swaps the module's class
+before it executes the module), so code that starts threads loads the
+modules they read first, as `cli.run_checks` does.
 """
 
-import importlib
+import importlib.util
+import sys
 
 _EXPORTS = {
     "errors": ["CoherenceError", "ConstraintError", "InputError",
@@ -38,15 +44,21 @@ _HOME = {name: module for module, names in _EXPORTS.items()
 __all__ = list(_HOME)
 __version__ = "0.1.0"
 
+# trajectory exports nothing; smoothreal moves its deep points with it
+for _name in [*_EXPORTS, "trajectory"]:
+    _spec = importlib.util.find_spec("." + _name, __name__)
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    _module = importlib.util.module_from_spec(_spec)
+    sys.modules[_spec.name] = globals()[_name] = _module
+    _spec.loader.exec_module(_module)
+del _name, _spec, _module
+
 
 def __getattr__(name):
-    if name in _EXPORTS:
-        return importlib.import_module("." + name, __name__)
     if name in _HOME:
-        module = importlib.import_module("." + _HOME[name], __name__)
-        return getattr(module, name)
+        return getattr(globals()[_HOME[name]], name)
     raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 def __dir__():
-    return sorted(set(globals()) | set(_EXPORTS) | set(_HOME))
+    return sorted(set(globals()) | set(_HOME))

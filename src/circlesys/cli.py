@@ -12,7 +12,6 @@ cap is hit.
 """
 
 import argparse
-import importlib.util
 import math
 import os
 import sys
@@ -21,42 +20,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import words
+from . import consys, factor, names, procsim, smoothreal, words
 from .errors import (CoherenceError, ConstraintError, InputError,
                      OracleMismatch, ResourceError, ToleranceError)
 from .ratarith import (DEFAULT_ATOM_CAP, content_lines, dyn_order,
                        load_params, parse_key_values, read_text)
-
-
-def _lazy(name):
-    """Submodule `name`, executed on its first attribute read.
-
-    A module that is already in `sys.modules` is returned as it is;
-    otherwise a `LazyLoader` module is registered in `sys.modules` and on
-    the package, so that `import`, `from . import` and patching by module
-    name all reach the same object.  The load is not thread-safe (Python
-    3.11 swaps the module's class before it executes the module), so
-    every lazy module that threads may read must be loaded before they
-    start, as `run_checks` does for the check modules.
-    """
-    fullname = "%s.%s" % (__package__, name)
-    if fullname in sys.modules:
-        return sys.modules[fullname]
-    spec = importlib.util.find_spec(fullname)
-    loader = importlib.util.LazyLoader(spec.loader)
-    spec.loader = loader
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[fullname] = module
-    loader.exec_module(module)
-    setattr(sys.modules[__package__], name, module)
-    return module
-
-
-consys = _lazy("consys")
-factor = _lazy("factor")
-names = _lazy("names")
-procsim = _lazy("procsim")
-smoothreal = _lazy("smoothreal")
 
 
 def frac(x):
@@ -247,7 +215,9 @@ def check_requirements(ctx):
     rep = procsim.check_requirements(ctx.params, ctx.h_words)
     ok = rep.req1 != "fail" and rep.req2 and rep.req3
     val = "req1=%s req2=%s req3=%s" % (rep.req1, rep.req2, rep.req3)
-    if not rep.req3 and rep.req3_witness is not None:
+    if not rep.req2:
+        val += " req2_witness=%r" % (rep.req2_witness,)
+    if not rep.req3:
         val += " witness=%r" % (rep.req3_witness,)
     return ok, val, "towers distinct, readback exact"
 
@@ -673,7 +643,9 @@ def cmd_smooth(args, out):
                 ctx.params, grids, args.eps, seed=args.seed,
                 samples=args.samples)
         except ToleranceError as exc:
-            out.write(_obedient_line(False, 1 - exc.achieved, args.eps) + "\n")
+            stage = "" if exc.stage is None else ", stage %d" % exc.stage
+            out.write(_obedient_line(False, 1 - exc.achieved, args.eps, stage)
+                      + "\n")
             return 1
         for n, rep in enumerate(reports):
             out.write("stage %d obedient %.4f (%d swaps)\n"
@@ -682,14 +654,18 @@ def cmd_smooth(args, out):
         return 0
     grid = _parse_grid(args.grid)
     smoothreal.check_smooth_cells("smooth %s grid" % args.action, grid)
-    rng = np.random.default_rng(args.seed)
     tail = ""
     if args.action == "swap":
         plane = smoothreal.CellSchedule(grid, [[args.k]], args.eps)
         sigma = list(range(grid[0] * grid[1]))
         sigma[args.k], sigma[args.k + 1] = sigma[args.k + 1], sigma[args.k]
-        counts = smoothreal.obedience(plane, sigma, rng, args.samples)
+        counts = smoothreal.obedience(
+            plane, sigma, np.random.default_rng(args.seed), args.samples)
     else:  # realize
+        # realize_perm samples from default_rng(seed); the permutation
+        # comes from a child stream, independent of that sample
+        rng = np.random.default_rng(
+            np.random.SeedSequence(args.seed).spawn(1)[0])
         try:
             sigma = [int(v) for v in (rng.permutation(grid[0] * grid[1])
                                       if args.perm is None

@@ -17,11 +17,13 @@ class ResourceError(RuntimeError):
 
 
 class ToleranceError(RuntimeError):
-    """A numeric routine could not reach the requested accuracy."""
+    """A numeric routine could not reach the requested accuracy; `stage`
+    names the stage that missed it, if one did."""
 
-    def __init__(self, message, achieved=None):
+    def __init__(self, message, achieved=None, stage=None):
         super().__init__(message)
         self.achieved = achieved
+        self.stage = stage
 
 
 class CoherenceError(ValueError):

@@ -126,7 +126,8 @@ def shift_point(point):
 
 def coherent_from_top(params, depth, m):
     """The symbolic point with deepest offset m, or None if m does not
-    sit over retained copies all the way down."""
+    sit over retained copies all the way down.  offsets[0] comes out 0,
+    as the children of a stage-1 word have length q[0] = 1."""
     offsets = [0] * (depth + 1)
     offsets[depth] = m
     for n in range(depth, 0, -1):
@@ -134,8 +135,6 @@ def coherent_from_top(params, depth, m):
         if not isinstance(pos, Interior):
             return None
         offsets[n - 1] = pos.inner
-    if offsets[0] != 0:
-        return None
     return SymbolicPoint(params, tuple(offsets))
 
 

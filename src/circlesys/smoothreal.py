@@ -45,6 +45,7 @@ import numpy as np
 
 from .errors import InputError, ResourceError, ToleranceError
 from .ratarith import chunks
+from .trajectory import DeepPoints
 
 # Cells of the largest grid realized: the swap list is a pure-Python
 # bubble sort with up to N(N-1)/2 swaps in at most 2N-3 layers, and
@@ -427,10 +428,6 @@ class CellSchedule(Composite):
             CellSwap(tables, layer, row)
             for layer, row in zip(layers, tables.pair_of_cell(layers)))
         self.index = tables.index
-        # imported on first use, so that executing this module adds no
-        # module to the package while code that walks the package's
-        # names (a tracer) may be what set it off
-        from .trajectory import DeepPoints
         self.deep = DeepPoints(tables, [m.pair_of_cell for m in self.maps])
 
     def _pass(self, pts, inverse):
@@ -723,7 +720,7 @@ def stage_map(params, h_grids, eps=0.05, seed=0, samples=20000):
         if rep.obedient < 1 - eps:
             raise ToleranceError("stage %d obedient fraction %.4f below 1 - %g"
                                  % (m + 1, rep.obedient, eps),
-                                 achieved=1 - rep.obedient)
+                                 achieved=1 - rep.obedient, stage=m + 1)
         reports.append(rep)
         width = 1.0 / params.q[m]
         maps.append(PeriodicStrip(rep.plane_map, width)

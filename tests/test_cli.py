@@ -7,6 +7,7 @@ import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from circlesys import (cli, consys, factor, names, procsim, ratarith,
@@ -413,6 +414,18 @@ def test_run_duplicate_fails_requirements(desk):
     assert "CHECK requirements FAIL" in text
 
 
+def test_run_requirements_names_the_unbalanced_word(desk):
+    # k/s = 2, but the first word holds symbol 0 three times
+    (desk / "k4.params").write_text("k = 4\nl = 4\ns = 2 2\n")
+    (desk / "h1.txt").write_text("0 0 0 1\n1 1 1 0\n")
+    code, text = run(["run", manifest(
+        desk, "params = k4.params\nhwords = h1.txt\nchecks = requirements\n")])
+    assert (code, text) == (
+        1, "CHECK requirements FAIL value=req1=unverifiable req2=False "
+        "req3=True req2_witness=(1, 0, 0) bound=towers distinct, readback "
+        "exact\n")
+
+
 def test_run_missing_params_exit2(desk):
     code, _ = run(["run", manifest(desk, "params = nope.params\n")])
     assert code == 2
@@ -740,7 +753,20 @@ def test_smooth_realize_samples_once(monkeypatch):
     code, text = run(["smooth", "realize", "--grid", "3x2", "--samples",
                       "500", "--seed", "1"])
     assert (code, len(calls)) == (0, 1)
-    assert text.endswith(", 6 swaps\n")
+    assert text.endswith(", 11 swaps\n")
+
+
+def test_smooth_realize_draws_its_permutation_from_a_child_stream():
+    # without --perm the permutation comes from the first child of
+    # SeedSequence(seed), and realize_perm samples from default_rng(seed)
+    argv = ["smooth", "realize", "--grid", "4x4", "--samples", "100",
+            "--seed", "5"]
+    code, text = run(argv)
+    sigma = [int(line.split()[3]) for line in text.splitlines()[:-1]]
+    child = np.random.default_rng(np.random.SeedSequence(5).spawn(1)[0])
+    assert sigma == child.permutation(16).tolist()
+    assert sigma != np.random.default_rng(5).permutation(16).tolist()
+    assert run(argv + ["--perm", ",".join(map(str, sigma))]) == (code, text)
 
 
 @pytest.mark.parametrize("window", [1, 777, 4096])

@@ -1,5 +1,6 @@
-"""Modules load on demand: what each command executes, the package's
-exports, and threaded checks in a process that has loaded nothing yet.
+"""Modules load on demand: what a bare import registers, what each
+command executes, the package's exports, and threaded checks in a
+process that has loaded nothing yet.
 
 A module registered by `importlib.util.LazyLoader` and not yet executed
 has a type other than `types.ModuleType`; reading any of its attributes
@@ -24,7 +25,9 @@ ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "demos" / "data"
 TRACER_PATH = ROOT / "perfbench" / "tracer.py"
 
-LAZY = ["consys", "factor", "names", "procsim", "smoothreal"]
+LAZY = ["consys", "factor", "names", "procsim", "smoothreal", "trajectory"]
+# every submodule the package registers lazily: all but cli and __main__
+REGISTERED = LAZY + ["errors", "ratarith", "words"]
 
 # the names `circlesys` has always exported, by defining submodule
 EXPORTS = {
@@ -52,7 +55,7 @@ EXPORTS = {
 }
 
 # prints the circlesys modules in sys.modules, each with whether it has
-# executed, after `circlesys ARGV` (none: after the bare import)
+# executed, after `circlesys ARGV` (none: after importing the cli)
 AFTER_MAIN = """
 import io, json, sys, types
 import circlesys.cli
@@ -61,6 +64,31 @@ if sys.argv[1:]:
 print(json.dumps({name: type(mod) is types.ModuleType
                   for name, mod in sys.modules.items()
                   if name.startswith("circlesys.")}))
+"""
+
+# the same after a bare `import circlesys`, with whether each module is
+# also the package's attribute of that name
+AFTER_PACKAGE = """
+import json, sys, types
+import circlesys
+print(json.dumps({name: [type(mod) is types.ModuleType,
+                         vars(circlesys).get(name[10:]) is mod]
+                  for name, mod in sys.modules.items()
+                  if name.startswith("circlesys.")}))
+"""
+
+# walks the package's names as perfbench's tracer `bindings` does, and
+# prints whether its keys stayed the same and which modules executed
+WALK_PACKAGE = """
+import json, sys, types
+import circlesys
+keys = list(vars(circlesys))
+for attr, val in vars(circlesys).items():
+    isinstance(val, dict)
+print(json.dumps([list(vars(circlesys)) == keys,
+                  sorted(name for name, mod in sys.modules.items()
+                         if name.startswith("circlesys.")
+                         and type(mod) is types.ModuleType)]))
 """
 
 # runs a manifest's checks with the given jobs and prints the report;
@@ -109,6 +137,17 @@ def test_bare_import_executes_only_the_core():
     assert {name for name, done in executed.items() if done} == \
         {"circlesys.cli", "circlesys.errors", "circlesys.ratarith",
          "circlesys.words"}
+
+
+def test_package_import_registers_every_module_and_executes_none():
+    state = json.loads(child(AFTER_PACKAGE))
+    assert state == {"circlesys." + name: [False, True] for name in REGISTERED}
+
+
+def test_walking_the_package_executes_every_module_and_adds_no_name():
+    same_keys, executed = json.loads(child(WALK_PACKAGE))
+    assert same_keys
+    assert executed == sorted("circlesys." + name for name in REGISTERED)
 
 
 def test_bare_import_registers_every_traced_module():

@@ -384,7 +384,8 @@ def test_stage_map_names_the_first_stage_below_budget(monkeypatch):
     with pytest.raises(ToleranceError, match="^stage 2 obedient fraction "
                        "0.7500 below 1 - 0.1$") as err:
         stage_map(params, grids, eps=0.1, samples=400)
-    assert err.value.achieved == 0.25 and calls == [4, 8]
+    assert err.value.achieved == 0.25 and err.value.stage == 2
+    assert calls == [4, 8]
     calls.clear()
     out = io.StringIO()
     argv = ["smooth", "stage", "--params", str(DESK_DATA / "desk.params"),
@@ -392,7 +393,7 @@ def test_stage_map_names_the_first_stage_below_budget(monkeypatch):
             "--hwords", str(DESK_DATA / "words2_desk.txt"),
             "--eps", "0.1", "--samples", "400"]
     assert cli.main(argv, out=out) == 1 and calls == [4, 8]
-    assert out.getvalue() == "FAIL obedient 0.7500 (need 0.9000)\n"
+    assert out.getvalue() == "FAIL obedient 0.7500 (need 0.9000), stage 2\n"
 
 
 def test_map_distance_zero_on_self():
