@@ -4,6 +4,8 @@
 of every subcommand action on `demos/data` and of `run
 demos/data/manifest.txt`, of `seq measure` on an alphabet with unused
 letters and on the skewed stage-1 prewords `data/words1_skew.txt`, of
+`smooth realize` on perfbench's seed-1 smooth8 permutation and on a
+32x32 grid at the cell cap, of
 each `smooth` action refusing a sample count past its cap, and of the
 refusals of a stage out of range and of integer flags below their least
 values, with paths relative to the repository root.  An entry is named by its
