@@ -44,8 +44,7 @@ _HOME = {name: module for module, names in _EXPORTS.items()
 __all__ = list(_HOME)
 __version__ = "0.1.0"
 
-# trajectory exports nothing; smoothreal moves its deep points with it
-for _name in [*_EXPORTS, "trajectory"]:
+for _name in _EXPORTS:
     _spec = importlib.util.find_spec("." + _name, __name__)
     _spec.loader = importlib.util.LazyLoader(_spec.loader)
     _module = importlib.util.module_from_spec(_spec)

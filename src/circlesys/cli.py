@@ -363,11 +363,14 @@ def _check_line(name, ok, value, bound):
 
 
 def run_checks(ctx, checks, jobs=1):
-    """Returns (lines, all_passed); lines sorted by check name."""
+    """Returns (lines, all_passed); lines sorted by check name.
+    InputError for an unknown check or one named twice."""
     checks = sorted(checks)
-    for name in checks:
+    for i, name in enumerate(checks):
         if name not in CHECK_FUNCS:
             raise InputError("unknown check %r" % name)
+        if name in checks[i + 1:i + 2]:
+            raise InputError("duplicate check %r" % name)
 
     def one(name):
         ok, value, bound = CHECK_FUNCS[name](ctx)

@@ -22,20 +22,17 @@ row 1 right to left, ...), which makes consecutive indices spatially
 adjacent, so adjacent transpositions suffice to realize any cell
 permutation.  Swaps on disjoint pairs commute, so the swap list is
 scheduled into layers of disjoint swaps, each one map (CellSwap).  A
-schedule (CellSchedule) finds each point's cell once per pass and
-splits the points by where they sit in it.  A deep point, far enough
-from its cell's edges to be in the core of every swap it meets, moves
-only at its own swaps, along its start cell's trajectory (the module
-`trajectory`), by the core reflection alone.  The few shallow points
-go through every layer, which finds them by their cells, moves only
-those inside a pair, and finds only their cells again.  A pass moves
-its points SWAP_CHUNK at a time, so it holds the tracked points (x and
-y in one array, and an int16 cell: 18 bytes each) and working arrays
-of one chunk.  The layers of a schedule share one set of tables
-(SwapTables): the boustrophedon index, one StandardSwap, every pair's
-orientation and origin, and one int16 array with a row for each layer
-that holds, per cell, the index k of the layer's pair on it, built in
-one vectorized pass.
+schedule (CellSchedule) finds each point's cell once per pass: the
+points deep in their cells move by the core reflection alone, and only
+the few shallow ones go through every layer, which finds them by their
+cells, moves only those inside a pair, and finds only their cells
+again.  A pass moves its points SWAP_CHUNK at a time, so it holds the
+tracked points (x and y in one array, and an int16 cell: 18 bytes each)
+and working arrays of one chunk.  The layers of a schedule share one
+set of tables (SwapTables): the boustrophedon index, one StandardSwap,
+every pair's orientation, origin and core reflection, and one int16
+array with a row for each layer that holds, per cell, the index k of
+the layer's pair on it, built in one vectorized pass.
 """
 
 import math
@@ -45,7 +42,6 @@ import numpy as np
 
 from .errors import InputError, ResourceError, ToleranceError
 from .ratarith import chunks
-from .trajectory import DeepPoints
 
 # Cells of the largest grid realized: the swap list is a pure-Python
 # bubble sort with up to N(N-1)/2 swaps in at most 2N-3 layers, and
@@ -66,11 +62,19 @@ SWAP_CHUNK = 4096
 # 400 MB at the cap.
 MAX_SMOOTH_SAMPLES = 1 << 24
 # Shallow points a pass sends through its layers at once.  They are
-# about 4 w of a moved cell's area (w the margin of `trajectory`), a
-# few in 10,000 at smooth8's delta, but most points once delta nears
+# about 4 w of a moved cell's area (w the deep margin of CellSchedule),
+# a few in 10,000 at smooth8's delta, but most points once delta nears
 # 1/2, and each held costs a copy, an index and a layer's search (34
 # bytes).
 SHALLOW_BATCH = 1 << 14
+# Margin, in cell widths, that a deep point keeps beyond the ring of
+# every swap it meets.  One step rounds each coordinate five times and
+# moves its distance to a cell edge by less than (m/2 + 5) 2^-52 cell
+# widths along an axis of m cells (the last addition rounds in [0, 1]).
+# Over the at most 2,045 steps of a grid of 1,024 cells that is 2.4e-10
+# on 1024x1 and 1e-11 on 32x32; on the 1024x1 reversal the margin left
+# is 0.8 of this slack, as at the start.
+DEEP_SLACK = 1e-9
 
 
 class PlaneMap:
@@ -212,16 +216,18 @@ class StandardSwap(PlaneMap):
 
 class SwapTables:
     """What every layer of swaps on one grid shares: the boustrophedon
-    index, the cell size, one StandardSwap, and the orientation and
-    origin of each adjacent pair (cells k and k+1).  A grid has at most
-    MAX_SMOOTH_CELLS cells, so a pair index fits the int16 pair table."""
+    index, the cell size, one StandardSwap, and the orientation, origin
+    and core reflection of each adjacent pair (cells k and k+1).  x and
+    y are rows, so each numpy step runs along the points.  A grid has at
+    most MAX_SMOOTH_CELLS cells, so a pair index fits the int16 pair
+    table."""
 
     def __init__(self, grid, delta):
         m, n = grid
         check_smooth_cells("smooth %dx%d grid" % (m, n), grid)
         self.inner = StandardSwap(delta)
         self.index = zigzag_table(grid)
-        self.scale = (1.0 / m, 1.0 / n)         # (x, y) sizes of one cell
+        self.size = np.array([[1.0 / m], [1.0 / n]])   # one cell's x and y
         # row and column of each boustrophedon index, from the table's
         # inverse permutation
         row, col = np.divmod(np.argsort(self.index, axis=None), m)
@@ -230,8 +236,26 @@ class SwapTables:
         if (np.abs(c0 - c1) + np.abs(r0 - r1) != 1).any():
             raise AssertionError("boustrophedon neighbours are not adjacent")
         self.transpose = c0 == c1               # vertical pair
-        self.origin = np.stack([np.minimum(c0, c1) / m,
-                                np.minimum(r0, r1) / n], axis=1)
+        # per pair, the origin's x and y, then the core reflection as
+        # u -> 2 - u along the pair and v -> 1 - v across it
+        self.turn = np.stack([np.minimum(c0, c1) / m, np.minimum(r0, r1) / n,
+                              np.where(self.transpose, 1.0, 2.0),
+                              np.where(self.transpose, 2.0, 1.0)])
+        # the largest offset of a deep point from its cell's centre,
+        # 1/2 - w, with 1 - sqrt(1 - delta) written without its
+        # cancellation
+        self.reach = 0.5 - (delta / (1 + math.sqrt(1 - delta)) + DEEP_SLACK)
+
+    def half_turns(self, pts, pairs):
+        """Move each point i of pts, x and y as its two rows, by the core
+        reflection of pair pairs[i], in place: x <- (K - (x - x0)/sx) sx
+        + x0 and likewise y, the operations of CellSwap on a core point."""
+        turn = self.turn.take(pairs, axis=1)
+        pts -= turn[:2]
+        pts /= self.size
+        np.subtract(turn[2:], pts, out=pts)
+        pts *= self.size
+        pts += turn[:2]
 
     def pair_of_cell(self, layers):
         """(len(layers), cells) int16 table: per layer, the index k of
@@ -308,13 +332,13 @@ class CellSwap(PlaneMap):
         # once, as numpy casts int16 indices again at every gather
         pair = np.take(self.pair_of_cell, pts.cell[hit]).astype(np.intp)
         flip = t.transpose[pair]
-        x0, y0 = t.origin[:, 0][pair], t.origin[:, 1][pair]
+        x0, y0 = t.turn[:2].take(pair, axis=1)
         u = pts.x[hit]
         u -= x0
-        u /= t.scale[0]
+        u /= t.size[0]
         v = pts.y[hit]
         v -= y0
-        v /= t.scale[1]
+        v /= t.size[1]
         # column-major, so StandardSwap works on contiguous columns;
         # a vertical pair lies along y
         std = np.empty((len(hit), 2), order="F")
@@ -330,10 +354,10 @@ class CellSwap(PlaneMap):
         if len(hit):
             std = fn(std)
             x = np.where(flip, std[:, 1], std[:, 0])
-            x *= t.scale[0]
+            x *= t.size[0]
             x += x0
             y = np.where(flip, std[:, 0], std[:, 1])
-            y *= t.scale[1]
+            y *= t.size[1]
             y += y0
             del std
             pts.x[hit] = x
@@ -406,6 +430,40 @@ def _check_index(index):
     check_smooth_cells("smooth %dx%d grid" % (m, n), (m, n))
 
 
+@dataclass
+class Trajectories:
+    """Where the layers of one pass take a point of each cell that stays
+    in the core of its swaps: the j-th pair met from start cell c is
+    pairs[j, c] (int16, -1 past its last), c meets steps[c] pairs and
+    ends in cell end[c]."""
+    pairs: np.ndarray       # (most steps, cells) int16
+    steps: np.ndarray       # (cells,) intp
+    end: np.ndarray         # (cells,) intp
+
+    @classmethod
+    def walk(cls, rows, cells):
+        """Follow every cell through the pair-table rows of a pass, in
+        order: once to count its steps, once to fill the table."""
+        steps = np.zeros(cells, dtype=np.intp)
+        pairs = None
+        for fill in (False, True):
+            if fill:
+                pairs = np.full((steps.max(initial=0), cells), -1,
+                                dtype=np.int16)
+                steps.fill(0)
+            at = np.arange(cells)
+            for row in rows:
+                k = row.take(at)
+                met = np.flatnonzero(k >= 0)
+                k = k[met]
+                if fill:
+                    pairs[steps[met], met] = k
+                steps[met] += 1
+                # the other cell of pair k, which holds cells k and k + 1
+                at[met] = 2 * k + 1 - at[met]
+        return cls(pairs, steps, at)
+
+
 class CellSchedule(Composite):
     """The CellSwap layers of one grid, applied in order to one tracked
     copy of the points, so each point's cell is found once per pass.
@@ -415,26 +473,78 @@ class CellSchedule(Composite):
     no layers the schedule is the identity.
 
     A pass splits the points by where they sit in their tracked cells.
-    Deep points, SWAP_CHUNK at a time, move only at their own swaps,
-    along their start cell's trajectory (`trajectory.DeepPoints`), bit
-    for bit as the layers would move them.  Points of cells that meet
-    no pair stay as they are.  The shallow rest, near a cell edge or
-    off the unit square, go through every layer (Composite) as
-    TrackedPoints of their own, at most SHALLOW_BATCH at a time."""
+    A swap is the exact point reflection (u, v) -> (2 - u, 1 - v) of
+    its pair on the core r < r_in, which is |u - 1| < sqrt(1 - delta)
+    and |v - 1/2| < sqrt(1 - delta)/2 in pair coordinates.  So a deep
+    point, at least w = 1 - sqrt(1 - delta) + DEEP_SLACK cell widths
+    from each edge of its cell, is in the core of any pair holding the
+    cell, horizontal or vertical, on either side; the half-turn keeps
+    its distance to every edge, so it stays that deep through every
+    swap it meets.  Deep points, SWAP_CHUNK at a time, move only at
+    their own swaps, along their start cell's Trajectories: at each
+    step the floating-point operations a CellSwap applies to a core
+    point (`SwapTables.half_turns`), and no test of its rectangle, ring
+    or cell, whose outcome is known.  Points of cells that meet no pair
+    stay as they are.  The shallow rest, near a cell edge or off the
+    unit square, go through every layer (Composite) as TrackedPoints of
+    their own, at most SHALLOW_BATCH at a time."""
 
     def __init__(self, grid, layers, delta):
-        tables = SwapTables(grid, delta)
+        self.tables = SwapTables(grid, delta)
         super().__init__(
-            CellSwap(tables, layer, row)
-            for layer, row in zip(layers, tables.pair_of_cell(layers)))
-        self.index = tables.index
-        self.deep = DeepPoints(tables, [m.pair_of_cell for m in self.maps])
+            CellSwap(self.tables, layer, row)
+            for layer, row in zip(layers, self.tables.pair_of_cell(layers)))
+        self.index = self.tables.index
+        self._paths = {}
+
+    def paths(self, inverse):
+        """The Trajectories of a forward or an inverse pass."""
+        if inverse not in self._paths:
+            rows = [m.pair_of_cell for m in self.maps]
+            self._paths[inverse] = Trajectories.walk(
+                rows[::-1] if inverse else rows, self.index.size)
+        return self._paths[inverse]
+
+    def _move_deep(self, pts, part, paths):
+        """Move the deep points in the slice `part` of TrackedPoints pts
+        along `paths`; the indices in `part` of the shallow rest, the
+        points near a cell edge or off the unit square whose cell meets
+        a pair."""
+        t = self.tables
+        n, m = t.index.shape
+        cell = pts.cell[part].astype(np.intp)
+        # the larger offset from the cell's centre, in cell widths
+        far = np.abs(pts.x[part] * m - t.centre[0].take(cell))
+        np.maximum(far, np.abs(pts.y[part] * n - t.centre[1].take(cell)),
+                   out=far)
+        deep = far <= t.reach
+        moved = paths.steps.take(cell) > 0
+        hit = np.flatnonzero(moved & deep)
+        if len(hit):
+            self.follow(pts, hit + part.start, paths)
+        return np.flatnonzero(moved & ~deep)
+
+    def follow(self, pts, hit, paths):
+        """Move the deep points `hit` of pts along their trajectories,
+        sorted by step count so the points of each step are a prefix."""
+        start = pts.cell[hit].astype(np.intp)
+        steps = paths.steps.take(start)
+        order = np.argsort(steps)[::-1]
+        hit, start = hit[order], start[order]
+        active = len(hit) - np.cumsum(np.bincount(steps))
+        moving = np.stack([pts.x[hit], pts.y[hit]])
+        for j, count in enumerate(active[:-1]):
+            self.tables.half_turns(moving[:, :count],
+                                   paths.pairs[j].take(start[:count]))
+        pts.x[hit], pts.y[hit] = moving
+        pts.cell[hit] = paths.end.take(start)
 
     def _pass(self, pts, inverse):
         layers = super().inverse if inverse else super().forward
+        paths = self.paths(inverse)
         shallow, held = [], 0
         for lo, hi in chunks(0, len(pts), SWAP_CHUNK):
-            rest = self.deep.move(pts, slice(lo, hi), inverse) + lo
+            rest = self._move_deep(pts, slice(lo, hi), paths) + lo
             if held and held + len(rest) > SHALLOW_BATCH:
                 _through(layers, pts, shallow)
                 shallow, held = [], 0
@@ -477,8 +587,8 @@ def _cells(index, x, y):
     # int array, and the clipped column kept in the smallest type that
     # holds m - 1: 9 bytes a point where a float and an int array for
     # each coordinate took 32 and kept an 8x8 smooth realize's peak RSS
-    # about 0.2 MB higher (37.8 against 37.6 MB, measured as for
-    # `trajectory`)
+    # about 0.2 MB higher (37.8 against 37.6 MB, medians of 14 fresh
+    # children, seeds 1 and 2, on a 2-vCPU guest)
     cell = np.multiply(x, m, out=np.empty(len(x), dtype=int),
                        casting="unsafe")
     np.minimum(np.maximum(cell, 0, out=cell), m - 1, out=cell)

@@ -493,6 +493,19 @@ def test_run_unknown_key_exit2(desk):
     assert code == 2
 
 
+@pytest.mark.parametrize("checks, error", [
+    ("recursion bogus", "unknown check 'bogus'"),
+    ("recursion numerology recursion", "duplicate check 'recursion'"),
+])
+def test_run_refused_check_exit2(desk, capsys, checks, error):
+    # a check named twice used to print its line twice, and to run twice
+    # at once with jobs > 1
+    path = manifest(desk, "params = desk.params\njobs = 2\nchecks = %s\n"
+                    % checks)
+    assert run(["run", path]) == (2, "")
+    assert capsys.readouterr().err == "error: %s\n" % error
+
+
 def test_run_resource_cap_exit3(desk):
     code, _ = run(["run", manifest(desk,
         "params = desk.params\nhwords = w1.txt w2.txt\n"

@@ -25,9 +25,11 @@ ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "demos" / "data"
 TRACER_PATH = ROOT / "perfbench" / "tracer.py"
 
-LAZY = ["consys", "factor", "names", "procsim", "smoothreal", "trajectory"]
+LAZY = ["consys", "factor", "names", "procsim", "smoothreal"]
 # every submodule the package registers lazily: all but cli and __main__
-REGISTERED = LAZY + ["errors", "ratarith", "words"]
+REGISTERED = sorted(path.stem for path in (ROOT / "src" / "circlesys")
+                    .glob("*.py")
+                    if path.stem not in ("cli", "__main__", "__init__"))
 
 # the names `circlesys` has always exported, by defining submodule
 EXPORTS = {

@@ -13,16 +13,16 @@ from circlesys import cli, ratarith, smoothreal
 from circlesys.errors import InputError, ResourceError, ToleranceError
 from circlesys.procsim import h_from_words
 from circlesys.ratarith import derive_params
-from circlesys.smoothreal import (MAX_DELTA, MAX_SMOOTH_CELLS,
+from circlesys.smoothreal import (DEEP_SLACK, MAX_DELTA, MAX_SMOOTH_CELLS,
                                   MAX_SMOOTH_SAMPLES,
                                   CellSchedule, CellSwap, Composite, PlaneMap,
                                   StandardSwap, SwapTables, TrackedPoints,
+                                  Trajectories,
                                   first_column_sigma, map_distance, obedience,
                                   perm_to_swaps, realize_perm,
                                   sample_jacobian, stage_map, swap_layers,
                                   zigzag_table)
 from circlesys.smoothreal import _disk_to_square, _square_to_disk, smoothstep
-from circlesys.trajectory import DEEP_SLACK, DeepPoints, Trajectories
 from oracles import (cell_of_points, dict_swap_layers,
                      full_pass_perm_to_swaps, loop_first_column_sigma,
                      zigzag_cell)
@@ -456,8 +456,8 @@ class UntrackedCellSwap(CellSwap):
         pair = pair[hit]
         flip = t.transpose[pair]
         std = np.empty((len(hit), 2))
-        u = (pts[hit, 0] - t.origin[pair, 0]) / t.scale[0]
-        v = (pts[hit, 1] - t.origin[pair, 1]) / t.scale[1]
+        u = (pts[hit, 0] - t.turn[0, pair]) / t.size[0]
+        v = (pts[hit, 1] - t.turn[1, pair]) / t.size[1]
         std[:, 0] = np.where(flip, v, u)
         std[:, 1] = np.where(flip, u, v)
         del u, v
@@ -469,9 +469,9 @@ class UntrackedCellSwap(CellSwap):
         if len(hit):
             std = fn(std)
             pts[hit, 0] = (np.where(flip, std[:, 1], std[:, 0])
-                           * t.scale[0] + t.origin[pair, 0])
+                           * t.size[0] + t.turn[0, pair])
             pts[hit, 1] = (np.where(flip, std[:, 0], std[:, 1])
-                           * t.scale[1] + t.origin[pair, 1])
+                           * t.size[1] + t.turn[1, pair])
         return pts
 
 
@@ -855,14 +855,14 @@ def test_grid_past_cap_refused():
 def deep_of_pass(schedule, pts, inverse=False):
     """A pass of schedule over pts, and which points it moved as deep."""
     seen = []
-    follow = DeepPoints.follow
+    follow = CellSchedule.follow
 
     def recorded(self, tracked, hit, paths):
         seen.append(hit.copy())
         return follow(self, tracked, hit, paths)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(DeepPoints, "follow", recorded)
+        mp.setattr(CellSchedule, "follow", recorded)
         out = (schedule.inverse if inverse else schedule.forward)(pts)
     deep = np.zeros(len(pts), dtype=bool)
     for hit in seen:
@@ -885,8 +885,8 @@ def core_checked_layers(grid, layers, delta, pts, deep, inverse=False):
         pair = rows[i][cell_of_points(grid, pts)]
         hit = np.flatnonzero((pair >= 0) & deep)
         pair = pair[hit]
-        u = (pts[hit, 0] - tables.origin[pair, 0]) / tables.scale[0]
-        v = (pts[hit, 1] - tables.origin[pair, 1]) / tables.scale[1]
+        u = (pts[hit, 0] - tables.turn[0, pair]) / tables.size[0]
+        v = (pts[hit, 1] - tables.turn[1, pair]) / tables.size[1]
         flip = tables.transpose[pair]
         std = np.stack([np.where(flip, v, u), np.where(flip, u, v)], axis=1)
         assert ((std >= 0) & (std < (2.0, 1.0))).all()
@@ -968,7 +968,7 @@ def test_deep_points_equal_the_layers(grid_perm, delta, seed):
         inner = ~near_an_edge(grid, pts)
         assert np.array_equal(out[inner], getattr(per_swap, fn)(pts[inner]))
         assert not deep[edge].any()
-        paths = schedule.deep.paths(inverse)
+        paths = schedule.paths(inverse)
         centres = slice(count, count + grid[0] * grid[1])
         moved = paths.steps[cell_of_points(grid, pts[centres])] > 0
         assert deep[centres][moved].all() and not deep[centres][~moved].any()
@@ -1109,7 +1109,7 @@ def test_pass_memory_32x32():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    paths = schedule.deep.paths(False)
+    paths = schedule.paths(False)
     assert paths.pairs.dtype == np.int16
     assert paths.pairs.shape == (paths.steps.max(), 1024)
     assert paths.pairs.nbytes <= 2.1e6
