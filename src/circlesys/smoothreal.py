@@ -217,9 +217,9 @@ class StandardSwap(PlaneMap):
 class SwapTables:
     """What every layer of swaps on one grid shares: the boustrophedon
     index, the cell size, one StandardSwap, and the orientation, origin
-    and core reflection of each adjacent pair (cells k and k+1).  x and
-    y are rows, so each numpy step runs along the points.  A grid has at
-    most MAX_SMOOTH_CELLS cells, so a pair index fits the int16 pair
+    and core reflection of each adjacent pair (cells k and k+1), with x
+    and y as rows, so each numpy step runs along the points.  A grid has
+    at most MAX_SMOOTH_CELLS cells, so a pair index fits the int16 pair
     table."""
 
     def __init__(self, grid, delta):
