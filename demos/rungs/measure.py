@@ -1,15 +1,18 @@
-"""Wall time and peak RSS of one `circlesys run` in a fresh process.
+"""Wall time and peak RSS of one `circlesys` command in a fresh process.
 
     python demos/rungs/measure.py MANIFEST [CHECK ...] [--src DIR]
+    python demos/rungs/measure.py [--src DIR] --cli ARGS...
 
-Runs the manifest in a child Python process and prints the child's
-report, then one line `wall_s=... peak_rss_mb=... exit=...`.  Wall time
-spans the child from start to exit; peak RSS is the child's maximum
-resident set, read from `os.wait4`.  Named checks run alone: the script
-writes a temporary manifest with the same inputs, absolute paths and
-only those checks (and no `out`).  `--src` points the child at another
-checkout's `src` directory, for before/after numbers; the default is the
-`src` of this checkout.  The exit status is the child's.
+Runs `circlesys run MANIFEST` in a child Python process and prints the
+child's report, then one line `wall_s=... peak_rss_mb=... exit=...`.
+Wall time spans the child from start to exit; peak RSS is the child's
+maximum resident set, read from `os.wait4`.  Named checks run alone: the
+script writes a temporary manifest with the same inputs, absolute paths
+and only those checks (and no `out`).  `--cli` runs `circlesys ARGS...`
+instead, any command, e.g. `--cli smooth realize --grid 8x8 --samples
+2000000`; it takes every argument after it.  `--src` points the child
+at another checkout's `src` directory, for before/after numbers; the
+default is the `src` of this checkout.  The exit status is the child's.
 """
 
 import argparse
@@ -41,13 +44,14 @@ def restricted_manifest(path, checks, src):
     return "\n".join(lines) + "\n"
 
 
-def measure(path, src):
-    """(report, exit status, wall seconds, peak RSS in MB) of one run."""
+def measure(argv, src):
+    """(stdout, exit status, wall seconds, peak RSS in MB) of one
+    `circlesys ARGV`."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     with tempfile.TemporaryFile() as out:
         start = time.perf_counter()
-        child = subprocess.Popen([sys.executable, "-m", "circlesys", "run",
-                                  path], stdout=out, env=env)
+        child = subprocess.Popen([sys.executable, "-m", "circlesys"] + argv,
+                                 stdout=out, env=env)
         _, status, usage = os.wait4(child.pid, 0)
         wall = time.perf_counter() - start
         child.returncode = os.waitstatus_to_exitcode(status)
@@ -58,17 +62,23 @@ def measure(path, src):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("manifest")
+    ap.add_argument("manifest", nargs="?")
     ap.add_argument("checks", nargs="*")
     ap.add_argument("--src", default=SRC)
+    ap.add_argument("--cli", nargs=argparse.REMAINDER,
+                    help="time `circlesys ARGS...` instead of a run")
     args = ap.parse_args(argv)
-    if not args.checks:
-        report, code, wall, rss = measure(args.manifest, args.src)
+    if (args.cli is None) == (args.manifest is None):
+        ap.error("give either a manifest or --cli ARGS...")
+    if args.cli is not None:
+        report, code, wall, rss = measure(args.cli, args.src)
+    elif not args.checks:
+        report, code, wall, rss = measure(["run", args.manifest], args.src)
     else:
         with tempfile.NamedTemporaryFile("w", suffix=".manifest") as fh:
             fh.write(restricted_manifest(args.manifest, args.checks, args.src))
             fh.flush()
-            report, code, wall, rss = measure(fh.name, args.src)
+            report, code, wall, rss = measure(["run", fh.name], args.src)
     sys.stdout.write(report)
     print("wall_s=%.3f peak_rss_mb=%.1f exit=%d" % (wall, rss, code))
     return code

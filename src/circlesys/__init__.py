@@ -34,9 +34,9 @@ _EXPORTS = {
               "spacer_columns", "u_words"],
     "factor": ["BoundaryCrossing", "SymbolicPoint", "collapse_pi",
                "enumerate_coherent", "rho_trace", "shift_point"],
-    "smoothreal": ["CellSwap", "Composite", "StandardSwap", "map_distance",
-                   "perm_to_swaps", "realize_perm", "sample_jacobian",
-                   "stage_map"],
+    "smoothreal": ["CellSwap", "Composite", "StandardSwap", "perm_to_swaps",
+                   "realize_perm"],
+    "stagemap": ["map_distance", "sample_jacobian", "stage_map"],
 }
 _HOME = {name: module for module, names in _EXPORTS.items()
          for name in names}

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import consys, factor, names, procsim, smoothreal, words
+from . import consys, factor, names, procsim, smoothreal, stagemap, words
 from .errors import (CoherenceError, ConstraintError, InputError,
                      OracleMismatch, ResourceError, ToleranceError)
 from .ratarith import (DEFAULT_ATOM_CAP, content_lines, dyn_order,
@@ -362,15 +362,23 @@ def _check_line(name, ok, value, bound):
         name, "PASS" if ok else "FAIL", value, bound)
 
 
+def known_checks(checks, source=None):
+    """`checks` sorted by name; InputError, naming `source` if given,
+    for an unknown check or one named twice."""
+    checks = sorted(checks)
+    where = "" if source is None else source + ": "
+    for i, name in enumerate(checks):
+        if name not in CHECK_FUNCS:
+            raise InputError("%sunknown check %r" % (where, name))
+        if name in checks[i + 1:i + 2]:
+            raise InputError("%sduplicate check %r" % (where, name))
+    return checks
+
+
 def run_checks(ctx, checks, jobs=1):
     """Returns (lines, all_passed); lines sorted by check name.
     InputError for an unknown check or one named twice."""
-    checks = sorted(checks)
-    for i, name in enumerate(checks):
-        if name not in CHECK_FUNCS:
-            raise InputError("unknown check %r" % name)
-        if name in checks[i + 1:i + 2]:
-            raise InputError("duplicate check %r" % name)
+    checks = known_checks(checks)
 
     def one(name):
         ok, value, bound = CHECK_FUNCS[name](ctx)
@@ -378,7 +386,7 @@ def run_checks(ctx, checks, jobs=1):
 
     if jobs > 1:
         import concurrent.futures
-        for module in (consys, factor, names, procsim):
+        for module in (consys, factor, names, procsim, words):
             module.__name__     # reading any attribute executes it
         with concurrent.futures.ThreadPoolExecutor(jobs) as pool:
             results = list(pool.map(one, checks))
@@ -421,6 +429,8 @@ class RunManifest:
         self.preword_paths = [rel(p) for p in seen.get("prewords", "").split()]
         self.hword_paths = [rel(p) for p in seen.get("hwords", "").split()]
         self.checks = seen.get("checks", "").split() or None
+        if self.checks:
+            known_checks(self.checks, path)
         integer("seed")
         self.cap_atoms = integer("cap_atoms", DEFAULT_ATOM_CAP)
         self.out = rel(seen["out"]) if "out" in seen else None
@@ -642,7 +652,7 @@ def cmd_smooth(args, out):
         grids = [procsim.h_from_words(ctx.params, n, h_words)
                  for n, h_words in enumerate(ctx.h_words)]
         try:
-            _, reports = smoothreal.stage_map(
+            _, reports = stagemap.stage_map(
                 ctx.params, grids, args.eps, seed=args.seed,
                 samples=args.samples)
         except ToleranceError as exc:
@@ -665,17 +675,18 @@ def cmd_smooth(args, out):
         counts = smoothreal.obedience(
             plane, sigma, np.random.default_rng(args.seed), args.samples)
     else:  # realize
-        # realize_perm samples from default_rng(seed); the permutation
-        # comes from a child stream, independent of that sample
-        rng = np.random.default_rng(
-            np.random.SeedSequence(args.seed).spawn(1)[0])
-        try:
-            sigma = [int(v) for v in (rng.permutation(grid[0] * grid[1])
-                                      if args.perm is None
-                                      else args.perm.split(","))]
-        except ValueError:
-            raise InputError("--perm must be comma-separated integers, got %r"
-                             % args.perm)
+        if args.perm is None:
+            # realize_perm samples from default_rng(seed); the
+            # permutation comes from a child stream, independent of it
+            rng = np.random.default_rng(
+                np.random.SeedSequence(args.seed).spawn(1)[0])
+            sigma = rng.permutation(grid[0] * grid[1]).tolist()
+        else:
+            try:
+                sigma = [int(v) for v in args.perm.split(",")]
+            except ValueError:
+                raise InputError("--perm must be comma-separated integers, "
+                                 "got %r" % args.perm)
         rep = smoothreal.realize_perm(sigma, grid, args.eps, seed=args.seed,
                                       samples=args.samples)
         counts, tail = (rep.drawn, rep.obeyed), ", %d swaps" % len(rep.swaps)

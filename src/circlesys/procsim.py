@@ -262,20 +262,30 @@ def compose_stage(proc, h, cap_atoms=DEFAULT_ATOM_CAP):
     if (h.cols, h.rows) != want:
         raise InputError("h has resolution %dx%d, expected %dx%d"
                          % (h.cols, h.rows, *want))
+    check_atom_cap(params, n + 1, cap_atoms)
     cols, rows = params.q[n + 1], params.s[n + 1]
-    if cols * rows > cap_atoms:
-        raise ResourceError("stage-%d grid needs %d atoms, cap is %d"
-                            % (n + 1, cols * rows, cap_atoms))
     W = proc.W.lift(h.cols, h.rows).compose(h)
     return GridProcess(params, n + 1, cols, rows, W, proc.h_list + [h])
 
 
+def check_atom_cap(params, n, cap_atoms):
+    """ResourceError if the stage-n grid, q[n] x s[n] atoms, exceeds
+    cap_atoms; `h_from_words` refuses a stage past the parameters."""
+    if n <= params.stages and params.q[n] * params.s[n] > cap_atoms:
+        raise ResourceError("stage-%d grid needs %d atoms, cap is %d"
+                            % (n, params.q[n] * params.s[n], cap_atoms))
+
+
 def stages(params, h_words_per_stage, cap_atoms=DEFAULT_ATOM_CAP):
     """The processes of stages 0, 1, ..., len(h_words_per_stage) in turn,
-    each composed from the one before with `h_from_words` of its list."""
+    each composed from the one before with `h_from_words` of its list.
+    Each stage's grid is held to cap_atoms before its h is built, as
+    h_{n+1}'s table of k[n] q[n] s[n+1] entries can alone be past any
+    memory."""
     proc = initial_process(params)
     yield proc
     for n, h_words in enumerate(h_words_per_stage):
+        check_atom_cap(params, n + 1, cap_atoms)
         proc = compose_stage(proc, h_from_words(params, n, h_words),
                              cap_atoms=cap_atoms)
         yield proc

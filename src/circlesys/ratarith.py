@@ -11,15 +11,14 @@ and the rotation numbers alpha[n] = p[n] / q[n] converge with
 alpha[n+1] - alpha[n] = 1 / q[n+1].
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConstraintError, InputError, ResourceError
-from .words import B, E
 
 # entries per pass of the chunked routes (dynamical order, tower orbits,
 # lifted relabelings, tower names, stability shifts, smooth scans), so
@@ -39,8 +38,7 @@ def chunks(lo, hi, size=None):
         yield a, min(a + step, hi)
 
 
-@dataclass(frozen=True)
-class Params:
+class Params(NamedTuple):
     """Coefficient lists plus the derived convergents.
 
     k and l have one entry per stage transition, s one entry per stage
@@ -51,8 +49,8 @@ class Params:
     k: tuple
     l: tuple
     s: tuple
-    p: tuple = field(default=())
-    q: tuple = field(default=())
+    p: tuple = ()
+    q: tuple = ()
 
     @property
     def stages(self):
@@ -170,8 +168,7 @@ def d_index(params, n, x):
     return dyn_order(params, n)[int(x * params.q[n])]
 
 
-@dataclass(frozen=True)
-class FrameRuns:
+class FrameRuns(NamedTuple):
     """Rows of letters as runs on column breakpoints that all rows share:
     row r holds letters[r, i] on [starts[i], starts[i + 1]) or to cols."""
     cols: int
@@ -203,6 +200,8 @@ def spacer_columns(params, m):
     blocks, with no column-sized work.  A stage past the int64 limit of
     `DynOrder.of` is refused.
     """
+    from .words import B, E     # here, so that no other route loads words
+
     if m < 1:
         raise InputError("spacer labels start at stage 1")
     k, l, Q = params.k[m - 1], params.l[m - 1], params.q[m - 1]

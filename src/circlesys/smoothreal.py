@@ -28,19 +28,23 @@ the few shallow ones go through every layer, which finds them by their
 cells, moves only those inside a pair, and finds only their cells
 again.  A pass moves its points SWAP_CHUNK at a time, so it holds the
 tracked points (x and y in one array, and an int16 cell: 18 bytes each)
-and working arrays of one chunk.  The layers of a schedule share one
-set of tables (SwapTables): the boustrophedon index, one StandardSwap,
-every pair's orientation, origin and core reflection, and one int16
-array with a row for each layer that holds, per cell, the index k of
-the layer's pair on it, built in one vectorized pass.
+and working arrays of one chunk.  A verdict (`obedience`) moves none of
+its deep points, as their trajectories give their end cells, and draws
+its sample a chunk at a time, so it holds one chunk and at most
+SHALLOW_BATCH shallow points whatever the sample count.  The layers of
+a schedule share one set of tables (SwapTables): the boustrophedon
+index, one StandardSwap, every pair's orientation, origin and core
+reflection, and one int16 array with a row for each layer that holds,
+per cell, the index k of the layer's pair on it, built in one
+vectorized pass.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError, ResourceError, ToleranceError
+from .errors import InputError, ResourceError
 from .ratarith import chunks
 
 # Cells of the largest grid realized: the swap list is a pure-Python
@@ -49,23 +53,27 @@ from .ratarith import chunks
 MAX_SMOOTH_CELLS = 1024
 # the largest per-swap delta realize_perm uses (StandardSwap needs < 1/2)
 MAX_DELTA = 0.25
-# Points a CellSwap moves per StandardSwap call, and deep points a pass
-# moves at a time, so a pass holds its tracked points and working
-# arrays of at most this many points: `smooth realize` on 8x8 (seeds 1
-# to 3, eps 0.1, 20,000 samples) peaked at 37.71-37.76 MB of RSS with
-# 4096 and 39.22-39.37 MB with 16384.  The scans that read every point
-# outside a pass (first cells, obedience) go `ratarith.CHUNK` at a time.
+# Points a CellSwap moves per StandardSwap call, deep points a pass
+# moves at a time, and sample points a verdict (`obedience`) draws and
+# judges at a time, so each holds working arrays of at most this many
+# points: `smooth realize` on 8x8 (seeds 1 to 3, eps 0.1, 20,000
+# samples) peaked at 37.71-37.76 MB of RSS with 4096 and 39.22-39.37 MB
+# with 16384 in a pass, and about 0.5 MB higher with a verdict drawn
+# 16,384 points at a time than 4,096.  `TrackedPoints` finds the first
+# cells of the points it is given `ratarith.CHUNK` at a time.
 SWAP_CHUNK = 4096
-# Sample points of one smooth realize, swap or stage: `smooth realize`
-# on 8x8 peaks at 75.5 MiB of RSS with 2,000,000 samples, 37.3 MiB of it
-# the interpreter and numpy, so about 20 bytes per sample and under
-# 400 MB at the cap.
+# Sample points of one smooth realize, swap or stage.  A verdict holds
+# one chunk of them and at most SHALLOW_BATCH shallow points, so its
+# memory does not grow with the count, and the cap bounds time only:
+# `smooth realize` on 8x8 peaks at about 37 MB of RSS with 20,000,
+# 2,000,000 and this many samples alike, and takes about 0.8 s here.
 MAX_SMOOTH_SAMPLES = 1 << 24
-# Shallow points a pass sends through its layers at once.  They are
-# about 4 w of a moved cell's area (w the deep margin of CellSchedule),
-# a few in 10,000 at smooth8's delta, but most points once delta nears
-# 1/2, and each held costs a copy, an index and a layer's search (34
-# bytes).
+# Shallow points a pass or a verdict sends through its layers at once.
+# They are about 4 w of a moved cell's area (w the deep margin of
+# CellSchedule), a few in 10,000 at smooth8's delta, but most points
+# once delta nears 1/2, and each held costs a copy, an index and a
+# layer's search (34 bytes), so a verdict holds at most about 0.6 MB
+# of them.
 SHALLOW_BATCH = 1 << 14
 # Margin, in cell widths, that a deep point keeps beyond the ring of
 # every swap it meets.  One step rounds each coordinate five times and
@@ -430,8 +438,7 @@ def _check_index(index):
     check_smooth_cells("smooth %dx%d grid" % (m, n), (m, n))
 
 
-@dataclass
-class Trajectories:
+class Trajectories(NamedTuple):
     """Where the layers of one pass take a point of each cell that stays
     in the core of its swaps: the j-th pair met from start cell c is
     pairs[j, c] (int16, -1 past its last), c meets steps[c] pairs and
@@ -505,11 +512,11 @@ class CellSchedule(Composite):
                 rows[::-1] if inverse else rows, self.index.size)
         return self._paths[inverse]
 
-    def _move_deep(self, pts, part, paths):
-        """Move the deep points in the slice `part` of TrackedPoints pts
-        along `paths`; the indices in `part` of the shallow rest, the
-        points near a cell edge or off the unit square whose cell meets
-        a pair."""
+    def split(self, pts, part, paths):
+        """The points in the slice `part` of TrackedPoints pts whose cell
+        meets a pair on `paths`, as two index arrays into `part`: the
+        deep ones, and the shallow rest, near a cell edge or off the
+        unit square."""
         t = self.tables
         n, m = t.index.shape
         cell = pts.cell[part].astype(np.intp)
@@ -519,10 +526,7 @@ class CellSchedule(Composite):
                    out=far)
         deep = far <= t.reach
         moved = paths.steps.take(cell) > 0
-        hit = np.flatnonzero(moved & deep)
-        if len(hit):
-            self.follow(pts, hit + part.start, paths)
-        return np.flatnonzero(moved & ~deep)
+        return np.flatnonzero(moved & deep), np.flatnonzero(moved & ~deep)
 
     def follow(self, pts, hit, paths):
         """Move the deep points `hit` of pts along their trajectories,
@@ -542,15 +546,18 @@ class CellSchedule(Composite):
     def _pass(self, pts, inverse):
         layers = super().inverse if inverse else super().forward
         paths = self.paths(inverse)
-        shallow, held = [], 0
-        for lo, hi in chunks(0, len(pts), SWAP_CHUNK):
-            rest = self._move_deep(pts, slice(lo, hi), paths) + lo
-            if held and held + len(rest) > SHALLOW_BATCH:
-                _through(layers, pts, shallow)
-                shallow, held = [], 0
-            shallow.append(rest)
-            held += len(rest)
-        _through(layers, pts, shallow)
+
+        def shallow():
+            for lo, hi in chunks(0, len(pts), SWAP_CHUNK):
+                deep, rest = self.split(pts, slice(lo, hi), paths)
+                if len(deep):
+                    self.follow(pts, deep + lo, paths)
+                yield rest + lo
+
+        for hit in _batches(shallow(), np.empty(0, np.intp)):
+            part = pts.take(hit)
+            layers(part)
+            pts.put(hit, part)
         return pts
 
     def _tracked(self, pts, inverse):
@@ -565,12 +572,24 @@ class CellSchedule(Composite):
         return self._tracked(pts, True)
 
 
-def _through(layers, pts, shallow):
-    """Send the points of the index arrays `shallow` through `layers`."""
-    hit = np.concatenate(shallow) if shallow else np.empty(0, np.intp)
-    part = pts.take(hit)
-    layers(part)
-    pts.put(hit, part)
+def _batches(parts, empty):
+    """The arrays `parts` joined in runs of at most SHALLOW_BATCH entries,
+    or one longer part alone.  The last run is yielded even if it is
+    `empty`, so the layers run at least once.  A run is joined every 64
+    parts, so that it holds a few arrays however many parts it spans:
+    with a few shallow points in each of its 4,096 chunks, `smooth
+    realize` on 8x8 at MAX_SMOOTH_SAMPLES peaked at 37.8 MB of RSS with
+    one array per part, 37.4 MB so joined."""
+    run, held = [empty], 0
+    for part in parts:
+        if held and held + len(part) > SHALLOW_BATCH:
+            yield np.concatenate(run)
+            run, held = [empty], 0
+        run.append(part)
+        held += len(part)
+        if len(run) == 64:
+            run = [np.concatenate(run)]
+    yield np.concatenate(run)
 
 
 def zigzag_table(grid):
@@ -676,8 +695,7 @@ def check_smooth_cells(what, grid):
                             % (what, cells, MAX_SMOOTH_CELLS))
 
 
-@dataclass
-class RealizeReport:
+class RealizeReport(NamedTuple):
     plane_map: PlaneMap
     swaps: list
     delta: float
@@ -691,21 +709,44 @@ class RealizeReport:
 
 def obedience(plane, sigma, rng, samples):
     """(drawn, obeyed): per cell, how many of `samples` points drawn by
-    `rng` start in it, and how many of those `plane` moves into the cell
-    sigma sends it to."""
-    pts = TrackedPoints.draw(plane.index, rng, samples)
-    src = pts.cell.copy()
-    dst = plane.forward(pts).cell
-    image = np.asarray(sigma, dtype=np.int16)
-    drawn = np.zeros(len(sigma), dtype=np.intp)
-    obeyed = np.zeros(len(sigma), dtype=np.intp)
-    # add.at reads the int16 cells as they are, where bincount would
-    # copy them to intp
-    for lo, hi in chunks(0, samples):
-        cell = src[lo:hi]
-        np.add.at(drawn, cell, 1)
-        np.add.at(obeyed, cell[dst[lo:hi] == image[cell]], 1)
-    return drawn.tolist(), obeyed.tolist()
+    `rng` start in it, and how many of those the CellSchedule `plane`
+    moves into the cell sigma sends it to.
+
+    The sample is drawn and judged SWAP_CHUNK points at a time, by
+    rng.random((count, 2)), which continues the stream as one draw of
+    all of them would.  A deep point ends where its start cell's
+    trajectory ends (`paths.end`), the cell `CellSchedule.follow`
+    writes, so it is counted there unmoved; only the shallow rest go
+    through the layers (`Composite.forward`), at most SHALLOW_BATCH at a
+    time.  So a verdict holds one chunk and one batch, whatever
+    `samples`."""
+    paths = plane.paths(False)
+    image = np.asarray(sigma, dtype=np.intp)
+    # per cell, the points drawn in it and those that obeyed
+    counts = np.zeros((2, len(sigma)), dtype=np.intp)
+
+    def obeyed(start, end):
+        counts[1] += np.bincount(start[end == image[start]],
+                                 minlength=len(sigma))
+
+    def shallow():
+        for lo, hi in chunks(0, samples, SWAP_CHUNK):
+            pts = TrackedPoints.draw(plane.index, rng, hi - lo)
+            start = pts.cell.astype(np.intp)
+            counts[0] += np.bincount(start, minlength=len(sigma))
+            _, rest = plane.split(pts, slice(None), paths)
+            end = paths.end.take(start)
+            end[rest] = -1              # judged once through the layers
+            obeyed(start, end)
+            yield pts.array()[rest]
+
+    for batch in _batches(shallow(), np.empty((0, 2))):
+        # cells are found point by point, so these are the draw's
+        part = TrackedPoints(plane.index, batch)
+        start = part.cell.astype(np.intp)
+        Composite.forward(plane, part)
+        obeyed(start, part.cell)
+    return counts[0].tolist(), counts[1].tolist()
 
 
 def realize_perm(sigma, grid, eps, seed=0, samples=20000):
@@ -736,131 +777,3 @@ def realize_perm(sigma, grid, eps, seed=0, samples=20000):
     plane = CellSchedule(grid, swap_layers(swaps), delta)
     return RealizeReport(plane, swaps, delta, *obedience(
         plane, sigma, np.random.default_rng(seed), samples))
-
-
-class PeriodicStrip(PlaneMap):
-    """A map of [0, w]x[0,1] copied periodically in x with period w."""
-
-    def __init__(self, inner, width):
-        self.inner = inner
-        self.width = width
-
-    def _apply(self, pts, fn):
-        local = np.array(pts, dtype=float, copy=True)
-        base = np.floor(local[:, 0] / self.width) * self.width
-        local[:, 0] -= base
-        local[:, 0] /= self.width
-        out = fn(local)
-        out[:, 0] = out[:, 0] * self.width + base
-        return out
-
-    def forward(self, pts):
-        return self._apply(pts, self.inner.forward)
-
-    def inverse(self, pts):
-        return self._apply(pts, self.inner.inverse)
-
-
-class Rotation(PlaneMap):
-    def __init__(self, alpha):
-        self.alpha = float(alpha)
-
-    def _shift(self, pts, alpha):
-        out = np.array(pts, dtype=float, copy=True)
-        out[:, 0] = (out[:, 0] + alpha) % 1.0
-        return out
-
-    def forward(self, pts):
-        return self._shift(pts, self.alpha)
-
-    def inverse(self, pts):
-        return self._shift(pts, -self.alpha)
-
-
-class StageMap(PlaneMap):
-    """S_n = H R H^{-1}, H = h_1 o ... o h_n one Composite (h_n first)."""
-
-    def __init__(self, h_maps, alpha):
-        self.h = Composite(reversed(h_maps))
-        self.rot = Rotation(alpha)
-
-    def conjugate_in(self, pts):
-        return self.h.inverse(pts)
-
-    def conjugate_out(self, pts):
-        return self.h.forward(pts)
-
-    def forward(self, pts):
-        return self.conjugate_out(self.rot.forward(self.conjugate_in(pts)))
-
-    def inverse(self, pts):
-        return self.conjugate_out(self.rot.inverse(self.conjugate_in(pts)))
-
-
-def first_column_sigma(params, n, h_grid):
-    """Cell permutation of the first-column block of a relabeling,
-    in boustrophedon numbering on the k[n] x s[n+1] cell grid."""
-    k = params.k[n]
-    rows = params.s[n + 1]
-    index = zigzag_table((k, rows))
-    # h maps the block onto itself (see h_from_words): the atom in row s,
-    # column t < k of h's grid goes to row img // cols, column img % cols
-    img = h_grid.table.reshape(rows, h_grid.cols)[:, :k]
-    sigma = np.empty(k * rows, dtype=np.int64)
-    sigma[index] = index.ravel()[img // h_grid.cols * k + img % h_grid.cols]
-    return sigma.tolist()
-
-
-def stage_map(params, h_grids, eps=0.05, seed=0, samples=20000):
-    """Smooth realization S_n of the stage-n transformation.
-
-    h_grids are the grid relabelings h_1..h_n at native resolution.
-    Each is realized on its first-column block and copied periodically
-    with period 1/q[m-1]; the conjugated rotation by p[n]/q[n] is S_n.
-    Returns (StageMap, list of RealizeReport); ToleranceError names the
-    first stage whose sampled obedient fraction is below 1 - eps.
-    """
-    maps = []
-    reports = []
-    for m, h in enumerate(h_grids):
-        grid = (params.k[m], params.s[m + 1])
-        check_smooth_cells("stage-%d smooth grid" % (m + 1), grid)
-        sigma = first_column_sigma(params, m, h)
-        rep = realize_perm(sigma, grid, eps, seed=seed + m, samples=samples)
-        if rep.obedient < 1 - eps:
-            raise ToleranceError("stage %d obedient fraction %.4f below 1 - %g"
-                                 % (m + 1, rep.obedient, eps),
-                                 achieved=1 - rep.obedient, stage=m + 1)
-        reports.append(rep)
-        width = 1.0 / params.q[m]
-        maps.append(PeriodicStrip(rep.plane_map, width)
-                    if params.q[m] > 1 else rep.plane_map)
-    n = len(h_grids)
-    return StageMap(maps, params.alpha(n)), reports
-
-
-def map_distance(map_a, map_b, pts):
-    """Mean and max displacement between two maps of the cylinder,
-    with the horizontal coordinate taken mod 1."""
-    a = map_a.forward(np.asarray(pts, dtype=float))
-    b = map_b.forward(np.asarray(pts, dtype=float))
-    d = np.abs(a - b)
-    d[:, 0] = np.minimum(d[:, 0], 1.0 - d[:, 0])
-    dist = np.hypot(d[:, 0], d[:, 1])
-    return float(np.mean(dist)), float(np.max(dist))
-
-
-def sample_jacobian(plane_map, pts, h=1e-5):
-    """Central-difference Jacobian determinants of a plane map."""
-    pts = np.asarray(pts, dtype=float)
-    dx = np.array([h, 0.0])
-    dy = np.array([0.0, h])
-    fxp = plane_map.forward(pts + dx)
-    fxm = plane_map.forward(pts - dx)
-    fyp = plane_map.forward(pts + dy)
-    fym = plane_map.forward(pts - dy)
-    jxx = (fxp[:, 0] - fxm[:, 0]) / (2 * h)
-    jyx = (fxp[:, 1] - fxm[:, 1]) / (2 * h)
-    jxy = (fyp[:, 0] - fym[:, 0]) / (2 * h)
-    jyy = (fyp[:, 1] - fym[:, 1]) / (2 * h)
-    return jxx * jyy - jxy * jyx

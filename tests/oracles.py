@@ -339,7 +339,7 @@ def cell_of_points(grid, pts):
 
 
 def loop_first_column_sigma(params, n, h_grid):
-    """smoothreal.first_column_sigma before its one gather, verbatim but
+    """stagemap.first_column_sigma before its one gather, verbatim but
     for reading h_grid.table where GridPermutation.apply was called."""
     k = params.k[n]
     rows = params.s[n + 1]

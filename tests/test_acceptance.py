@@ -20,8 +20,8 @@ from circlesys.procsim import (build_process, check_requirements,
                                compose_stage, h_from_words, initial_process,
                                rotation_perm)
 from circlesys.ratarith import DynOrder, derive_params, dyn_order
-from circlesys.smoothreal import (StandardSwap, map_distance, perm_to_swaps,
-                                  realize_perm, sample_jacobian, stage_map)
+from circlesys.smoothreal import StandardSwap, perm_to_swaps, realize_perm
+from circlesys.stagemap import map_distance, sample_jacobian, stage_map
 from circlesys.words import B, boundary_stats, circ, parse
 
 from strategies import materialised_z

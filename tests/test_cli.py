@@ -1,5 +1,6 @@
 import io
 import os
+import re
 import subprocess
 import sys
 import time
@@ -11,9 +12,10 @@ import numpy as np
 import pytest
 
 from circlesys import (cli, consys, factor, names, procsim, ratarith,
-                       smoothreal, words)
+                       smoothreal, stagemap, words)
 from circlesys.cli import RunManifest, main, run_checks
-from circlesys.errors import CoherenceError, OracleMismatch, ToleranceError
+from circlesys.errors import (CoherenceError, InputError, OracleMismatch,
+                              ToleranceError)
 from oracles import dense_name_stability
 
 DESK_PARAMS = "k = 2 2\nl = 4 4\ns = 2 2 4\n"
@@ -499,11 +501,17 @@ def test_run_unknown_key_exit2(desk):
 ])
 def test_run_refused_check_exit2(desk, capsys, checks, error):
     # a check named twice used to print its line twice, and to run twice
-    # at once with jobs > 1
+    # at once with jobs > 1; the manifest's parse refuses both, naming it
     path = manifest(desk, "params = desk.params\njobs = 2\nchecks = %s\n"
                     % checks)
     assert run(["run", path]) == (2, "")
-    assert capsys.readouterr().err == "error: %s\n" % error
+    assert capsys.readouterr().err == "error: %s: %s\n" % (path, error)
+    # before any file it names is read, and by run_checks' own rule
+    os.remove(desk / "desk.params")
+    with pytest.raises(InputError, match=re.escape("%s: %s" % (path, error))):
+        RunManifest(path)
+    with pytest.raises(InputError, match="^%s$" % re.escape(error)):
+        run_checks(None, checks.split())
 
 
 def test_run_resource_cap_exit3(desk):
@@ -511,6 +519,28 @@ def test_run_resource_cap_exit3(desk):
         "params = desk.params\nhwords = w1.txt w2.txt\n"
         "checks = process\ncap_atoms = 100\n")])
     assert code == 3
+
+
+def test_run_five_stages_refused_before_h5_is_built(desk, capsys):
+    # h_5 alone would hold k q[4] s[5] = 2^32 entries; the stage-5 grid,
+    # 2^63 atoms, is refused first, so nothing near that size is made
+    (desk / "five.params").write_text("k = 2 2 2 2 2\nl = 2 2 2 2 2\n"
+                                      "s = 2 2 2 2 2 2\n")
+    (desk / "w01.txt").write_text("0 1\n1 0\n")
+    path = manifest(desk, "params = five.params\nhwords = %s\n"
+                    "checks = process\ncap_atoms = 4294967296\n"
+                    % " ".join(["w01.txt"] * 5))
+    tracemalloc.start()
+    try:
+        code, text = run(["run", path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, text) == (3, "")
+    assert capsys.readouterr().err == (
+        "resource cap: stage-5 grid needs %d atoms, cap is %d\n"
+        % (2 ** 63, 2 ** 32))
+    assert peak < 16 << 20
 
 
 def test_run_thin_rung_past_2_22_columns(desk):
@@ -738,8 +768,10 @@ def test_smooth_samples_past_cap_exits_3(desk, capsys, monkeypatch, argv):
 
 
 def test_smooth_realize_memory_per_sample():
-    # realize_perm's one pass holds the tracked points (18 bytes), their
-    # first cells (2) and one window; the obedience table only prints
+    # realize_perm's verdict holds one chunk of its sample and at most
+    # SHALLOW_BATCH shallow points (about 0.43 MB traced here, where a
+    # verdict that moved the whole sample held 24 bytes per sample); the
+    # obedience table only prints
     argv = ["smooth", "realize", "--grid", "8x8", "--eps", "0.1",
             "--seed", "1", "--samples"]
     run(argv + ["100"])     # loads what the command uses
@@ -751,7 +783,7 @@ def test_smooth_realize_memory_per_sample():
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert peak <= 24 * samples
+    assert peak <= 1 << 20
 
 
 def test_smooth_realize_samples_once(monkeypatch):
@@ -825,7 +857,7 @@ def test_smooth_stage_fail_line(desk, monkeypatch):
     def fail(*args, **kwargs):
         raise ToleranceError("obedient fraction below 1 - eps",
                              achieved=0.25)
-    monkeypatch.setattr(smoothreal, "stage_map", fail)
+    monkeypatch.setattr(stagemap, "stage_map", fail)
     monkeypatch.chdir(desk)
     assert run(["smooth", "stage", "--params", "desk.params", "--hwords",
                 "w1.txt", "--hwords", "w2.txt", "--eps", "0.1"]) \

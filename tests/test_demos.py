@@ -44,6 +44,22 @@ def test_rung_measure_script(tmp_path):
                             last)
 
 
+def test_rung_measure_script_times_any_command(tmp_path):
+    # --cli runs `circlesys ARGS...` in the timed child, and takes every
+    # argument after it, flags of circlesys included
+    script = os.path.join(ROOT, "demos", "rungs", "measure.py")
+    proc = subprocess.run([sys.executable, script, "--cli", "smooth", "swap",
+                           "--grid", "2x1", "--k", "0", "--samples", "1"],
+                          cwd=tmp_path, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    *report, last = proc.stdout.splitlines()
+    assert report == ["rect  0 ->  1 obedient n/a (0 samples)",
+                      "rect  1 ->  0 obedient 1.0000",
+                      "PASS obedient 1.0000 (need 0.9500)"]
+    assert re.fullmatch(r"wall_s=\d+\.\d{3} peak_rss_mb=\d+\.\d exit=0", last)
+
+
 def test_deep3_rung_report_is_recorded():
     # every default check on 33,554,432 stage-3 atoms, byte for byte
     rungs = os.path.join(ROOT, "demos", "rungs")

@@ -25,7 +25,8 @@ ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "demos" / "data"
 TRACER_PATH = ROOT / "perfbench" / "tracer.py"
 
-LAZY = ["consys", "factor", "names", "procsim", "smoothreal"]
+LAZY = ["consys", "factor", "names", "procsim", "smoothreal", "stagemap",
+        "words"]
 # every submodule the package registers lazily: all but cli and __main__
 REGISTERED = sorted(path.stem for path in (ROOT / "src" / "circlesys")
                     .glob("*.py")
@@ -51,9 +52,9 @@ EXPORTS = {
               "spacer_columns", "u_words"],
     "factor": ["BoundaryCrossing", "SymbolicPoint", "collapse_pi",
                "enumerate_coherent", "rho_trace", "shift_point"],
-    "smoothreal": ["CellSwap", "Composite", "StandardSwap", "map_distance",
-                   "perm_to_swaps", "realize_perm", "sample_jacobian",
-                   "stage_map"],
+    "smoothreal": ["CellSwap", "Composite", "StandardSwap", "perm_to_swaps",
+                   "realize_perm"],
+    "stagemap": ["map_distance", "sample_jacobian", "stage_map"],
 }
 
 # prints the circlesys modules in sys.modules, each with whether it has
@@ -137,8 +138,7 @@ def test_bare_import_executes_only_the_core():
     assert {name for name, done in executed.items() if not done} == \
         {"circlesys." + name for name in LAZY}
     assert {name for name, done in executed.items() if done} == \
-        {"circlesys.cli", "circlesys.errors", "circlesys.ratarith",
-         "circlesys.words"}
+        {"circlesys.cli", "circlesys.errors", "circlesys.ratarith"}
 
 
 def test_package_import_registers_every_module_and_executes_none():
@@ -165,7 +165,7 @@ def test_bare_import_registers_every_traced_module():
 def test_smooth_realize_leaves_the_exact_layers_unexecuted():
     executed = executed_after("smooth", "realize", "--grid", "2x2")
     assert executed["circlesys.smoothreal"]
-    for name in ("consys", "procsim", "names", "factor"):
+    for name in ("consys", "procsim", "names", "factor", "words", "stagemap"):
         assert not executed["circlesys." + name], name
 
 
@@ -175,7 +175,7 @@ def test_preword_run_leaves_the_grid_layers_unexecuted(tmp_path):
         DATA / "words2_variant.txt"))
     executed = executed_after("run", path)
     assert executed["circlesys.consys"]
-    for name in ("procsim", "names", "factor", "smoothreal"):
+    for name in ("procsim", "names", "factor", "smoothreal", "stagemap"):
         assert not executed["circlesys." + name], name
 
 

@@ -17,12 +17,11 @@ from circlesys.smoothreal import (DEEP_SLACK, MAX_DELTA, MAX_SMOOTH_CELLS,
                                   MAX_SMOOTH_SAMPLES,
                                   CellSchedule, CellSwap, Composite, PlaneMap,
                                   StandardSwap, SwapTables, TrackedPoints,
-                                  Trajectories,
-                                  first_column_sigma, map_distance, obedience,
-                                  perm_to_swaps, realize_perm,
-                                  sample_jacobian, stage_map, swap_layers,
-                                  zigzag_table)
+                                  Trajectories, obedience, perm_to_swaps,
+                                  realize_perm, swap_layers, zigzag_table)
 from circlesys.smoothreal import _disk_to_square, _square_to_disk, smoothstep
+from circlesys.stagemap import (first_column_sigma, map_distance,
+                                sample_jacobian, stage_map)
 from oracles import (cell_of_points, dict_swap_layers,
                      full_pass_perm_to_swaps, loop_first_column_sigma,
                      zigzag_cell)
@@ -669,20 +668,47 @@ def test_obedience_counts_each_cell(window, monkeypatch):
     assert 0 < sum(obeyed) < sum(drawn) == 3000
 
 
+@given(st.integers(1, 6), st.integers(1, 6), st.randoms(use_true_random=False),
+       st.floats(1e-3, MAX_DELTA), st.integers(0, 2**32 - 1),
+       st.integers(1, 300), st.integers(1, 9), st.integers(1, 9),
+       st.integers(1, 40))
+@settings(max_examples=80, deadline=None)
+def test_chunked_obedience_equals_one_whole_sample_pass(
+        m, n, rnd, delta, seed, samples, chunk, swap_chunk, batch):
+    # delta up to MAX_DELTA, where realize_perm's eps / swaps stops, so
+    # that near half the points are shallow; small chunks and batches
+    # make the verdict's chunks and shallow batches cross each other
+    sigma = list(range(m * n))
+    rnd.shuffle(sigma)
+    plane = CellSchedule((m, n), swap_layers(perm_to_swaps(sigma)), delta)
+    pts = np.random.default_rng(seed).random((samples, 2))
+    src = cell_of_points((m, n), pts)
+    dst = cell_of_points((m, n), plane.forward(pts))
+    want = (np.bincount(src, minlength=m * n).tolist(),
+            np.bincount(src[dst == np.asarray(sigma)[src]],
+                        minlength=m * n).tolist())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ratarith, "CHUNK", chunk)
+        mp.setattr(smoothreal, "SWAP_CHUNK", swap_chunk)
+        mp.setattr(smoothreal, "SHALLOW_BATCH", batch)
+        got = obedience(plane, sigma, np.random.default_rng(seed), samples)
+    assert got == want
+
+
 def test_realize_perm_memory_per_sample():
-    # a pass holds its tracked points (x and y 16 bytes, the cell 2),
-    # the int16 targets (2) and working arrays of one CHUNK: about
-    # 22.7 bytes per sample at its peak; int64 cells and targets, x and
-    # y copied out of the draw and full-length scans took about 40
+    # a verdict holds one SWAP_CHUNK of its sample, that chunk's working
+    # arrays and at most SHALLOW_BATCH shallow points, whatever the
+    # sample count: about 0.42 MB here at either count, where moving the
+    # whole sample held about 22.7 bytes per sample (4.5 MB at 200,000)
     sigma = [int(v) for v in np.random.default_rng(1).permutation(64)]
-    samples = 200000
-    tracemalloc.start()
-    try:
-        realize_perm(sigma, (8, 8), 0.1, seed=1, samples=samples)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 24 * samples
+    for samples in (200000, 2000000):
+        tracemalloc.start()
+        try:
+            realize_perm(sigma, (8, 8), 0.1, seed=1, samples=samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20, samples
 
 
 def test_schedule_build_memory():
