@@ -10,6 +10,14 @@ name below is served from its submodule on first use (PEP 562).  That
 first load is not thread-safe (Python 3.11 swaps the module's class
 before it executes the module), so code that starts threads loads the
 modules they read first, as `cli.run_checks` does.
+
+Every process pays at start-up for what its modules import and
+compile.  So the records are `typing.NamedTuple`s, or plain classes
+where a record must stay mutable or keep a field out of ==, and never
+classes whose methods a decorator generates and compiles at import
+(the standard library's data-class module is not imported at all); and
+only `cli.build_parser`, which parses a command line, imports
+`argparse`.
 """
 
 import importlib.util

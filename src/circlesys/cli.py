@@ -11,7 +11,6 @@ passes, 1 on any FAIL, 2 on input or parse errors, 3 when a resource
 cap is hit.
 """
 
-import argparse
 import math
 import os
 import sys
@@ -649,8 +648,10 @@ def cmd_smooth(args, out):
         if args.params is None or not args.hwords:
             raise InputError("smooth stage needs --params and --hwords")
         ctx = _context_from_args(args)
-        grids = [procsim.h_from_words(ctx.params, n, h_words)
-                 for n, h_words in enumerate(ctx.h_words)]
+        grids = []
+        for n, h_words in enumerate(ctx.h_words):
+            procsim.check_h_cap(ctx.params, n, ctx.cap_atoms)
+            grids.append(procsim.h_from_words(ctx.params, n, h_words))
         try:
             _, reports = stagemap.stage_map(
                 ctx.params, grids, args.eps, seed=args.seed,
@@ -720,6 +721,8 @@ def cmd_run(args, out):
 
 
 def build_parser():
+    import argparse     # only command-line parsing loads it
+
     top = argparse.ArgumentParser(prog="circlesys")
     sub = top.add_subparsers(dest="command", required=True)
 

@@ -9,8 +9,8 @@ so the exact Fractions stay cheap at any stage.
 
 import math
 import warnings
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,8 +22,7 @@ from .words import LazyCircularWord, circ, label_dtype, parse
 DEFAULT_WORD_CAP = 1 << 20
 
 
-@dataclass
-class ConstructionSequence:
+class ConstructionSequence(NamedTuple):
     params: object
     sigma_size: int
     prewords: list          # prewords[n] builds level n+1 from level n
@@ -121,15 +120,39 @@ def check_unique_readability(cs, n):
     return bad
 
 
-@dataclass
 class UniformityReport:
-    stage: int              # transition n -> n+1
-    densities: list         # observed d(w) = mean of f/(q'/q), exact
-    strong: bool            # f constant over all pairs
-    f_value: object         # the common f when strong, else None
-    eps: Fraction           # max over w' of sum_w |f/(q'/q) - d(w)|
-    # M[t, w]: copies of word w in tuple t, read-only
-    M: np.ndarray = field(repr=False, compare=False)
+    """Occurrence statistics of one stage transition n -> n+1.
+
+    stage       n
+    densities   observed d(w) = mean of f/(q'/q), exact
+    strong      f constant over all pairs
+    f_value     the common f when strong, else None
+    eps         max over w' of sum_w |f/(q'/q) - d(w)|
+    M           M[t, w]: copies of word w in tuple t, read-only; left
+                out of == and repr, which compare and show the rest
+    """
+
+    def __init__(self, stage, densities, strong, f_value, eps, M):
+        self.stage = stage
+        self.densities = densities
+        self.strong = strong
+        self.f_value = f_value
+        self.eps = eps
+        self.M = M
+
+    def _fields(self):
+        return self.stage, self.densities, self.strong, self.f_value, self.eps
+
+    def __eq__(self, other):
+        if type(other) is not UniformityReport:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None
+
+    def __repr__(self):
+        return ("UniformityReport(stage=%r, densities=%r, strong=%r, "
+                "f_value=%r, eps=%r)" % self._fields())
 
 
 def verify_uniformity(cs, n):
@@ -171,8 +194,7 @@ def verify_uniformity(cs, n):
     return UniformityReport(n, densities, strong, f_value, eps, M)
 
 
-@dataclass
-class CylinderEstimate:
+class CylinderEstimate(NamedTuple):
     stage: int
     base_level: int
     u_index: int
@@ -225,8 +247,7 @@ def estimate_cylinder(cs, u, base_level, n, eps=None):
     return CylinderEstimate(n, base_level, ui, props, gap, bound, gap <= bound)
 
 
-@dataclass
-class SWindowCertificate:
+class SWindowCertificate(NamedTuple):
     max_stage: int          # deepest stage with a covering occurrence
     witnesses: dict         # stage -> (a, b) with window[origin-a:origin+b] a stage word
     failed_stage: int       # first stage with no covering occurrence, or None

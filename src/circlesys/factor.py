@@ -10,9 +10,9 @@ r[n] inside the stage-n words, and the rescaled offsets
 increase to the angle the factor map assigns to the point.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import CoherenceError, InputError
 from .ratarith import d_index, dyn_order
@@ -36,48 +36,56 @@ def skeleton(params, n):
     return w
 
 
-@dataclass(frozen=True)
-class SymbolicPoint:
-    """Coherent stage offsets of a point: offsets[n] < q[n], and the
-    stage-(n+1) position sits inside a retained copy whose inner
-    position is offsets[n].  offsets[0] is always 0."""
+class _Point(NamedTuple):
     params: object
     offsets: tuple
 
-    def __post_init__(self):
-        offs = self.offsets
-        if not offs or offs[0] != 0:
+
+class SymbolicPoint(_Point):
+    """Coherent stage offsets of a point: offsets[n] < q[n], and the
+    stage-(n+1) position sits inside a retained copy whose inner
+    position is offsets[n].  offsets[0] is always 0.  Building one
+    checks this and raises CoherenceError, naming the first incoherent
+    stage, if it does not hold."""
+
+    __slots__ = ()
+
+    def __new__(cls, params, offsets):
+        if not offsets or offsets[0] != 0:
             raise CoherenceError("offsets[0] must be 0")
-        if len(offs) - 1 > self.params.stages:
+        if len(offsets) - 1 > params.stages:
             raise CoherenceError("more offsets than stages")
-        for n in range(1, len(offs)):
-            if not 0 <= offs[n] < self.params.q[n]:
+        for n in range(1, len(offsets)):
+            if not 0 <= offsets[n] < params.q[n]:
                 raise CoherenceError("offsets[%d] = %d outside [0, q[%d]=%d)"
-                                     % (n, offs[n], n, self.params.q[n]), n)
-            pos = skeleton(self.params, n).decode(offs[n])
+                                     % (n, offsets[n], n, params.q[n]), n)
+            pos = skeleton(params, n).decode(offsets[n])
             if not isinstance(pos, Interior):
                 raise CoherenceError("stage-%d offset %d is a spacer position"
-                                     % (n, offs[n]), n)
-            if pos.inner != offs[n - 1]:
+                                     % (n, offsets[n]), n)
+            if pos.inner != offsets[n - 1]:
                 raise CoherenceError(
                     "stage-%d offset %d sits over inner position %d, "
                     "expected offsets[%d] = %d"
-                    % (n, offs[n], pos.inner, n - 1, offs[n - 1]), n)
+                    % (n, offsets[n], pos.inner, n - 1, offsets[n - 1]), n)
+        return super().__new__(cls, params, offsets)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)       # so that _replace checks the offsets too
 
     @property
     def depth(self):
         return len(self.offsets) - 1
 
 
-@dataclass(frozen=True)
-class BoundaryCrossing:
+class BoundaryCrossing(NamedTuple):
     """Shifting left the stage-n window: the next letter falls outside
     a retained copy, so the offsets above stage `stage` - 1 break."""
     stage: int
 
 
-@dataclass
-class RhoTrace:
+class RhoTrace(NamedTuple):
     rhos: list              # Fraction per stage, monotone nondecreasing
     gaps: list              # rhos[n+1] - rhos[n], each < 1/q[n]
 

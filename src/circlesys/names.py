@@ -13,8 +13,8 @@ share (`q_labels`); tower s reads row s along `proc.orbit(s)`.
 """
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -148,8 +148,7 @@ def crosscheck_tower(proc_next, proc, h, s, simulated=None):
     return simulated
 
 
-@dataclass
-class StabilityReport:
+class StabilityReport(NamedTuple):
     matched: int
     atoms: int
     fraction: Fraction
@@ -259,8 +258,7 @@ def _union(keys, lo, length, cols):
     return lo[first] << 32 | (np.maximum.reduceat(hi, first) - lo[first])
 
 
-@dataclass
-class DistinctReport:
+class DistinctReport(NamedTuple):
     distinct: bool
     witness: object         # (s, s') with equal names, or None
 

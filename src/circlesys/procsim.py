@@ -10,9 +10,9 @@ permutation of h_n's own small grid and is applied to indices on demand.
 Atoms are indexed idx = s * cols + u for column u and row s.
 """
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -180,27 +180,44 @@ def h_from_words(params, n, h_words):
     return perm
 
 
-@dataclass
 class GridProcess:
     """Stage-n process: grid resolution, factored relabeling, towers.
 
     The relabeling is held as Z = lift(W), W a permutation of h_n's own
     grid (the stage grid itself at stage 0), so the process holds no
     per-atom relabeling table; `Z` applies the lift to index arrays on
-    demand.
+    demand.  h_list holds the h permutations at their native
+    resolutions.
 
     `labels` holds the stage labels in the rotation frame, labels o Z,
     as `FrameRuns` once `names.frame_labels` has computed them on first
-    use; building a process leaves it None.
+    use; building a process leaves it None.  It is left out of == and
+    repr, which compare and show the other fields.
     """
-    params: object
-    stage: int
-    cols: int
-    rows: int
-    W: GridPermutation      # Z = W lifted to the cols x rows stage grid
-    h_list: list            # the h permutations at their native resolutions
-    labels: object = field(default=None, init=False, repr=False,
-                           compare=False)
+
+    def __init__(self, params, stage, cols, rows, W, h_list):
+        self.params = params
+        self.stage = stage
+        self.cols = cols
+        self.rows = rows
+        self.W = W
+        self.h_list = h_list
+        self.labels = None
+
+    def _fields(self):
+        return (self.params, self.stage, self.cols, self.rows, self.W,
+                self.h_list)
+
+    def __eq__(self, other):
+        if type(other) is not GridProcess:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None
+
+    def __repr__(self):
+        return ("GridProcess(params=%r, stage=%r, cols=%r, rows=%r, W=%r, "
+                "h_list=%r)" % self._fields())
 
     @property
     def atoms(self):
@@ -276,6 +293,17 @@ def check_atom_cap(params, n, cap_atoms):
                             % (n, params.q[n] * params.s[n], cap_atoms))
 
 
+def check_h_cap(params, n, cap_atoms):
+    """ResourceError if h_{n+1}'s own grid, k[n] q[n] x s[n+1] atoms,
+    exceeds cap_atoms, so that its table is refused before it is built;
+    `h_from_words` refuses a stage past the parameters."""
+    if n < params.stages:
+        atoms = params.k[n] * params.q[n] * params.s[n + 1]
+        if atoms > cap_atoms:
+            raise ResourceError("stage-%d relabeling needs %d atoms, cap is "
+                                "%d" % (n + 1, atoms, cap_atoms))
+
+
 def stages(params, h_words_per_stage, cap_atoms=DEFAULT_ATOM_CAP):
     """The processes of stages 0, 1, ..., len(h_words_per_stage) in turn,
     each composed from the one before with `h_from_words` of its list.
@@ -297,8 +325,7 @@ def build_process(params, h_words_per_stage, cap_atoms=DEFAULT_ATOM_CAP):
     return proc
 
 
-@dataclass
-class EpsApproxReport:
+class EpsApproxReport(NamedTuple):
     eps: Fraction           # mass of the deleted set D
     deleted: int            # atoms in D
     blocks: int             # complete coarse traversals found
@@ -366,8 +393,7 @@ def eps_approx(coarse, fine):
                            subordinate)
 
 
-@dataclass
-class RequirementReport:
+class RequirementReport(NamedTuple):
     req1: str               # "pass" | "unverifiable" | "fail"
     req2: bool
     req2_witness: object    # (stage, word_index, symbol) or None

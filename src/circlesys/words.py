@@ -16,9 +16,9 @@ l and dynamical ordering j, is
 of total length k * l * q**2.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,17 +38,17 @@ def label_dtype(s0):
     return dtype
 
 
-@dataclass(frozen=True)
-class Boundary:
-    """Position inside a spacer run of a circular product."""
+class Boundary(NamedTuple):
+    """Position inside a spacer run of a circular product.  Its first
+    field is a negative letter, so a Boundary never equals an Interior,
+    whose first field is a pass index."""
     letter: int            # B or E
     pass_index: int        # i < q
     block: int             # j < k
     offset: int            # position within the run
 
 
-@dataclass(frozen=True)
-class Interior:
+class Interior(NamedTuple):
     """Position inside one of the l-1 retained copies of a child word."""
     pass_index: int
     block: int
@@ -209,8 +209,7 @@ def parse(x, words):
     return sorted(hits)
 
 
-@dataclass(frozen=True)
-class BoundaryStats:
+class BoundaryStats(NamedTuple):
     boundary_fraction: Fraction    # exactly 1/l
     near_fraction: Fraction        # positions within q of a spacer
 

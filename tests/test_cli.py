@@ -543,6 +543,28 @@ def test_run_five_stages_refused_before_h5_is_built(desk, capsys):
     assert peak < 16 << 20
 
 
+def test_smooth_stage_refuses_h5_before_building_it(desk, capsys):
+    # smooth stage takes no --cap-atoms: h_5's 2^32-entry table is held
+    # to the default cap, after h_1..h_4 (at most 2^16 entries) are built
+    (desk / "five.params").write_text("k = 2 2 2 2 2\nl = 2 2 2 2 2\n"
+                                      "s = 2 2 2 2 2 2\n")
+    (desk / "w01.txt").write_text("0 1\n1 0\n")
+    argv = ["smooth", "stage", "--params", str(desk / "five.params")]
+    for _ in range(5):
+        argv += ["--hwords", str(desk / "w01.txt")]
+    tracemalloc.start()
+    try:
+        code, text = run(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, text) == (3, "")
+    assert capsys.readouterr().err == (
+        "resource cap: stage-5 relabeling needs %d atoms, cap is %d\n"
+        % (2 ** 32, ratarith.DEFAULT_ATOM_CAP))
+    assert peak < 16 << 20
+
+
 def test_run_thin_rung_past_2_22_columns(desk):
     # stage 3 has q[3] = 4194368 columns, just past 2^22; one strip and
     # one child per stage keep it to one row, so the names checks run

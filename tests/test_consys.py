@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import tracemalloc
 from fractions import Fraction
@@ -283,7 +282,8 @@ def test_cylinder_check_equals_the_per_word_loop(case, shrink):
 
     def shrunk(cs, n):
         rep = verify(cs, n)
-        return dataclasses.replace(rep, eps=rep.eps * shrink)
+        return consys.UniformityReport(rep.stage, rep.densities, rep.strong,
+                                       rep.f_value, rep.eps * shrink, rep.M)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(consys, "verify_uniformity", shrunk)
         assert check_cylinder(ctx) == per_word_check_cylinder(ctx)

@@ -60,6 +60,32 @@ def test_rung_measure_script_times_any_command(tmp_path):
     assert re.fullmatch(r"wall_s=\d+\.\d{3} peak_rss_mb=\d+\.\d exit=0", last)
 
 
+def test_rung_measure_script_compares_two_checkouts(tmp_path):
+    # --ab runs the command in alternating pairs on another checkout's
+    # src (A) and on --src (B), here this checkout on both sides
+    script = os.path.join(ROOT, "demos", "rungs", "measure.py")
+    params = os.path.join(ROOT, "demos", "data", "desk.params")
+    proc = subprocess.run([sys.executable, script, "--ab", ROOT, "2",
+                           "--cli", "params", params],
+                          cwd=tmp_path, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    run = r"pair %d %s wall_s=\d+\.\d{4} peak_rss_mb=\d+\.\d{3} exit=0"
+    for line, (pair, side) in zip(lines, [(1, "A"), (1, "B"), (2, "B"),
+                                          (2, "A")]):
+        assert re.fullmatch(run % (pair, side), line), line
+    src = os.path.abspath(os.path.join(ROOT, "src"))
+    assert lines[4:6] == ["A = " + src, "B = " + src]
+    summary = (r"%s %s median=\d+\.\d{4} q1=\d+\.\d{4} q3=\d+\.\d{4} "
+               r"won=[012]/2")
+    for line, (side, metric) in zip(lines[6:10], [
+            ("A", "wall_s"), ("B", "wall_s"), ("A", "peak_rss_mb"),
+            ("B", "peak_rss_mb")]):
+        assert re.fullmatch(summary % (side, metric), line), line
+    assert lines[10:] == ["same_output=yes"]
+
+
 def test_deep3_rung_report_is_recorded():
     # every default check on 33,554,432 stage-3 atoms, byte for byte
     rungs = os.path.join(ROOT, "demos", "rungs")

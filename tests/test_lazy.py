@@ -112,6 +112,24 @@ print(ok)
 """
 
 
+# runs a manifest through `cli.main` or, as perfbench's child does,
+# through RunManifest and run_checks, and prints whether it passed and
+# which of argparse and dataclasses it loaded
+LOADED_BY_RUN = """
+import io, json, sys
+from circlesys import cli
+route, path = sys.argv[1:]
+if route == "main":
+    ok = cli.main(["run", path], out=io.StringIO()) == 0
+else:
+    manifest = cli.RunManifest(path)
+    checks = manifest.checks or manifest.default_checks()
+    _, ok = cli.run_checks(manifest.context(), checks, jobs=manifest.jobs)
+print(json.dumps([ok, [name for name in ("argparse", "dataclasses")
+                       if name in sys.modules]]))
+"""
+
+
 def child(code, *argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -186,24 +204,34 @@ GRID3_CHECKS = ("boundary cylinder distinct factor names numerology process "
                 "recursion requirements stability uniformity")
 
 
+def grid3_manifest(tmp_path, tail=""):
+    (tmp_path / "grid3.params").write_text(
+        "k = 2 4 4\nl = 2 2 2\ns = 2 2 4 4\n")
+    (tmp_path / "w3.txt").write_text(GRID3_W3)
+    words = "%s %s w3.txt" % (DATA / "words1.txt", DATA / "words2_variant.txt")
+    return write_manifest(tmp_path, "params = grid3.params\nprewords = %s\n"
+                          "hwords = %s\n%s" % (words, words, tail))
+
+
 @pytest.mark.parametrize("shape", ["demo", "grid3"])
 def test_threaded_checks_on_first_load_match_serial(shape, tmp_path):
     if shape == "demo":
         path = DATA / "manifest.txt"
         checks = " ".join(RunManifest(path).default_checks())
     else:
-        (tmp_path / "grid3.params").write_text(
-            "k = 2 4 4\nl = 2 2 2\ns = 2 2 4 4\n")
-        (tmp_path / "w3.txt").write_text(GRID3_W3)
-        words = "%s %s w3.txt" % (DATA / "words1.txt",
-                                  DATA / "words2_variant.txt")
-        path = write_manifest(tmp_path, "params = grid3.params\n"
-                              "prewords = %s\nhwords = %s\n" % (words, words))
+        path = grid3_manifest(tmp_path)
         checks = GRID3_CHECKS
     serial = child(THREADED_RUN, path, checks, 1)
     assert serial.endswith("\nTrue\n")
     for _ in range(5):
         assert child(THREADED_RUN, path, checks, 2) == serial
+
+
+def test_grid_run_loads_argparse_only_to_parse_argv(tmp_path):
+    path = grid3_manifest(tmp_path, "checks = %s\n" % GRID3_CHECKS)
+    assert json.loads(child(LOADED_BY_RUN, "library", path)) == [True, []]
+    assert json.loads(child(LOADED_BY_RUN, "main", path)) == \
+        [True, ["argparse"]]
 
 
 def test_every_export_is_the_submodule_object():

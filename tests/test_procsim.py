@@ -13,9 +13,9 @@ from circlesys.errors import ConstraintError, InputError, ResourceError
 from circlesys.names import name_stability
 from circlesys.procsim import (EpsApproxReport, GridPermutation,
                                LiftedPermutation, build_process,
-                               check_requirements, compose_stage, eps_approx,
-                               h_from_words, initial_process, rotation_perm,
-                               rotation_shift, stages)
+                               check_h_cap, check_requirements, compose_stage,
+                               eps_approx, h_from_words, initial_process,
+                               rotation_perm, rotation_shift, stages)
 from circlesys.ratarith import CHUNK, derive_params
 
 from oracles import loop_h_from_words, table_marks
@@ -219,6 +219,13 @@ def test_h_from_words_validation():
     for n in (-1, DESK.stages):
         with pytest.raises(InputError, match="stage %d" % (n + 1)):
             h_from_words(DESK, n, W1)
+    # h_2's grid holds k[1] q[1] s[2] = 2 * 8 * 4 atoms
+    check_h_cap(DESK, 1, 64)
+    assert h_from_words(DESK, 1, W2_DUP).table.size == 64
+    with pytest.raises(ResourceError, match="stage-2 relabeling needs 64 "
+                       "atoms, cap is 63"):
+        check_h_cap(DESK, 1, 63)
+    check_h_cap(DESK, DESK.stages, 1)       # h_from_words names the stage
 
 
 @settings(max_examples=100, deadline=None)
